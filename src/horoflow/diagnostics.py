@@ -122,16 +122,29 @@ def coverage(orbit, binning, axes=None):
         axes = tuple(range(k))
     elif len(axes) != k:
         raise ValueError("%d axes for %d binning ranges" % (len(axes), k))
+    rows = orbit.rows
+    top = max(axes)
+    if rows and top >= min(map(len, rows)):
+        short = next(row for row in rows if top >= len(row))
+        raise ValueError(
+            "sample has %d coordinates, axes need %d" % (len(short), top + 1)
+        )
+    # BinningSpec.indices unrolled over the rows: the same closed box test
+    # and cell arithmetic, with each cell flattened to one integer.
+    bins = [
+        (a, lo, hi, hi - lo, n)
+        for a, (lo, hi), n in zip(axes, binning.ranges, binning.counts)
+    ]
     visited = set()
-    for _, point in orbit.samples:
-        coords = point.coords
-        if max(axes, default=-1) >= len(coords):
-            raise ValueError(
-                "sample has %d coordinates, axes need %d"
-                % (len(coords), max(axes) + 1)
-            )
-        cell = binning.indices([coords[a] for a in axes])
-        if cell is not None:
+    for row in rows:
+        cell = 0
+        for a, lo, hi, span, n in bins:
+            value = row[a]
+            if not lo <= value <= hi:
+                break
+            k = int((value - lo) / span * n)
+            cell = cell * n + (k if k < n else n - 1)
+        else:
             visited.add(cell)
     total = binning.total
     return DensityReport(
@@ -169,14 +182,15 @@ def fiber_variation(orbit, coordinate):
         index = names.index(coordinate)
     else:
         index = coordinate
-    if not orbit.samples:
+    rows = orbit.rows
+    if not rows:
         return 0.0
-    first = orbit.samples[0][1].coords[index]
+    first = rows[0][index]
     name = names[index] if index < len(names) else None
     period = COORD_PERIODS.get(name)
     worst = 0.0
-    for _, point in orbit.samples:
-        value = point.coords[index]
+    for row in rows:
+        value = row[index]
         if period is None:
             gap = abs(value - first)
         else:
@@ -257,7 +271,8 @@ def minimal_set_residual(model, sample_count, group_radius, action_grid=None,
                 pushed = gamma.m.mul(on_set.frame)
                 xi = gamma.m.apply_boundary(on_set.transverse)
                 for b in grid:
-                    dist = minimal_set_distance(model, (pushed.mul(b), xi))
+                    # minimal_set_distance without its per-call model check
+                    dist = xi.chordal(pushed.mul(b).boundary_image_of_infinity())
                     if dist > worst:
                         worst = dist
         return worst

@@ -6,7 +6,10 @@ multiplies the current frame by a fixed step element and reduces back into
 the fundamental domain.  The per-step reduction is the performance hot spot;
 the heavy loops live in horoflow._kernels behind a compiled/pure switch.
 
-Orbit samples carry quotient coordinates and, for the surface models, a
+An orbit segment stores its samples as the coordinate rows the kernels
+return, the reduced start as row 0, and builds sample points only when
+`segment.samples` is first read; coverage and the CSV writer read the rows.
+Sample points carry quotient coordinates and, for the surface models, a
 reconstructed frame so orbit-aware point comparisons work on them.  Samples
 of a rotation-group bundle carry only the projected pole coordinates of the
 transverse fiber; the exact quaternion is returned for the final state only.
@@ -18,7 +21,9 @@ boundary iteration counts integer time.
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
+from itertools import chain, islice
 
 from horoflow import _kernels
 from horoflow.models import (
@@ -38,6 +43,9 @@ from horoflow.moebius import (
 )
 
 MAX_STEPS = 10 ** 8
+# Samples one run may keep: each is a coordinate row of about 130 to 210 B,
+# so the rows of one run stay near 2 GB at most.
+MAX_SAMPLES = 10 ** 7
 
 DUAL_MODEL_ID = "t3a_dual"
 DUAL_COORD_NAMES = ("xi_theta", "y_prime")
@@ -168,24 +176,80 @@ def sol_step_increment(flow, log_lam):
     raise ValueError("flow %s has no section coordinates" % flow_label(flow))
 
 
-@dataclass(frozen=True)
+def _check_increasing(pairs):
+    if any(b <= a for a, b in pairs):
+        raise ValueError("sample times must increase strictly")
+
+
 class OrbitSegment:
-    """A sampled orbit: (time, reduced point) pairs with provenance fields."""
+    """A sampled orbit: (time, reduced point) pairs with provenance fields.
 
-    model: str
-    flow: object
-    samples: tuple
-    seed: object
-    steps: int
-    coord_names: tuple = field(default=())
+    `rows` holds each sample's flat coordinates.  A segment built by
+    `from_rows` keeps only those rows, sample j at time time_step * j, and
+    builds the (time, point) pairs of `samples` on first access; a segment
+    built from explicit samples keeps them as given.
+    """
 
-    def __post_init__(self):
-        times = [t for t, _ in self.samples]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("sample times must increase strictly")
+    def __init__(self, model, flow, samples, seed, steps, coord_names=()):
+        samples = tuple(samples)
+        times = [t for t, _ in samples]
+        _check_increasing(zip(times, times[1:]))
+        self.model = model
+        self.flow = flow
+        self.seed = seed
+        self.steps = steps
+        self.coord_names = coord_names
+        self.rows = tuple(p.coords for _, p in samples)
+        self._samples = samples
+
+    @classmethod
+    def from_rows(cls, model, flow, rows, seed, steps, coord_names, time_step,
+                  point, start=None):
+        """A segment over coordinate rows; row 0 is the reduced start.
+
+        Row j is sampled at time time_step * j, row 0 at 0.0.  `point(row)`
+        builds the QuotientPoint of one row when the samples are first read;
+        `start`, if given, is the point of row 0 itself.
+        """
+        # time_step * j never falls as j grows, and two times can only meet
+        # once they overflow to inf, so the first and the last pair of
+        # times stand for all of them.
+        last = len(rows) - 1
+        ends = []
+        if last >= 1:
+            ends.append((0.0, time_step))
+        if last >= 2:
+            ends.append((time_step * (last - 1), time_step * last))
+        _check_increasing(ends)
+        segment = cls(model, flow, (), seed, steps, coord_names)
+        segment.rows = rows
+        segment._samples = None
+        segment._time_step = time_step
+        segment._point = point
+        segment._start = start
+        return segment
+
+    def times(self):
+        """An iterator over the sample times, one per row."""
+        if self._samples is not None:
+            return (t for t, _ in self._samples)
+        later = map(self._time_step.__mul__, range(1, len(self.rows)))
+        return chain((0.0,), later)
+
+    @property
+    def samples(self):
+        """The (time, QuotientPoint) pairs, built on first read."""
+        if self._samples is None:
+            if self._start is None:
+                points = map(self._point, self.rows)
+            else:
+                points = chain((self._start,),
+                               map(self._point, islice(self.rows, 1, None)))
+            self._samples = tuple(zip(self.times(), points))
+        return self._samples
 
     def __len__(self):
-        return len(self.samples)
+        return len(self.rows)
 
     def points(self):
         return tuple(p for _, p in self.samples)
@@ -201,12 +265,18 @@ def _validate_counts(steps, sample_every):
         raise ValueError("steps capped at %d" % MAX_STEPS)
     if not isinstance(sample_every, int) or sample_every < 1:
         raise ValueError("sample_every must be a positive integer")
+    if steps // sample_every + 1 > MAX_SAMPLES:
+        raise ValueError(
+            "a run keeps steps // sample_every + 1 samples, capped at %d; "
+            "raise sample_every" % MAX_SAMPLES
+        )
 
 
-def _surface_point(name, coords, transverse):
+def _surface_point(name, coords, boundary=False):
     frame = tangent_to_frame(
         TangentFrame(HalfPlanePoint(coords[0], coords[1]), coords[2])
     )
+    transverse = BoundaryPoint(coords[3]) if boundary else None
     return QuotientPoint(name, tuple(coords), frame=frame, transverse=transverse)
 
 
@@ -258,17 +328,12 @@ def _integrate_surface(model, start, flow, steps, seed, sample_every, rng):
     else:
         raise ValueError("no orbit kernel for model %r" % model.name)
 
-    dt = flow_time_step(flow)
-    samples = [(0.0, start_point)]
-    for j, coords in enumerate(raw, start=1):
-        transverse = None
-        if kind == _kernels.TRANS_BOUNDARY:
-            transverse = BoundaryPoint(coords[3])
-        samples.append(
-            (dt * sample_every * j, _surface_point(model.name, coords, transverse))
-        )
-    return OrbitSegment(
-        model.name, flow, tuple(samples), seed, steps, model.coord_names()
+    raw.insert(0, start_point.coords)
+    point = partial(_surface_point, model.name,
+                    boundary=kind == _kernels.TRANS_BOUNDARY)
+    return OrbitSegment.from_rows(
+        model.name, flow, raw, seed, steps, model.coord_names(),
+        flow_time_step(flow) * sample_every, point, start_point,
     )
 
 
@@ -280,12 +345,11 @@ def _integrate_torus_bundle(model, start, flow, steps, seed, sample_every, rng):
     sol = sol_step_increment(flow, model.log_lam)
     eigen = (model.a_prime, model.b_prime, model.c_prime, model.d_prime)
     raw, _ = _kernels.t3a_orbit(state, model.lam, eigen, sol, steps, sample_every)
-    dt = flow_time_step(flow)
-    samples = [(0.0, start_point)]
-    for j, coords in enumerate(raw, start=1):
-        samples.append((dt * sample_every * j, QuotientPoint(model.name, coords)))
-    return OrbitSegment(
-        model.name, flow, tuple(samples), seed, steps, model.coord_names()
+    raw.insert(0, start_point.coords)
+    return OrbitSegment.from_rows(
+        model.name, flow, raw, seed, steps, model.coord_names(),
+        flow_time_step(flow) * sample_every, partial(QuotientPoint, model.name),
+        start_point,
     )
 
 
@@ -305,14 +369,17 @@ def _integrate_dual_boundary(model, start, flow, steps, seed, sample_every, rng)
         start = (BoundaryPoint(rng.uniform(-math.pi, math.pi)), rng.uniform(-1.0, 1.0))
     xi, y_prime = dual_boundary_state(start)
     scale = MoebiusElement.geo(math.sqrt(model.lam))
-    samples = [(0.0, QuotientPoint(DUAL_MODEL_ID, (xi.theta, y_prime)))]
+    rows = [(xi.theta, y_prime)]
     for n in range(1, steps + 1):
         xi = scale.apply_boundary(xi)
         y_prime /= model.lam
         if n % sample_every == 0:
-            samples.append((float(n), QuotientPoint(DUAL_MODEL_ID, (xi.theta, y_prime))))
-    return OrbitSegment(
-        DUAL_MODEL_ID, flow, tuple(samples), seed, steps, DUAL_COORD_NAMES
+            rows.append((xi.theta, y_prime))
+    # Sample j sits at step n = sample_every * j, and the float time
+    # 1.0 * sample_every * j is exactly n.
+    return OrbitSegment.from_rows(
+        DUAL_MODEL_ID, flow, rows, seed, steps, DUAL_COORD_NAMES,
+        flow_time_step(flow) * sample_every, partial(QuotientPoint, DUAL_MODEL_ID),
     )
 
 

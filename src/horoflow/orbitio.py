@@ -39,10 +39,8 @@ def _atomic_write(path, text):
 def orbit_csv_text(segment):
     """Render one orbit segment in the CSV layout described above."""
     names = tuple(segment.coord_names)
-    if segment.samples:
-        width = len(segment.samples[0][1].coords)
-    else:
-        width = len(names)
+    rows = segment.rows
+    width = len(rows[0]) if rows else len(names)
     lines = [
         "# model = %s" % segment.model,
         "# flow = %s" % flow_label(segment.flow),
@@ -52,10 +50,8 @@ def orbit_csv_text(segment):
     for i in range(min(width, len(names))):
         lines.append("# c%d = %s" % (i + 1, names[i]))
     lines.append("time," + ",".join("c%d" % (i + 1) for i in range(width)))
-    for time, point in segment.samples:
-        cells = [FLOAT_FMT % time]
-        cells.extend(FLOAT_FMT % value for value in point.coords)
-        lines.append(",".join(cells))
+    row_fmt = ",".join([FLOAT_FMT] * (width + 1))
+    lines.extend(row_fmt % (time, *row) for time, row in zip(segment.times(), rows))
     return "\n".join(lines) + "\n"
 
 
