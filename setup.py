@@ -1,27 +1,14 @@
-"""Build script. The Cython kernel is optional: if Cython or a C compiler is
-missing the package installs pure-Python only and horoflow._kernels falls back
-at import time."""
-
-import os
+"""Build script. The C kernel is optional: without a C compiler the package
+installs pure-Python only and horoflow._kernels falls back at import time."""
 
 from setuptools import Extension, setup
 
-ext_modules = []
-if os.environ.get("HOROFLOW_SKIP_NATIVE") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "horoflow._kernels._native",
-                    ["src/horoflow/_kernels/_native.pyx"],
-                    extra_compile_args=["-O2"],
-                )
-            ],
-            language_level=3,
+setup(
+    ext_modules=[
+        Extension(
+            "horoflow._kernels._native",
+            ["src/horoflow/_kernels/_native.c"],
+            optional=True,
         )
-    except ImportError:
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+    ]
+)

@@ -1,7 +1,7 @@
 """Orbit kernel backend selection.
 
 The compiled backend is picked up when the extension module built from
-_native.pyx is importable; setting HOROFLOW_PURE=1 in the environment forces
+_native.c is importable; setting HOROFLOW_PURE=1 in the environment forces
 the pure-Python backend.  Both expose the same three functions with the same
 floating point behavior, so the choice only affects speed.
 """

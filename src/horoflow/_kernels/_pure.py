@@ -1,6 +1,6 @@
 """Pure-Python orbit kernels.
 
-The compiled twin in _native.pyx keeps the same functions with the same
+The compiled twin in _native.c keeps the same functions with the same
 expression structure, operation for operation, so both backends produce the
 same floating point results; any change here must be mirrored there.
 

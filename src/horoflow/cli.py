@@ -33,6 +33,7 @@ import argparse
 import math
 import sys
 
+from horoflow import models
 from horoflow.acceptance import run_suite
 from horoflow.diagnostics import BinningSpec, coverage
 from horoflow.flows import (
@@ -45,19 +46,17 @@ from horoflow.flows import (
 )
 from horoflow.groups import (
     BOUNDARY_CIRCLE,
-    ROTATIONS3,
     GeneratedGroup,
     classify_psl_projection,
     detect_semi_parabolic,
 )
-from horoflow.models import build_modular, build_octagon, build_product, build_t3a
+from horoflow.models import MODEL_NAMES
 from horoflow.models.base import QuotientPoint, ReductionError
 from horoflow.moebius import BoundaryPoint, MoebiusElement
 from horoflow.orbitio import read_orbit_csv, write_density_json, write_orbit_csv
 
 _TAU = 2.0 * math.pi
 
-MODEL_NAMES = ("modular", "octagon", "octagon_boundary", "octagon_so3", "t3a")
 FLOW_NAMES = ("u", "geo", "b", "sol3u", "dual")
 
 DEFAULT_DT = {"u": 0.01, "geo": 0.01, "sol3u": 0.037}
@@ -134,22 +133,20 @@ def _parse_int_matrix(text):
 
 
 def build_model(name, a_text, seed):
-    if name == "modular":
-        return build_modular()
-    if name == "octagon":
-        return build_octagon()
-    if name == "octagon_boundary":
-        return build_product(build_octagon(), BOUNDARY_CIRCLE)
-    if name == "octagon_so3":
-        return build_product(build_octagon(), ROTATIONS3, seed=seed or 0)
-    if name == "t3a":
-        try:
-            return build_t3a(_parse_int_matrix(a_text or "2 1 1 1"))
-        except ValueError as exc:
-            raise UsageError("bad --A matrix: %s" % exc) from None
-    raise UsageError(
-        "unknown model %r; choose from %s" % (name, ", ".join(MODEL_NAMES))
-    )
+    """Build a model through horoflow.models.build_model.
+
+    --A is parsed for t3a only; without --seed the octagon_so3 holonomy
+    seed is 0, where the library's default is 7.
+    """
+    if name not in MODEL_NAMES:
+        raise UsageError(
+            "unknown model %r; choose from %s" % (name, ", ".join(MODEL_NAMES))
+        )
+    a_mat = _parse_int_matrix(a_text) if name == "t3a" and a_text else None
+    try:
+        return models.build_model(name, a_mat, seed=seed or 0)
+    except ValueError as exc:
+        raise UsageError("bad --A matrix: %s" % exc) from None
 
 
 def build_flow(args):

@@ -417,7 +417,8 @@ def integrate_orbit(model, start, flow, steps, seed=None, sample_every=1):
 
 
 def escape_functional(model, flow):
-    """The escape height used to flag divergent orbits.
+    """The escape height used to flag divergent orbits, as a function of a
+    sample's coordinate row.
 
     Modular-base models escape into the cusp, measured by the imaginary part
     of the reduced base point; the dual boundary iteration escapes toward
@@ -426,8 +427,8 @@ def escape_functional(model, flow):
     """
     if isinstance(flow, DualBoundaryIterate):
 
-        def dual_escape(point):
-            theta, y_prime = point.coords
+        def dual_escape(coords):
+            theta, y_prime = coords
             gap = max(BoundaryPoint(theta).chordal(BoundaryPoint.infinity()),
                       abs(y_prime))
             return math.inf if gap == 0.0 else 1.0 / gap
@@ -435,22 +436,23 @@ def escape_functional(model, flow):
         return dual_escape
     base = model.base if isinstance(model, ProductModel) else model
     if isinstance(base, ModularModel):
-        return lambda point: point.coords[1]
-    return lambda point: 0.0
+        return lambda coords: coords[1]
+    return lambda coords: 0.0
 
 
 def detect_divergence(model, start, flow, horizon, threshold, seed=None):
     """Scan an orbit for escape beyond the threshold within the horizon.
 
     horizon counts steps; the report carries the first sample time at which
-    the escape functional exceeded the threshold, or None.
+    the escape functional exceeded the threshold, or None.  It reads the
+    segment's rows and builds no sample point.
     """
     segment = integrate_orbit(model, start, flow, horizon, seed=seed)
     escape = escape_functional(model, flow)
     first_passage = None
     peak = -math.inf
-    for time, point in segment.samples:
-        value = escape(point)
+    for time, coords in zip(segment.times(), segment.rows):
+        value = escape(coords)
         peak = max(peak, value)
         if first_passage is None and value > threshold:
             first_passage = time

@@ -28,7 +28,7 @@ from horoflow.models.t3a import (
 )
 
 DEFAULT_A = ((2, 1), (1, 1))
-MODEL_NAMES = ("t3a", "octagon", "octagon_so3", "octagon_boundary", "modular")
+MODEL_NAMES = ("modular", "octagon", "octagon_boundary", "octagon_so3", "t3a")
 
 
 def build_model(name, a_mat=None, seed=None):

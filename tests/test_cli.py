@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import horoflow
+from horoflow import cli, models
 from horoflow.cli import main
 from horoflow.orbitio import read_orbit_csv
 
@@ -86,6 +87,21 @@ def test_flow_unknown_model_and_flow(tmp_path, capsys):
     assert run(["flow", "--model", "modular", "--flow", "warp",
                 "--steps", 1, "--out", out]) == 2
     assert "unknown flow" in capsys.readouterr().err
+
+
+def _holonomy(model):
+    return [getattr(h, "entries", h) for h in getattr(model, "holonomy", ())]
+
+
+@pytest.mark.parametrize("name", models.MODEL_NAMES)
+def test_cli_models_come_from_the_library_registry(name):
+    for seed in (None, 0, 5):
+        from_cli = cli.build_model(name, None, seed)
+        # without --seed the CLI asks for seed 0, the library defaults to 7
+        from_library = models.build_model(name, seed=seed or 0)
+        assert from_cli.name == from_library.name == name
+        assert _holonomy(from_cli) == _holonomy(from_library)
+        assert getattr(from_cli, "a_mat", None) == getattr(from_library, "a_mat", None)
 
 
 def test_flow_missing_out_is_usage_error(capsys):

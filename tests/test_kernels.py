@@ -22,14 +22,6 @@ from horoflow.moebius import (
     tangent_to_frame,
 )
 
-_native = None
-try:
-    from horoflow._kernels import _native
-except ImportError:
-    pass
-
-needs_native = pytest.mark.skipif(_native is None, reason="no compiled backend")
-
 IDENTITY = (1.0, 0.0, 0.0, 1.0)
 NO_TRANS = (0.0, 0.0, 0.0, 0.0)
 
@@ -79,32 +71,45 @@ def test_env_override_forces_pure():
 
 # -- pure vs compiled parity -------------------------------------------------
 # The two backends share expression structure, so results must agree exactly.
+# The `native` fixture compiles _native.c; it skips only without a compiler.
 
 
-@needs_native
-@pytest.mark.parametrize("kind", [0, 1, 2])
-def test_surface_parity_exact(kind):
-    letters = octagon_letters()
+def assert_surface_parity(native, kind, padding=0, repeat=1):
+    """Compare the backends on an octagon orbit whose letters are `padding`
+    identity letters, which never shorten the descent, then the octagon's
+    letters `repeat` times."""
+    letters = list(IDENTITY) * padding + octagon_letters() * repeat
     quats = None
     tstate = NO_TRANS
     if kind == 1:
         tstate = (0.3, 0.0, 0.0, 0.0)
     elif kind == 2:
         model = build_product(build_octagon(), ROTATIONS3, seed=7)
-        quats = rotation_quats(model)
+        quats = [1.0, 0.0, 0.0, 0.0] * padding + rotation_quats(model) * repeat
         tstate = (1.0, 0.0, 0.0, 0.0)
     step = MoebiusElement.u(0.07).entries
     args = (IDENTITY, step, letters, kind, quats, tstate, 4000, 7)
     sp, fp, tp = _pure.surface_orbit(*args)
-    sn, fn, tn = _native.surface_orbit(*args)
+    sn, fn, tn = native.surface_orbit(*args)
     assert sp == sn
     assert fp == fn
     assert tp == tn
 
 
-@needs_native
 @pytest.mark.parametrize("kind", [0, 1, 2])
-def test_modular_parity_exact(kind):
+def test_surface_parity_exact(native, kind):
+    assert_surface_parity(native, kind)
+
+
+def test_surface_parity_any_letter_count(native):
+    # 24 letters either way: the octagon's 8 three times over, and 16
+    # identities before the 8, which a kernel reading only 16 would miss
+    assert_surface_parity(native, 2, repeat=3)
+    assert_surface_parity(native, 2, padding=16)
+
+
+@pytest.mark.parametrize("kind", [0, 1, 2])
+def test_modular_parity_exact(native, kind):
     quats = None
     tstate = NO_TRANS
     if kind == 1:
@@ -120,21 +125,20 @@ def test_modular_parity_exact(kind):
     step = MoebiusElement.u(0.11).entries
     args = (IDENTITY, step, kind, quats, tstate, 4000, 3)
     sp, fp, tp = _pure.modular_orbit(*args)
-    sn, fn, tn = _native.modular_orbit(*args)
+    sn, fn, tn = native.modular_orbit(*args)
     assert sp == sn
     assert fp == fn
     assert tp == tn
 
 
-@needs_native
 @pytest.mark.parametrize("sol_step", [(0.037, 0.0, 0.0), (0.0, 0.0, 0.01)])
-def test_t3a_parity_exact(sol_step):
+def test_t3a_parity_exact(native, sol_step):
     m = build_t3a(((2, 1), (1, 1)))
     eigen = (m.a_prime, m.b_prime, m.c_prime, m.d_prime)
     x0, y0 = m.primed_from_torus(0.2, 0.7)
     args = ((x0, y0, 0.35), m.lam, eigen, sol_step, 50000, 11)
     sp, fp = _pure.t3a_orbit(*args)
-    sn, fn = _native.t3a_orbit(*args)
+    sn, fn = native.t3a_orbit(*args)
     assert sp == sn
     assert fp == fn
 
@@ -266,22 +270,80 @@ def test_final_determinant_stays_normalized():
 # -- guard behavior ----------------------------------------------------------
 
 
-def test_t3a_level_guard_reports_step():
+def failure(call, impl):
+    """(exception type, message) of call(impl); fails the test if it returns."""
+    with pytest.raises(Exception) as info:
+        call(impl)
+    return type(info.value), str(info.value)
+
+
+def test_t3a_level_guard_reports_step(native_or_none):
     m = build_t3a(((2, 1), (1, 1)))
     eigen = (m.a_prime, m.b_prime, m.c_prime, m.d_prime)
-    for impl in filter(None, (_pure, _native)):
-        with pytest.raises(ValueError, match="step 0"):
-            impl.t3a_orbit((0.0, 0.0, 0.0), m.lam, eigen, (0.0, 0.0, 200.0), 5, 1)
+    for impl in filter(None, (_pure, native_or_none)):
+        got = failure(
+            lambda k: k.t3a_orbit(
+                (0.0, 0.0, 0.0), m.lam, eigen, (0.0, 0.0, 200.0), 5, 1
+            ),
+            impl,
+        )
+        assert got == (
+            ValueError, "suspension coordinate drifted 200 levels at step 0"
+        )
 
 
-def test_determinant_collapse_raises():
+def test_determinant_collapse_raises(native_or_none):
     letters = octagon_letters()
-    bad_step = (1.0, 0.0, 0.0, -1.0)
-    for impl in filter(None, (_pure, _native)):
-        with pytest.raises(ValueError, match="collapsed"):
-            impl.surface_orbit(IDENTITY, bad_step, letters, 0, None, NO_TRANS, 5, 1)
-        with pytest.raises(ValueError, match="collapsed"):
-            impl.modular_orbit(IDENTITY, bad_step, 0, None, NO_TRANS, 5, 1)
+    cases = [
+        ((1.0, 0.0, 0.0, -1.0), "frame determinant collapsed to -1"),
+        ((1e-300, 0.0, 0.0, -1e-300), "frame determinant collapsed to -0"),
+        ((0.0, 0.0, 0.0, 0.0), "frame determinant collapsed to 0"),
+        ((1.0, 0.0, 0.0, -0.1234567891), "frame determinant collapsed to -0.123457"),
+        ((1.0, 0.0, 0.0, -12345678.9), "frame determinant collapsed to -1.23457e+07"),
+    ]
+    for impl in filter(None, (_pure, native_or_none)):
+        for bad_step, message in cases:
+            assert failure(
+                lambda k: k.surface_orbit(
+                    IDENTITY, bad_step, letters, 0, None, NO_TRANS, 5, 1
+                ),
+                impl,
+            ) == (ValueError, message)
+            assert failure(
+                lambda k: k.modular_orbit(
+                    IDENTITY, bad_step, 0, None, NO_TRANS, 5, 1
+                ),
+                impl,
+            ) == (ValueError, message)
+
+
+def test_nonfinite_and_zero_inputs_fail_alike(native):
+    # math.floor of NaN or inf and `% 0` raise in the pure backend; the C
+    # kernel must raise the same, not carry NaN on or trap.
+    m = build_t3a(((2, 1), (1, 1)))
+    eigen = (m.a_prime, m.b_prime, m.c_prime, m.d_prime)
+    step = MoebiusElement.u(0.07).entries
+    calls = [
+        lambda k: k.modular_orbit(
+            (math.nan, 0.0, 0.0, 1.0), step, 0, None, NO_TRANS, 5, 1
+        ),
+        lambda k: k.t3a_orbit((0.0, 0.0, math.nan), m.lam, eigen,
+                              (0.0, 0.0, 0.1), 5, 1),
+        lambda k: k.t3a_orbit((math.nan, 0.0, 0.0), m.lam, eigen,
+                              (0.0, 0.0, 0.1), 5, 1),
+        lambda k: k.t3a_orbit((0.0, 0.0, 0.0), m.lam, eigen,
+                              (0.0, 0.0, math.inf), 5, 1),
+        lambda k: k.t3a_orbit((0.0, 0.0, 0.0), m.lam, eigen,
+                              (0.0, 0.0, -1e30), 5, 1),
+        lambda k: k.surface_orbit(
+            IDENTITY, step, octagon_letters(), 0, None, NO_TRANS, 3, 0
+        ),
+        lambda k: k.modular_orbit(IDENTITY, step, 0, None, NO_TRANS, 3, 0),
+        lambda k: k.t3a_orbit((0.0, 0.0, 0.0), m.lam, eigen,
+                              (0.0, 0.0, 0.1), 3, 0),
+    ]
+    for call in calls:
+        assert failure(call, native) == failure(call, _pure)
 
 
 def test_pure_reduction_cap_reports_step(monkeypatch):

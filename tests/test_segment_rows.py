@@ -320,6 +320,23 @@ def test_density_builds_no_sample_points(monkeypatch, tmp_path):
     assert out.read_text(encoding="utf-8") == DENSITY_JSON
 
 
+def _point_must_not_be_built(*args, **kwargs):
+    raise AssertionError("a sample point was built")
+
+
+def test_divergence_scan_builds_no_sample_points(monkeypatch):
+    monkeypatch.setattr(flows, "_surface_point", _point_must_not_be_built)
+    modular = build_model("modular")
+    start = modular.point_from_frame(MoebiusElement.identity())
+    report = flows.detect_divergence(modular, start, GeodesicD(0.01), 600, 100.0)
+    # the report the per-sample scan gave
+    assert report == {
+        "diverged": True,
+        "first_passage": 4.61,
+        "max_escape": 403.42879349268134,
+    }
+
+
 # -- the sample limit ---------------------------------------------------------
 
 
