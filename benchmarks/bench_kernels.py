@@ -1,8 +1,10 @@
 """Time the compiled orbit kernels against the pure-Python fallback.
 
 Runs the same workload through horoflow._kernels._native and ._pure with
-identical inputs, reports wall time and speedup, and checks that the two
-backends produce bit-identical samples.  Usage:
+identical inputs, reports wall time and speedup, and exits non-zero unless
+the two backends return bit-identical results.  The surface kernel runs
+once per transverse kind: none (octagon), the boundary circle
+(octagon_boundary) and rotations (octagon_so3).  Usage:
 
     python3 benchmarks/bench_kernels.py [--steps N] [--repeats K]
 """
@@ -10,9 +12,9 @@ backends produce bit-identical samples.  Usage:
 import argparse
 import time
 
-from horoflow._kernels import TRANS_NONE, _pure
+from horoflow._kernels import TRANS_BOUNDARY, TRANS_NONE, TRANS_ROTATION, _pure
 from horoflow.flows import HorocycleU, Sol3U, sol_step_increment, surface_step_element
-from horoflow.models import build_octagon, build_t3a
+from horoflow.models import build_model, build_octagon, build_t3a
 
 try:
     from horoflow._kernels import _native
@@ -29,6 +31,10 @@ def make_workloads(steps, sample_every):
     letters = []
     for g in octagon.generators:
         letters.extend(g.entries)
+    so3 = build_model("octagon_so3", seed=7)
+    quats = []
+    for k in range(octagon.letter_count()):
+        quats.extend(so3.letter_transverse(k))
     t3a = build_t3a(((2, 1), (1, 1)))
     eigen = (t3a.a_prime, t3a.b_prime, t3a.c_prime, t3a.d_prime)
     sol = sol_step_increment(Sol3U(0.037), t3a.log_lam)
@@ -36,6 +42,12 @@ def make_workloads(steps, sample_every):
         ("surface_orbit", "surface_orbit",
          (IDENTITY, u_step, letters, TRANS_NONE, None, NO_TRANS,
           steps, sample_every)),
+        ("surface/bound", "surface_orbit",
+         (IDENTITY, u_step, letters, TRANS_BOUNDARY, None,
+          (0.3, 0.0, 0.0, 0.0), steps, sample_every)),
+        ("surface/so3", "surface_orbit",
+         (IDENTITY, u_step, letters, TRANS_ROTATION, quats,
+          (1.0, 0.0, 0.0, 0.0), steps, sample_every)),
         ("modular_orbit", "modular_orbit",
          (IDENTITY, u_step, TRANS_NONE, None, NO_TRANS, steps, sample_every)),
         ("t3a_orbit", "t3a_orbit",

@@ -29,6 +29,9 @@
 #define DET_TOL 1e-12
 #define DESCENT_SLACK 1e-12
 #define REDUCE_CAP 10000
+#define QUICK_NORM 1e4
+#define QUICK_DET 1e-9
+#define QUICK_MARGIN 1e-6
 #define TRANS_BOUNDARY 1
 #define TRANS_ROTATION 2
 
@@ -126,12 +129,27 @@ static int step_frame(double *m, const double *s, long i)
     return 0;
 }
 
-static double dist_to_center(const double *f)
+static double cosh_dist(const double *f)
 {
     double gamma = f[2] * f[2] + f[3] * f[3];
     double re = (f[0] * f[2] + f[1] * f[3]) / gamma;
     double im = 1.0 / gamma;
-    return acosh(1.0 + (re * re + (im - 1.0) * (im - 1.0)) / (2.0 * im));
+    return 1.0 + (re * re + (im - 1.0) * (im - 1.0)) / (2.0 * im);
+}
+
+/* q <- (q11, 2 q12, q22) of Q = L^T L for the letter l, with a NaN q11
+   unless l may be quick-rejected: see _pure._letter_table. */
+static void quick_form(const double *l, double *q)
+{
+    double q11 = l[0] * l[0] + l[2] * l[2];
+    double q12 = l[0] * l[1] + l[2] * l[3];
+    double q22 = l[1] * l[1] + l[3] * l[3];
+    if (!(fabs(l[0] * l[3] - l[1] * l[2] - 1.0) <= DET_TOL
+            && q11 + q22 <= QUICK_NORM))
+        q11 = NAN;
+    q[0] = q11;
+    q[1] = 2.0 * q12;
+    q[2] = q22;
 }
 
 static double boundary_apply(double a, double b, double c, double d,
@@ -210,33 +228,58 @@ static PyObject *surface_orbit(PyObject *self, PyObject *args,
     if (n_letters < 0)
         return NULL;
     n_letters /= 4;
-    /* any number of letters, then as many holonomy quaternions */
-    double *lets = PyMem_New(double, 8 * n_letters + 1);
+    /* any number of letters, then as many holonomy quaternions, then the
+       letters' quick forms */
+    double *lets = PyMem_New(double, 11 * n_letters + 1);
     if (lets == NULL)
         return PyErr_NoMemory();
     double *quats = lets + 4 * n_letters;
+    double *quick = quats + 4 * n_letters;
     if (read_doubles(letters, lets, 4 * n_letters)
             || (kind == TRANS_ROTATION
                 && read_doubles(trans_quats, quats, 4 * n_letters))
             || (samples = PyList_New(0)) == NULL)
         goto done;
+    for (Py_ssize_t k = 0; k < n_letters; k++)
+        quick_form(lets + 4 * k, quick + 3 * k);
     for (long i = 0; i < steps; i++) {
         if (step_frame(m, s, i))
             goto done;
-        /* greedy descent toward the domain center */
-        double dist = dist_to_center(m);
-        int descend = 0;
+        /* greedy descent toward the domain center, with the quick reject
+           of _pure.surface_orbit, where its error bound is derived */
+        double arg = cosh_dist(m), dist = 0.0;
+        int have_dist = 0, descend = 0;
         for (;;) {
+            double p11 = m[0] * m[0] + m[1] * m[1];
+            double p12 = m[0] * m[2] + m[1] * m[3];
+            double p22 = m[2] * m[2] + m[3] * m[3];
+            double n = p11 + p22;
+            double det = m[0] * m[3] - m[1] * m[2];
+            double thr = NAN;
+            if (n <= QUICK_NORM && fabs(det - 1.0) <= QUICK_DET)
+                thr = n * (1.0 + QUICK_MARGIN);
             int moved = 0;
             for (Py_ssize_t k = 0; k < n_letters; k++) {
+                const double *q = quick + 3 * k;
+                if (q[0] * p11 + q[1] * p12 + q[2] * p22 >= thr)
+                    continue;
                 const double *l = lets + 4 * k;
                 double cm[4] = {l[0] * m[0] + l[1] * m[2],
                                 l[0] * m[1] + l[1] * m[3],
                                 l[2] * m[0] + l[3] * m[2],
                                 l[2] * m[1] + l[3] * m[3]};
-                double cand = dist_to_center(cm);
+                double carg = cosh_dist(cm);
+                /* acosh is monotone: no smaller argument, no descent */
+                if (carg >= arg)
+                    continue;
+                double cand = acosh(carg);
+                if (!have_dist) {
+                    dist = acosh(arg);
+                    have_dist = 1;
+                }
                 if (cand < dist - DESCENT_SLACK) {
                     memcpy(m, cm, sizeof cm);
+                    arg = carg;
                     dist = cand;
                     if (kind == TRANS_BOUNDARY)
                         t[0] = boundary_apply(l[0], l[1], l[2], l[3], t[0]);

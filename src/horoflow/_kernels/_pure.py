@@ -16,6 +16,17 @@ State conventions shared by both backends:
 
 All reduction loops raise ValueError carrying the step index on a cap or
 guard violation.
+
+The surface descent tries every letter L on the frame g and keeps the first
+candidate L g closer to i.  Most candidates are farther out, and a quick
+reject drops them before L g is formed: ||L g||^2 is the quadratic form
+q11*p11 + 2*q12*p12 + q22*p22 of Q = L^T L, built once per call, against
+P = g g^T, built once per descent round, and a candidate at least 1e-6
+above ||g||^2 cannot win.  The rule applies only while g and L have det
+near 1 and norms below 1e4; the comment in surface_orbit bounds its error.
+A surviving candidate whose cosh argument is no smaller than the frame's is
+dropped before its acosh.  Neither filter changes a decision, a result or
+an error, and _native.c does the same, expression for expression.
 """
 
 import math
@@ -24,6 +35,9 @@ RENORM_EVERY = 64
 _DET_TOL = 1e-12
 _DESCENT_SLACK = 1e-12
 _REDUCE_CAP = 10_000
+_QUICK_NORM = 1e4
+_QUICK_DET = 1e-9
+_QUICK_MARGIN = 1e-6
 _PI = math.pi
 _HALF_PI = 0.5 * math.pi
 _TAU = 2.0 * math.pi
@@ -41,12 +55,36 @@ def _renorm(a, b, c, d):
     return (a * scale, b * scale, c * scale, d * scale)
 
 
-def _dist_to_center(a, b, c, d):
-    # hyperbolic distance from (frame applied to i) to i, from raw entries
+def _cosh_dist(a, b, c, d):
+    # cosh of the hyperbolic distance from (frame applied to i) to i
     gamma = c * c + d * d
     re = (a * c + b * d) / gamma
     im = 1.0 / gamma
-    return math.acosh(1.0 + (re * re + (im - 1.0) * (im - 1.0)) / (2.0 * im))
+    return 1.0 + (re * re + (im - 1.0) * (im - 1.0)) / (2.0 * im)
+
+
+def _letter_table(letters):
+    """Rows (q11, 2*q12, q22, la, lb, lc, ld, k), one per reduction letter.
+
+    Q = L^T L, so that ||L g||^2 = q11*p11 + 2*q12*p12 + q22*p22 with
+    P = g g^T.  Only a letter with det within _DET_TOL of 1 and
+    ||L||^2 <= _QUICK_NORM may be quick-rejected; any other gets a NaN q11,
+    which no threshold passes, and always takes the exact path.
+    """
+    table = []
+    for k in range(len(letters) // 4):
+        la = letters[4 * k]
+        lb = letters[4 * k + 1]
+        lc = letters[4 * k + 2]
+        ld = letters[4 * k + 3]
+        q11 = la * la + lc * lc
+        q12 = la * lb + lc * ld
+        q22 = lb * lb + ld * ld
+        if not (abs(la * ld - lb * lc - 1.0) <= _DET_TOL
+                and q11 + q22 <= _QUICK_NORM):
+            q11 = math.nan
+        table.append((q11, 2.0 * q12, q22, la, lb, lc, ld, k))
+    return table
 
 
 def _tangent_coords(a, b, c, d):
@@ -132,7 +170,7 @@ def surface_orbit(frame, step, letters, trans_kind, trans_quats, trans_state,
     a, b, c, d = frame
     sa, sb, sc, sd = step
     t0, t1, t2, t3 = trans_state
-    n_letters = len(letters) // 4
+    table = _letter_table(letters)
     samples = []
     for i in range(steps):
         # right multiplication by the step element
@@ -145,23 +183,52 @@ def surface_orbit(frame, step, letters, trans_kind, trans_quats, trans_state,
         det = a * d - b * c
         if det - 1.0 > _DET_TOL or 1.0 - det > _DET_TOL or (i + 1) % RENORM_EVERY == 0:
             a, b, c, d = _renorm(a, b, c, d)
-        # greedy descent toward the domain center
-        dist = _dist_to_center(a, b, c, d)
+        # greedy descent toward the domain center.  The frame's cosh
+        # argument is taken eagerly, so that a degenerate frame fails at
+        # this step as before; its acosh only once a candidate comes closer.
+        arg = _cosh_dist(a, b, c, d)
+        dist = None
         descend = 0
         while True:
+            # Quick reject, exact by this bound.  The cosh argument
+            # f = 1 + (re^2 + (im-1)^2)/(2 im) of a frame M equals
+            # ||M||^2/2 + (1 - det^2)/(2 gamma), and gamma*(a^2 + b^2) >=
+            # det^2, so the det term moves f by at most a relative
+            # |1 - det^2|/det^2, below 2.1e-9 for g and for L g under the
+            # det guards.  The three products of the quick form sum in
+            # magnitude to at most 2*||L||^2*||g||^2 <= 2e4*n, so rounding
+            # moves it by less than 2e-11*n; f itself is computed to a few
+            # ulps.  A candidate with ||L g||^2 >= n*(1 + 1e-6) is thus
+            # farther from i than g and fails the exact test below.  It
+            # cannot raise there either: L g has det near 1 and entries
+            # below 1e4, so its gamma is far from zero.
+            p11 = a * a + b * b
+            p12 = a * c + b * d
+            p22 = c * c + d * d
+            n = p11 + p22
+            det = a * d - b * c
+            if n <= _QUICK_NORM and abs(det - 1.0) <= _QUICK_DET:
+                thr = n * (1.0 + _QUICK_MARGIN)
+            else:
+                thr = math.nan
             moved = False
-            for k in range(n_letters):
-                la = letters[4 * k]
-                lb = letters[4 * k + 1]
-                lc = letters[4 * k + 2]
-                ld = letters[4 * k + 3]
+            for q11, q12x2, q22, la, lb, lc, ld, k in table:
+                if q11 * p11 + q12x2 * p12 + q22 * p22 >= thr:
+                    continue
                 ca = la * a + lb * c
                 cb = la * b + lb * d
                 cc = lc * a + ld * c
                 cd = lc * b + ld * d
-                cand = _dist_to_center(ca, cb, cc, cd)
+                carg = _cosh_dist(ca, cb, cc, cd)
+                # acosh is monotone: no smaller argument, no descent
+                if carg >= arg:
+                    continue
+                cand = math.acosh(carg)
+                if dist is None:
+                    dist = math.acosh(arg)
                 if cand < dist - _DESCENT_SLACK:
                     a, b, c, d = (ca, cb, cc, cd)
+                    arg = carg
                     dist = cand
                     if trans_kind == TRANS_BOUNDARY:
                         t0 = _boundary_apply(la, lb, lc, ld, t0)

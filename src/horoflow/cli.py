@@ -30,7 +30,6 @@ scaled to unit determinant), `u t`, `geo lam`, `rot theta`, `b alpha beta`.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from horoflow import models
@@ -54,8 +53,6 @@ from horoflow.models import MODEL_NAMES
 from horoflow.models.base import QuotientPoint, ReductionError
 from horoflow.moebius import BoundaryPoint, MoebiusElement
 from horoflow.orbitio import read_orbit_csv, write_density_json, write_orbit_csv
-
-_TAU = 2.0 * math.pi
 
 FLOW_NAMES = ("u", "geo", "b", "sol3u", "dual")
 
@@ -219,21 +216,11 @@ def cmd_flow(args):
 
 
 def _default_ranges(model, flow, count):
-    name = getattr(model, "name", "")
-    if isinstance(flow, DualBoundaryIterate):
-        ranges = ((-math.pi, math.pi), (-2.0, 2.0))
-    elif name == "t3a":
-        ranges = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
-    else:
-        box = model.coverage_box()
-        ranges = (box[0], box[1], (0.0, _TAU))
-        if name.endswith("_so3"):
-            ranges += ((0.0, math.pi), (0.0, _TAU))
-        elif name.endswith("_boundary"):
-            ranges += ((-math.pi, math.pi),)
+    ranges = model.default_ranges(flow)
     if count > len(ranges):
         raise UsageError(
-            "no default ranges for %d axes on model %s; pass --box" % (count, name)
+            "no default ranges for %d axes on model %s; pass --box"
+            % (count, model.name)
         )
     return ranges[:count]
 

@@ -147,6 +147,12 @@ class ModularModel:
         """
         return ((-0.5, 0.5), (0.5 * math.sqrt(3.0), 3.0))
 
+    def default_ranges(self, flow):
+        """Density ranges of (re, im, direction): the coverage box, then the
+        full circle of directions."""
+        box = self.coverage_box()
+        return (box[0], box[1], (0.0, 2.0 * math.pi))
+
 
 def build_modular():
     return ModularModel()

@@ -215,6 +215,12 @@ class OctagonModel:
         sh = math.sinh(INNER_RADIUS)
         return ((-sh, sh), (math.exp(-INNER_RADIUS), math.exp(INNER_RADIUS)))
 
+    def default_ranges(self, flow):
+        """Density ranges of (re, im, direction): the coverage box, then the
+        full circle of directions."""
+        box = self.coverage_box()
+        return (box[0], box[1], (0.0, 2.0 * math.pi))
+
 
 def build_octagon():
     return OctagonModel()

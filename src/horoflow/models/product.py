@@ -126,6 +126,17 @@ class ProductModel:
     def coverage_box(self):
         return self.base.coverage_box()
 
+    def default_ranges(self, flow):
+        """The base's density ranges, then the transverse coordinates':
+        (polar, azimuth) for rotations, the angle for the boundary circle."""
+        if self.space is ROTATIONS3:
+            fiber = ((0.0, math.pi), (0.0, 2.0 * math.pi))
+        elif self.space is BOUNDARY_CIRCLE:
+            fiber = ((-math.pi, math.pi),)
+        else:
+            fiber = ()
+        return self.base.default_ranges(flow) + fiber
+
     # -- the invariant graph of the diagonal model ---------------------------
 
     def graph_point(self, f):

@@ -301,6 +301,15 @@ class TorusBundleModel:
     def coord_names(self):
         return ("x", "y", "t")
 
+    def default_ranges(self, flow):
+        """Density ranges: the unit cube of (x, y, t), or for the dual
+        boundary iteration a window of (xi, y')."""
+        from horoflow.flows import DualBoundaryIterate  # flows imports models
+
+        if isinstance(flow, DualBoundaryIterate):
+            return ((-math.pi, math.pi), (-2.0, 2.0))
+        return ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
+
     # -- the holonomy group on the compactified leafwise boundary ---------------
 
     def dual_generators(self):

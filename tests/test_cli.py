@@ -6,6 +6,7 @@ point so the module guard and console wiring stay honest.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import pytest
 import horoflow
 from horoflow import cli, models
 from horoflow.cli import main
+from horoflow.flows import DualBoundaryIterate, GeodesicD, HorocycleU, Sol3U
 from horoflow.orbitio import read_orbit_csv
 
 
@@ -145,6 +147,37 @@ def test_density_explicit_box(tmp_path):
                 "--box", "0 1 0 1 0 1", "--out", out]) == 0
     report = json.loads(out.read_text())
     assert report["fraction"] == 1.0
+
+
+_TAU = 2.0 * math.pi
+
+
+@pytest.mark.parametrize("name, flow, tail", [
+    ("modular", HorocycleU(0.01), ()),
+    ("octagon", HorocycleU(0.01), ()),
+    ("octagon_boundary", HorocycleU(0.01), ((-math.pi, math.pi),)),
+    ("octagon_so3", GeodesicD(0.01), ((0.0, math.pi), (0.0, _TAU))),
+])
+def test_surface_models_give_default_density_ranges(name, flow, tail):
+    model = models.build_model(name)
+    box = model.coverage_box()
+    assert model.default_ranges(flow) == (box[0], box[1], (0.0, _TAU)) + tail
+
+
+def test_t3a_default_density_ranges_depend_on_the_flow():
+    model = models.build_model("t3a")
+    assert model.default_ranges(Sol3U(0.037)) == ((0.0, 1.0),) * 3
+    assert model.default_ranges(DualBoundaryIterate()) == (
+        (-math.pi, math.pi), (-2.0, 2.0))
+
+
+def test_density_needs_ranges_for_every_axis(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert run(["density", "--model", "octagon_boundary", "--flow", "u",
+                "--steps", 1, "--bins", "2 2 2 2 2", "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: no default ranges for 5 axes on model "
+        "octagon_boundary; pass --box\n")
 
 
 def test_density_bad_bins_and_box(tmp_path, capsys):
