@@ -27,14 +27,8 @@ NO_TRANS = (0.0, 0.0, 0.0, 0.0)
 
 def make_workloads(steps, sample_every):
     u_step = surface_step_element(HorocycleU(0.01)).entries
-    octagon = build_octagon()
-    letters = []
-    for g in octagon.generators:
-        letters.extend(g.entries)
-    so3 = build_model("octagon_so3", seed=7)
-    quats = []
-    for k in range(octagon.letter_count()):
-        quats.extend(so3.letter_transverse(k))
+    letters = build_octagon().letters
+    quats = build_model("octagon_so3", seed=7).trans_quats
     t3a = build_t3a(((2, 1), (1, 1)))
     eigen = (t3a.a_prime, t3a.b_prime, t3a.c_prime, t3a.d_prime)
     sol = sol_step_increment(Sol3U(0.037), t3a.log_lam)
@@ -88,7 +82,8 @@ def main():
         native_t, native_out = best_time(
             getattr(_native, attr), call_args, args.repeats
         )
-        match = "yes" if pure_out == native_out else "NO"
+        # repr tells -0.0 from 0.0, which == does not
+        match = "yes" if repr(pure_out) == repr(native_out) else "NO"
         print("%-15s %10d %12.3f %12.3f %8.1fx %s"
               % (label, args.steps, pure_t, native_t, pure_t / native_t, match))
         if match == "NO":

@@ -65,14 +65,31 @@ static int check_every(long steps, long every)
 }
 
 /* math.floor, failing as it does on NaN and infinity, where the pure
-   backend stops, instead of passing a non-finite value on. */
+   backend stops, instead of passing a non-finite value on.  math.floor
+   returns an int, whose zero has no sign: adding 0.0 turns C's -0.0 into
+   0.0, so that `x - floor(x)` keeps the sign of a zero x as in Python. */
 static int py_floor(double v, double *out)
 {
-    *out = floor(v);
+    *out = floor(v) + 0.0;
     if (isfinite(v))
         return 0;
     PyObject *as_int = PyLong_FromDouble(v); /* raises math.floor's error */
     Py_XDECREF(as_int);
+    return -1;
+}
+
+/* Python's float `num / den`: a zero divisor raises the interpreter's own
+   ZeroDivisionError, where C would divide on into an inf or a NaN. */
+static int py_div(double num, double den, double *out)
+{
+    *out = num / den;
+    if (den != 0.0)
+        return 0;
+    PyObject *x = PyFloat_FromDouble(num), *y = PyFloat_FromDouble(den);
+    if (x != NULL && y != NULL)
+        Py_XDECREF(PyNumber_TrueDivide(x, y)); /* raises */
+    Py_XDECREF(x);
+    Py_XDECREF(y);
     return -1;
 }
 
@@ -129,12 +146,17 @@ static int step_frame(double *m, const double *s, long i)
     return 0;
 }
 
-static double cosh_dist(const double *f)
+/* *out <- cosh of the distance from (frame f applied to i) to i. */
+static int cosh_dist(const double *f, double *out)
 {
     double gamma = f[2] * f[2] + f[3] * f[3];
-    double re = (f[0] * f[2] + f[1] * f[3]) / gamma;
-    double im = 1.0 / gamma;
-    return 1.0 + (re * re + (im - 1.0) * (im - 1.0)) / (2.0 * im);
+    double re, im, excess;
+    if (py_div(f[0] * f[2] + f[1] * f[3], gamma, &re)
+            || py_div(1.0, gamma, &im)
+            || py_div(re * re + (im - 1.0) * (im - 1.0), 2.0 * im, &excess))
+        return -1;
+    *out = 1.0 + excess;
+    return 0;
 }
 
 /* q <- (q11, 2 q12, q22) of Q = L^T L for the letter l, with a NaN q11
@@ -169,7 +191,7 @@ static double boundary_apply(double a, double b, double c, double d,
 }
 
 /* t <- l * t normalised, its sign set by the first entry beyond 1e-12. */
-static UNFUSED void quat_mul_norm(const double *l, double *t)
+static UNFUSED int quat_mul_norm(const double *l, double *t)
 {
     double q[4] = {l[0] * t[0] - l[1] * t[1] - l[2] * t[2] - l[3] * t[3],
                    l[0] * t[1] + l[1] * t[0] + l[2] * t[3] - l[3] * t[2],
@@ -178,11 +200,13 @@ static UNFUSED void quat_mul_norm(const double *l, double *t)
     double n = sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3]);
     int lead = 0;
     for (int j = 0; j < 4; j++)
-        q[j] /= n;
+        if (py_div(q[j], n, &q[j]))
+            return -1;
     while (lead < 3 && !(fabs(q[lead]) > 1e-12))
         lead++;
     for (int j = 0; j < 4; j++)
         t[j] = q[lead] < -1e-12 ? -q[j] : q[j];
+    return 0;
 }
 
 /* Append (re, im, direction) plus the transverse coordinates of `kind`. */
@@ -192,8 +216,9 @@ static int append_sample(PyObject *samples, const double *m, int kind,
     double row[5];
     Py_ssize_t n = 3;
     double gamma = m[2] * m[2] + m[3] * m[3];
-    row[0] = (m[0] * m[2] + m[1] * m[3]) / gamma;
-    row[1] = 1.0 / gamma;
+    if (py_div(m[0] * m[2] + m[1] * m[3], gamma, &row[0])
+            || py_div(1.0, gamma, &row[1]))
+        return -1;
     row[2] = py_mod(HALF_PI - 2.0 * atan2(m[2], m[3]), TAU);
     if (kind == TRANS_BOUNDARY) {
         row[n++] = t[0];
@@ -247,8 +272,10 @@ static PyObject *surface_orbit(PyObject *self, PyObject *args,
             goto done;
         /* greedy descent toward the domain center, with the quick reject
            of _pure.surface_orbit, where its error bound is derived */
-        double arg = cosh_dist(m), dist = 0.0;
+        double arg, dist = 0.0;
         int have_dist = 0, descend = 0;
+        if (cosh_dist(m, &arg))
+            goto done;
         for (;;) {
             double p11 = m[0] * m[0] + m[1] * m[1];
             double p12 = m[0] * m[2] + m[1] * m[3];
@@ -268,7 +295,9 @@ static PyObject *surface_orbit(PyObject *self, PyObject *args,
                                 l[0] * m[1] + l[1] * m[3],
                                 l[2] * m[0] + l[3] * m[2],
                                 l[2] * m[1] + l[3] * m[3]};
-                double carg = cosh_dist(cm);
+                double carg;
+                if (cosh_dist(cm, &carg))
+                    goto done;
                 /* acosh is monotone: no smaller argument, no descent */
                 if (carg >= arg)
                     continue;
@@ -283,8 +312,9 @@ static PyObject *surface_orbit(PyObject *self, PyObject *args,
                     dist = cand;
                     if (kind == TRANS_BOUNDARY)
                         t[0] = boundary_apply(l[0], l[1], l[2], l[3], t[0]);
-                    else if (kind == TRANS_ROTATION)
-                        quat_mul_norm(quats + 4 * k, t);
+                    else if (kind == TRANS_ROTATION
+                             && quat_mul_norm(quats + 4 * k, t))
+                        goto done;
                     moved = 1;
                     break;
                 }
@@ -331,10 +361,10 @@ static PyObject *modular_orbit(PyObject *self, PyObject *args,
         int rounds = 0;
         for (;;) {
             double gamma = m[2] * m[2] + m[3] * m[3];
-            double re = (m[0] * m[2] + m[1] * m[3]) / gamma;
-            double im = 1.0 / gamma;
-            double shift;
-            if (py_floor(re + 0.5, &shift))
+            double re, im, shift;
+            if (py_div(m[0] * m[2] + m[1] * m[3], gamma, &re)
+                    || py_div(1.0, gamma, &im)
+                    || py_floor(re + 0.5, &shift))
                 goto done;
             if (shift != 0.0) {
                 m[0] -= shift * m[2];
@@ -349,7 +379,8 @@ static PyObject *modular_orbit(PyObject *self, PyObject *args,
                     for (int j = 1; shift > 0 && j < 4; j++)
                         q[j] = -q[j];
                     for (long rep = (long)fabs(shift); rep > 0; rep--)
-                        quat_mul_norm(q, t);
+                        if (quat_mul_norm(q, t))
+                            goto done;
                 }
             }
             if (!(re * re + im * im < 1.0 - DET_TOL))
@@ -361,8 +392,8 @@ static PyObject *modular_orbit(PyObject *self, PyObject *args,
             m[3] = b;
             if (kind == TRANS_BOUNDARY)
                 t[0] = boundary_apply(0.0, -1.0, 1.0, 0.0, t[0]);
-            else if (kind == TRANS_ROTATION)
-                quat_mul_norm(quats + 4, t);
+            else if (kind == TRANS_ROTATION && quat_mul_norm(quats + 4, t))
+                goto done;
             if (++rounds > REDUCE_CAP) {
                 PyErr_Format(PyExc_ValueError,
                     "reduction did not settle within %d rounds at step %ld",
@@ -394,11 +425,12 @@ static PyObject *t3a_orbit(PyObject *self, PyObject *args, PyObject *kwargs)
             || (samples = PyList_New(0)) == NULL)
         return NULL;
     for (long i = 0; i < steps; i++) {
-        double scale = pow(lam, p[2]);
+        double scale = pow(lam, p[2]), shear, n, m1, m2;
         p[0] += scale * s[0];
-        p[1] += s[1] / scale;
+        if (py_div(s[1], scale, &shear))
+            goto done;
+        p[1] += shear;
         p[2] += s[2];
-        double n, m1, m2;
         if (py_floor(p[2], &n))
             goto done;
         if (n != 0.0) {
@@ -413,7 +445,8 @@ static PyObject *t3a_orbit(PyObject *self, PyObject *args, PyObject *kwargs)
                 goto done;
             }
             double down = pow(lam, n);
-            p[0] /= down;
+            if (py_div(p[0], down, &p[0]))
+                goto done;
             p[1] *= down;
             p[2] -= n;
         }

@@ -265,8 +265,8 @@ def _surface_reduction_trials(model, rng, trials):
     for _ in range(trials):
         p = model.sample_point(rng)
         gamma = gammas[rng.randrange(len(gammas))]
-        again = model.point_from_frame(model.reduce_frame(p.frame)[0])
-        moved = model.point_from_frame(model.reduce_frame(gamma.mul(p.frame))[0])
+        again = model.reduce(p.frame)
+        moved = model.reduce(gamma.mul(p.frame))
         if not model.points_close(again, p, 1e-9):
             failures += 1
         elif not model.points_close(moved, p, 1e-9):

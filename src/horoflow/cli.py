@@ -194,7 +194,7 @@ def _integrate(args):
             seed=args.seed,
             sample_every=args.sample_every or 1,
         )
-    except (ValueError, ReductionError) as exc:
+    except (ValueError, ArithmeticError, ReductionError) as exc:
         raise RunError(str(exc)) from None
     if steps == 0:
         # zero steps means "emit the format, integrate nothing"

@@ -32,8 +32,7 @@ from horoflow.models import (
     ProductModel,
     TorusBundleModel,
 )
-from horoflow.models.base import QuotientPoint
-from horoflow.groups import BOUNDARY_CIRCLE, ROTATIONS3, TRIVIAL
+from horoflow.models.base import NO_TRANSVERSE, QuotientPoint
 from horoflow.moebius import (
     BoundaryPoint,
     HalfPlanePoint,
@@ -280,57 +279,22 @@ def _surface_point(name, coords, boundary=False):
     return QuotientPoint(name, tuple(coords), frame=frame, transverse=transverse)
 
 
-def _pack_transverse(space, value):
-    if space is TRIVIAL:
-        return _kernels.TRANS_NONE, (0.0, 0.0, 0.0, 0.0)
-    if space is BOUNDARY_CIRCLE:
-        return _kernels.TRANS_BOUNDARY, (value.theta, 0.0, 0.0, 0.0)
-    if space is ROTATIONS3:
-        return _kernels.TRANS_ROTATION, tuple(value)
-    raise ValueError("no kernel packing for transverse space %s" % space.name)
-
-
 def _integrate_surface(model, start, flow, steps, seed, sample_every, rng):
-    base = model.base if isinstance(model, ProductModel) else model
-    step_el = surface_step_element(flow)
     if start is None:
         start = model.sample_point(rng)
     if isinstance(model, ProductModel):
-        frame, trans = model.reduce_state(start.frame, start.transverse)
-        start_point = model.point_from_state(frame, trans)
-        kind, trans_state = _pack_transverse(model.space, trans)
+        start_point = model.reduce(start.frame, start.transverse)
+        trans_state = model.pack_transverse(start_point.transverse)
     else:
-        frame, _ = model.reduce_frame(start.frame)
-        start_point = model.point_from_frame(frame)
-        kind, trans_state = _kernels.TRANS_NONE, (0.0, 0.0, 0.0, 0.0)
-
-    if isinstance(base, ModularModel):
-        quats = None
-        if kind == _kernels.TRANS_ROTATION:
-            quats = list(model.letter_transverse(0)) + list(model.letter_transverse(2))
-        raw, _, _ = _kernels.modular_orbit(
-            frame.entries, step_el.entries, kind, quats, trans_state,
-            steps, sample_every,
-        )
-    elif isinstance(base, OctagonModel):
-        quats = None
-        if kind == _kernels.TRANS_ROTATION:
-            quats = []
-            for k in range(base.letter_count()):
-                quats.extend(model.letter_transverse(k))
-        letters = []
-        for g in base.generators:
-            letters.extend(g.entries)
-        raw, _, _ = _kernels.surface_orbit(
-            frame.entries, step_el.entries, letters, kind, quats, trans_state,
-            steps, sample_every,
-        )
-    else:
-        raise ValueError("no orbit kernel for model %r" % model.name)
-
+        start_point = model.reduce(start.frame)
+        trans_state = NO_TRANSVERSE
+    raw, _, _ = model.kernel_orbit(
+        start_point.frame.entries, surface_step_element(flow).entries, steps,
+        sample_every, trans_state,
+    )
     raw.insert(0, start_point.coords)
     point = partial(_surface_point, model.name,
-                    boundary=kind == _kernels.TRANS_BOUNDARY)
+                    boundary=isinstance(start_point.transverse, BoundaryPoint))
     return OrbitSegment.from_rows(
         model.name, flow, raw, seed, steps, model.coord_names(),
         flow_time_step(flow) * sample_every, point, start_point,

@@ -7,6 +7,12 @@ from dataclasses import dataclass
 from horoflow.moebius import MoebiusElement
 
 
+# One kernel step by the identity only reduces; a model without a
+# transverse factor hands the kernel the zero transverse state.
+IDENTITY_STEP = (1.0, 0.0, 0.0, 1.0)
+NO_TRANSVERSE = (0.0, 0.0, 0.0, 0.0)
+
+
 @dataclass
 class QuotientPoint:
     """A point of a quotient model in canonical coordinates.

@@ -5,13 +5,18 @@ In contrast to the octagon surface this quotient is not compact; geodesics
 can run up the cusp, which is exactly the divergence the escape diagnostics
 look for.  The fundamental domain is the classical strip |Re z| <= 1/2 cut
 below by the unit circle.
+
+Frames are reduced in Python: the modular kernel differs in the last bits,
+as its inversion has an exact 0 where S = rot(pi/2) has cos(pi/2) = 6.1e-17,
+and it tests |z|^2 < 1 - 1e-12 where the descent tests |z| < 1 - 1e-12.
 """
 
 from __future__ import annotations
 
 import math
 
-from horoflow.models.base import QuotientPoint, ReductionError
+from horoflow import _kernels
+from horoflow.models.base import NO_TRANSVERSE, QuotientPoint, ReductionError
 from horoflow.moebius import (
     HalfPlanePoint,
     MoebiusElement,
@@ -27,6 +32,8 @@ class ModularModel:
     """PSL(2, Z) with the standard fundamental domain."""
 
     name = "modular"
+    # the letters whose holonomy images a product hands the kernel: T, S
+    kernel_letters = (0, 2)
 
     def __init__(self):
         self.gen_t = MoebiusElement.u(1.0)
@@ -43,8 +50,9 @@ class ModularModel:
     def independent_generators(self):
         return (self.gen_t, self.gen_s)
 
-    def inverse_letter(self, k):
-        return (1, 0, 2)[k]
+    def letter_generator(self, k):
+        """Letter k as (independent generator index, inverted)."""
+        return ((0, False), (0, True), (1, False))[k]
 
     def generators_named(self):
         return [("T", self.gen_t), ("S", self.gen_s)]
@@ -75,35 +83,35 @@ class ModularModel:
             REDUCE_CAP,
         )
 
-    def reduce_frame(self, f):
-        """Reduce a frame; returns (frame, steps).
+    def kernel_orbit(self, frame, step, steps, sample_every,
+                     trans_state=NO_TRANSVERSE, trans_kind=_kernels.TRANS_NONE,
+                     trans_quats=None):
+        """The modular kernel; see _pure.modular_orbit."""
+        return _kernels.modular_orbit(
+            frame, step, trans_kind, trans_quats, trans_state, steps,
+            sample_every,
+        )
 
-        Steps are (letter index, count): the translation letter carries how
-        many times it was applied so callers can push holonomy through
-        without replaying every unit shift.
-        """
-        steps = []
+    def reduce_frame(self, f):
+        """Reduce a frame into the fundamental domain and return it."""
         for _ in range(REDUCE_CAP):
             z = f.apply(1.0j)
             m = math.floor(z.real + 0.5)
             if m != 0:
                 # left-multiply by T^-m in one go
                 f = MoebiusElement.u(-float(m)).mul(f)
-                steps.append((1, m) if m > 0 else (0, -m))
                 z = complex(z.real - m, z.imag)
             if abs(z) < 1.0 - _BOUNDARY_SLACK:
                 f = self.gen_s.mul(f)
-                steps.append((2, 1))
             else:
-                return f, steps
+                return f
         raise ReductionError(
             "modular frame reduction did not settle within %d steps" % REDUCE_CAP,
             REDUCE_CAP,
         )
 
     def reduce(self, f):
-        reduced, _ = self.reduce_frame(f)
-        return self.point_from_frame(reduced)
+        return self.point_from_frame(self.reduce_frame(f))
 
     def point_from_frame(self, f):
         tangent = frame_to_tangent(f)
@@ -132,8 +140,7 @@ class ModularModel:
             .mul(MoebiusElement.geo(math.sqrt(rng.uniform(0.3, 3.0))))
             .mul(MoebiusElement.rot(rng.uniform(-math.pi, math.pi)))
         )
-        reduced, _ = self.reduce_frame(f)
-        return self.point_from_frame(reduced)
+        return self.point_from_frame(self.reduce_frame(f))
 
     def coord_names(self):
         return ("re", "im", "direction")

@@ -11,19 +11,17 @@ The matrices are assembled in the disk model, where the rotation symmetry
 is diagonal, and carried to the half-plane by the Cayley map.  The
 conjugation must land back in real matrices; the construction asserts the
 imaginary residue is below 1e-12 instead of silently discarding it.
+Frames are reduced by the surface orbit kernel, the descent every orbit step
+runs.
 """
 
 from __future__ import annotations
 
 import math
 
-from horoflow.models.base import QuotientPoint, ReductionError
-from horoflow.moebius import (
-    HalfPlanePoint,
-    MoebiusElement,
-    frame_to_tangent,
-    hyp_dist,
-)
+from horoflow import _kernels
+from horoflow.models.base import IDENTITY_STEP, NO_TRANSVERSE, QuotientPoint
+from horoflow.moebius import MoebiusElement, frame_to_tangent, hyp_dist
 
 SIDE_PAIRINGS = 8
 _HALF_LENGTH_COSH = 1.0 + math.sqrt(2.0)  # cot(pi/8)
@@ -32,9 +30,6 @@ _HALF_LENGTH_SINH = math.sqrt(_HALF_LENGTH_COSH ** 2 - 1.0)
 # inscribed and circumscribed radii of the octagon around the base point
 INNER_RADIUS = math.acosh(_HALF_LENGTH_COSH)
 VERTEX_RADIUS = math.acosh(_HALF_LENGTH_COSH ** 2)
-
-REDUCE_CAP = 10_000
-_DESCENT_SLACK = 1e-12
 
 # the alternating side-pairing word that contracts to the identity on a
 # genus-2 surface, as (generator index, exponent) pairs
@@ -99,12 +94,15 @@ class OctagonModel:
     """The octagon surface group with its Dirichlet domain at i."""
 
     name = "octagon"
+    # the letters whose holonomy images a product hands the kernel, in order
+    kernel_letters = range(SIDE_PAIRINGS)
 
     def __init__(self):
         self.generators = tuple(
             _disk_to_halfplane(_pairing_matrix(k)) for k in range(SIDE_PAIRINGS)
         )
-        self.base = HalfPlanePoint(0.0, 1.0)
+        # the kernel's reduction letters, four entries per side pairing
+        self.letters = tuple(x for g in self.generators for x in g.entries)
 
     def letter(self, k):
         return self.generators[k]
@@ -116,8 +114,9 @@ class OctagonModel:
         """The four generators that are not inverses of earlier ones."""
         return self.generators[:4]
 
-    def inverse_letter(self, k):
-        return (k + 4) % 8
+    def letter_generator(self, k):
+        """Letter k as (independent generator index, inverted)."""
+        return k % 4, k >= 4
 
     def relator_product(self):
         out = MoebiusElement.identity()
@@ -128,39 +127,27 @@ class OctagonModel:
 
     # -- reduction ---------------------------------------------------------
 
+    def kernel_orbit(self, frame, step, steps, sample_every,
+                     trans_state=NO_TRANSVERSE, trans_kind=_kernels.TRANS_NONE,
+                     trans_quats=None):
+        """The surface kernel over the side pairings; see _pure.surface_orbit."""
+        return _kernels.surface_orbit(
+            frame, step, self.letters, trans_kind, trans_quats, trans_state,
+            steps, sample_every,
+        )
+
     def reduce_frame(self, f):
         """Pull the frame's base point into the Dirichlet domain.
 
-        Greedy descent on the distance to the domain center: apply the first
-        generator (lowest index) that strictly shortens it, with a 1e-12
-        hysteresis so boundary representatives cannot ping-pong.  Returns the
-        reduced frame and the sequence of letter indices applied, in order.
+        One kernel step by the identity: a greedy descent applying the first
+        side pairing that shortens the distance to i by more than 1e-12.  The
+        kernel keeps no sign; the result is rebuilt sign-canonical.
         """
-        steps = []
-        z = f.apply(complex(self.base.re, self.base.im))
-        dist = hyp_dist(z, 1.0j)
-        for _ in range(REDUCE_CAP):
-            improved = False
-            for k in range(SIDE_PAIRINGS):
-                cand = self.generators[k].apply(z)
-                cand_dist = hyp_dist(cand, 1.0j)
-                if cand_dist < dist - _DESCENT_SLACK:
-                    f = self.generators[k].mul(f)
-                    z = cand
-                    dist = cand_dist
-                    steps.append(k)
-                    improved = True
-                    break
-            if not improved:
-                return f, steps
-        raise ReductionError(
-            "octagon reduction did not settle within %d steps" % REDUCE_CAP,
-            REDUCE_CAP,
-        )
+        _, frame, _ = self.kernel_orbit(f.entries, IDENTITY_STEP, 1, 1)
+        return MoebiusElement(*frame)
 
     def reduce(self, f):
-        reduced, _ = self.reduce_frame(f)
-        return self.point_from_frame(reduced)
+        return self.point_from_frame(self.reduce_frame(f))
 
     def point_from_frame(self, f):
         tangent = frame_to_tangent(f)
@@ -198,8 +185,7 @@ class OctagonModel:
             .mul(MoebiusElement.geo(math.sqrt(rng.uniform(0.3, 3.0))))
             .mul(MoebiusElement.rot(rng.uniform(-math.pi, math.pi)))
         )
-        reduced, _ = self.reduce_frame(f)
-        return self.point_from_frame(reduced)
+        return self.point_from_frame(self.reduce_frame(f))
 
     def coord_names(self):
         return ("re", "im", "direction")

@@ -2,8 +2,10 @@
 
 A product model carries the base surface group action to pairs: a reduction
 step that left-multiplies the frame by a generator simultaneously moves the
-transverse coordinate by that generator's holonomy image.  Two stock
-holonomies matter here:
+transverse coordinate by that generator's holonomy image.  Pairs are reduced
+by one identity step of the base model's orbit kernel, which carries no
+transverse, the boundary circle under the diagonal holonomy, or rotations.
+Two stock holonomies matter here:
 
 * the diagonal boundary model, where the transverse factor is the boundary
   circle and every generator acts by its own Mobius element; its unique
@@ -21,17 +23,24 @@ from __future__ import annotations
 import math
 import random
 
+from horoflow import _kernels
 from horoflow.groups import (
     BOUNDARY_CIRCLE,
     ROTATIONS3,
     TRIVIAL,
     quat_normalize,
 )
-from horoflow.models.base import QuotientPoint
+from horoflow.models.base import IDENTITY_STEP, NO_TRANSVERSE, QuotientPoint
 from horoflow.models.modular import ModularModel
 from horoflow.models.octagon import OctagonModel
 from horoflow.models.t3a import TorusBundleModel
-from horoflow.moebius import BoundaryPoint
+from horoflow.moebius import BoundaryPoint, MoebiusElement
+
+_TRANS_KINDS = {
+    TRIVIAL: _kernels.TRANS_NONE,
+    BOUNDARY_CIRCLE: _kernels.TRANS_BOUNDARY,
+    ROTATIONS3: _kernels.TRANS_ROTATION,
+}
 
 
 class ProductModel:
@@ -52,12 +61,21 @@ class ProductModel:
         self._letter_images = [
             self._image_of_letter(k) for k in range(base.letter_count())
         ]
+        # the kernel's transverse arguments, built once
+        if space not in _TRANS_KINDS or (
+                space is BOUNDARY_CIRCLE and not self.diagonal()):
+            raise ValueError("no orbit kernel for this %s holonomy" % space.name)
+        self.trans_kind = _TRANS_KINDS[space]
+        self.trans_quats = None
+        if space is ROTATIONS3:
+            self.trans_quats = tuple(
+                x for k in base.kernel_letters for x in self._letter_images[k]
+            )
 
     def _image_of_letter(self, k):
-        n = len(self.holonomy)
-        if k < n:
-            return self.holonomy[k]
-        return self.space.inverse(self.holonomy[self.base.inverse_letter(k)])
+        j, inverted = self.base.letter_generator(k)
+        image = self.holonomy[j]
+        return self.space.inverse(image) if inverted else image
 
     def letter_transverse(self, k):
         return self._letter_images[k]
@@ -70,17 +88,32 @@ class ProductModel:
 
     # -- reduction of (frame, transverse) pairs ------------------------------
 
+    def pack_transverse(self, y):
+        """The kernel's four-float transverse state of the point y."""
+        if self.space is BOUNDARY_CIRCLE:
+            return (y.theta, 0.0, 0.0, 0.0)
+        if self.space is ROTATIONS3:
+            return tuple(y)
+        return NO_TRANSVERSE
+
+    def kernel_orbit(self, frame, step, steps, sample_every, trans_state):
+        """The base model's kernel, moving the packed transverse state."""
+        return self.base.kernel_orbit(
+            frame, step, steps, sample_every, trans_state, self.trans_kind,
+            self.trans_quats,
+        )
+
     def reduce_state(self, f, y):
-        reduced, steps = self.base.reduce_frame(f)
-        for step in steps:
-            if isinstance(step, tuple):
-                k, count = step
-                img = self._letter_images[k]
-                for _ in range(count):
-                    y = self.space.act(img, y)
-            else:
-                y = self.space.act(self._letter_images[step], y)
-        return reduced, y
+        """Reduce the pair in one kernel step by the identity; the frame is
+        rebuilt sign-canonical."""
+        _, frame, trans = self.kernel_orbit(
+            f.entries, IDENTITY_STEP, 1, 1, self.pack_transverse(y)
+        )
+        if self.space is BOUNDARY_CIRCLE:
+            y = BoundaryPoint(trans[0])
+        elif self.space is ROTATIONS3:
+            y = trans
+        return MoebiusElement(*frame), y
 
     def reduce(self, f, y):
         reduced, y = self.reduce_state(f, y)

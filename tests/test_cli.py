@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 import horoflow
-from horoflow import cli, models
+from horoflow import _kernels, cli, models
+from horoflow._kernels import _pure
 from horoflow.cli import main
 from horoflow.flows import DualBoundaryIterate, GeodesicD, HorocycleU, Sol3U
 from horoflow.orbitio import read_orbit_csv
@@ -79,6 +80,24 @@ def test_flow_rejects_flow_model_mismatch(tmp_path, capsys):
                 "--steps", 5, "--out", tmp_path / "x.csv"])
     assert code == 1
     assert "run failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kernel", ["pure", "native"])
+def test_flow_cusp_division_by_zero_is_a_run_failure(
+    kernel, tmp_path, capsys, monkeypatch, native_or_none
+):
+    # A modular geodesic climbs the cusp until c^2 + d^2 underflows to 0;
+    # both kernels then raise Python's ZeroDivisionError, which the CLI
+    # reports as a failed run without a traceback.
+    if kernel == "native" and native_or_none is None:
+        pytest.skip("no C compiler to build _native.c")
+    module = _pure if kernel == "pure" else native_or_none
+    monkeypatch.setattr(_kernels, "modular_orbit", module.modular_orbit)
+    code = run(["flow", "--model", "modular", "--flow", "geo", "--dt", 0.1,
+                "--steps", 10000, "--out", tmp_path / "x.csv"])
+    assert code == 1
+    assert capsys.readouterr().err == "run failed: float division by zero\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_flow_unknown_model_and_flow(tmp_path, capsys):

@@ -71,7 +71,14 @@ def test_env_override_forces_pure():
 
 # -- pure vs compiled parity -------------------------------------------------
 # The two backends share expression structure, so results must agree exactly.
+# They are compared by repr, which tells -0.0 from 0.0 where `==` does not.
 # The `native` fixture compiles _native.c; it skips only without a compiler.
+
+
+def assert_same_bits(native, kernel, args):
+    assert repr(getattr(native, kernel)(*args)) == repr(
+        getattr(_pure, kernel)(*args)
+    )
 
 
 def assert_surface_parity(native, kind, padding=0, repeat=1):
@@ -89,11 +96,7 @@ def assert_surface_parity(native, kind, padding=0, repeat=1):
         tstate = (1.0, 0.0, 0.0, 0.0)
     step = MoebiusElement.u(0.07).entries
     args = (IDENTITY, step, letters, kind, quats, tstate, 4000, 7)
-    sp, fp, tp = _pure.surface_orbit(*args)
-    sn, fn, tn = native.surface_orbit(*args)
-    assert sp == sn
-    assert fp == fn
-    assert tp == tn
+    assert_same_bits(native, "surface_orbit", args)
 
 
 @pytest.mark.parametrize("kind", [0, 1, 2])
@@ -124,11 +127,7 @@ def test_modular_parity_exact(native, kind):
         tstate = (1.0, 0.0, 0.0, 0.0)
     step = MoebiusElement.u(0.11).entries
     args = (IDENTITY, step, kind, quats, tstate, 4000, 3)
-    sp, fp, tp = _pure.modular_orbit(*args)
-    sn, fn, tn = native.modular_orbit(*args)
-    assert sp == sn
-    assert fp == fn
-    assert tp == tn
+    assert_same_bits(native, "modular_orbit", args)
 
 
 @pytest.mark.parametrize("sol_step", [(0.037, 0.0, 0.0), (0.0, 0.0, 0.01)])
@@ -137,10 +136,17 @@ def test_t3a_parity_exact(native, sol_step):
     eigen = (m.a_prime, m.b_prime, m.c_prime, m.d_prime)
     x0, y0 = m.primed_from_torus(0.2, 0.7)
     args = ((x0, y0, 0.35), m.lam, eigen, sol_step, 50000, 11)
-    sp, fp = _pure.t3a_orbit(*args)
-    sn, fn = native.t3a_orbit(*args)
-    assert sp == sn
-    assert fp == fn
+    assert_same_bits(native, "t3a_orbit", args)
+
+
+def test_t3a_parity_keeps_zero_signs(native):
+    # From the origin x stays -0.0, and x - floor(x) must keep that sign:
+    # math.floor returns the int 0, so the pure backend writes -0.0.
+    m = build_t3a(((2, 1), (1, 1)))
+    eigen = (m.a_prime, m.b_prime, m.c_prime, m.d_prime)
+    args = ((0.0, 0.0, 0.0), m.lam, eigen, (0.0, 0.0, 0.01), 50, 1)
+    assert repr(_pure.t3a_orbit(*args)[0][0][0]) == "-0.0"
+    assert_same_bits(native, "t3a_orbit", args)
 
 
 def test_surface_orbit_deterministic():
@@ -166,6 +172,15 @@ def test_zero_steps_returns_inputs():
 # -- agreement with the model-level reduction -------------------------------
 
 
+def test_models_pack_the_kernel_arguments():
+    so3 = build_product(build_octagon(), ROTATIONS3, seed=7)
+    assert so3.trans_kind == _kernels.TRANS_ROTATION
+    assert list(so3.base.letters) == octagon_letters()
+    assert list(so3.trans_quats) == rotation_quats(so3)
+    modular = build_product(build_modular(), ROTATIONS3, seed=7)
+    assert list(modular.trans_quats) == modular_quats(modular)
+
+
 def test_surface_kernel_matches_model_reduction():
     oc = build_octagon()
     letters = octagon_letters()
@@ -177,7 +192,7 @@ def test_surface_kernel_matches_model_reduction():
     model_points = []
     for i in range(300):
         f = f.mul(step_el)
-        f, _ = oc.reduce_frame(f)
+        f = oc.reduce_frame(f)
         if (i + 1) % 50 == 0:
             model_points.append(oc.point_from_frame(f))
     assert len(samples) == len(model_points)
@@ -201,7 +216,7 @@ def test_modular_kernel_matches_model_reduction():
     f = MoebiusElement.identity()
     for _ in range(300):
         f = f.mul(step_el)
-        f, _ = mod.reduce_frame(f)
+        f = mod.reduce_frame(f)
     final = mod.point_from_frame(MoebiusElement(*kframe))
     assert mod.points_close(final, mod.point_from_frame(f), 1e-8)
 
@@ -318,12 +333,33 @@ def test_determinant_collapse_raises(native_or_none):
 
 
 def test_nonfinite_and_zero_inputs_fail_alike(native):
-    # math.floor of NaN or inf and `% 0` raise in the pure backend; the C
-    # kernel must raise the same, not carry NaN on or trap.
+    # math.floor of NaN or inf, `% 0` and a float division by zero raise in
+    # the pure backend; the C kernel must raise the same, not carry NaN on
+    # or trap.
     m = build_t3a(((2, 1), (1, 1)))
     eigen = (m.a_prime, m.b_prime, m.c_prime, m.d_prime)
     step = MoebiusElement.u(0.07).entries
+    # det 1, but c^2 + d^2 underflows to 0 or overflows to inf
+    flat = (1e200, 0.0, 0.0, 1e-200)
+    tall = (1e-200, 0.0, 0.0, 1e200)
+    model = build_product(build_octagon(), ROTATIONS3, seed=7)
     calls = [
+        lambda k: k.surface_orbit(flat, IDENTITY, octagon_letters(), 0, None,
+                                  NO_TRANS, 3, 1),
+        lambda k: k.surface_orbit(tall, IDENTITY, octagon_letters(), 0, None,
+                                  NO_TRANS, 3, 1),
+        lambda k: k.modular_orbit(flat, IDENTITY, 0, None, NO_TRANS, 3, 1),
+        lambda k: k.modular_orbit(tall, IDENTITY, 0, None, NO_TRANS, 3, 1),
+        # a zero quaternion has no norm to divide by
+        lambda k: k.surface_orbit(
+            build_octagon().generators[0].entries, IDENTITY, octagon_letters(),
+            2, rotation_quats(model), NO_TRANS, 3, 1,
+        ),
+        lambda k: k.modular_orbit(MoebiusElement.u(2.0).entries, IDENTITY, 2,
+                                  [0.0] * 8, (1.0, 0.0, 0.0, 0.0), 3, 1),
+        # lam ** t underflows to 0
+        lambda k: k.t3a_orbit((0.0, 0.0, -1e6), m.lam, eigen,
+                              (0.0, 0.0, 0.1), 5, 1),
         lambda k: k.modular_orbit(
             (math.nan, 0.0, 0.0, 1.0), step, 0, None, NO_TRANS, 5, 1
         ),
@@ -344,6 +380,9 @@ def test_nonfinite_and_zero_inputs_fail_alike(native):
     ]
     for call in calls:
         assert failure(call, native) == failure(call, _pure)
+    assert failure(calls[0], native) == (
+        ZeroDivisionError, "float division by zero"
+    )
 
 
 def test_pure_reduction_cap_reports_step(monkeypatch):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from horoflow.moebius import (
@@ -292,12 +292,17 @@ def test_key_quantization():
 
 
 @given(st.integers(0, 2**32 - 1))
+@example(seed=658)  # entries near 351 that differ by 1.9e-9
 @settings(max_examples=60, deadline=None)
 def test_group_axioms(seed):
     import random
 
     rng = random.Random(seed)
     f, g, h = (random_element(rng) for _ in range(3))
-    assert f.mul(g).mul(h).close_to(f.mul(g.mul(h)), 1e-9)
+    # each product renormalises once det drifts past 1e-12 relative, so the
+    # two groupings agree relative to their largest entry, not absolutely
+    left, right = f.mul(g).mul(h), f.mul(g.mul(h))
+    scale = max(1.0, max(abs(x) for x in left.entries))
+    assert left.close_to(right, 1e-9 * scale)
     assert f.mul(f.inv()).is_identity(1e-9)
     assert f.inv().inv().close_to(f, 1e-12)

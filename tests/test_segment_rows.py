@@ -160,7 +160,9 @@ def reference_samples(model, flow, steps, seed, sample_every):
             mp.setattr(_kernels, kernel, record)
         integrate_orbit(model, start, flow, steps, seed=seed,
                         sample_every=sample_every)
-    (raw,) = captured
+    # reductions run the kernels too, one identity step each; the orbit
+    # comes last
+    raw = captured[-1]
     if isinstance(model, TorusBundleModel):
         start_point = model.reduce(start.coords)
         return [(0.0, start_point)] + [
@@ -172,7 +174,7 @@ def reference_samples(model, flow, steps, seed, sample_every):
         start_point = model.point_from_state(frame, trans)
         boundary = model.space is BOUNDARY_CIRCLE
     else:
-        frame, _ = model.reduce_frame(start.frame)
+        frame = model.reduce_frame(start.frame)
         start_point = model.point_from_frame(frame)
         boundary = False
     samples = [(0.0, start_point)]

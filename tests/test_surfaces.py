@@ -5,8 +5,11 @@ import random
 
 import pytest
 
+from horoflow import _kernels
+from horoflow._kernels import _pure
 from horoflow.groups import (
     BOUNDARY_CIRCLE,
+    REAL_AFFINE,
     ROTATIONS3,
     TRIVIAL,
     GeneratedGroup,
@@ -20,7 +23,6 @@ from horoflow.models import (
     minimal_set_distance,
     modular_reduce,
 )
-from horoflow.models.base import ReductionError
 from horoflow.models.octagon import INNER_RADIUS, RELATOR_WORD
 from horoflow.moebius import BoundaryPoint, MoebiusElement, hyp_dist
 
@@ -116,15 +118,13 @@ def test_octagon_ball2_avoids_low_trace():
 def test_octagon_reduce_center_fixed():
     model = build_octagon()
     f = MoebiusElement.rot(0.7)  # fixes i
-    reduced, steps = model.reduce_frame(f)
-    assert steps == []
-    assert reduced.close_to(f, 1e-12)
+    reduced = model.reduce_frame(f)
+    assert reduced.entries == f.entries
 
 
 def test_octagon_reduce_single_generator():
     model = build_octagon()
-    reduced, steps = model.reduce_frame(model.generators[1])
-    assert steps == [5]
+    reduced = model.reduce_frame(model.generators[1])
     assert reduced.is_identity(1e-9)
 
 
@@ -201,11 +201,10 @@ def test_modular_frame_reduction_invariant():
         assert model.points_close(base, moved, 1e-9)
 
 
-def test_modular_frame_reduction_records_steps():
+def test_modular_frame_reduction_shifts_back():
     model = build_modular()
     f = MoebiusElement.u(3.0)
-    reduced, steps = model.reduce_frame(f)
-    assert steps == [(1, 3)]  # T applied backwards three times
+    reduced = model.reduce_frame(f)  # T applied backwards three times
     assert reduced.is_identity(1e-12)
 
 
@@ -294,13 +293,38 @@ def test_product_arity_mismatch():
         ProductModel(build_octagon(), ROTATIONS3, [(1.0, 0.0, 0.0, 0.0)], "bad")
 
 
+def test_product_refuses_a_holonomy_the_kernel_cannot_carry():
+    base = build_octagon()
+    swapped = list(reversed(base.independent_generators()))
+    with pytest.raises(ValueError, match="no orbit kernel"):
+        build_product(base, BOUNDARY_CIRCLE, holonomy=swapped)
+    with pytest.raises(ValueError, match="no orbit kernel"):
+        build_product(base, REAL_AFFINE, holonomy=[REAL_AFFINE.identity()] * 4)
+
+
+def test_modular_base_product_reduces_through_its_kernel():
+    f = MoebiusElement.u(3.0)  # reduced by T applied backwards three times
+    boundary = build_product(build_modular(), BOUNDARY_CIRCLE)
+    reduced, moved = boundary.reduce_state(f, BoundaryPoint(0.3))
+    assert reduced.is_identity(1e-12)
+    assert moved.chordal(MoebiusElement.u(-3.0).apply_boundary(
+        BoundaryPoint(0.3))) < 1e-12
+    rotations = build_product(build_modular(), ROTATIONS3, seed=5)
+    reduced, moved = rotations.reduce_state(f, ROTATIONS3.identity())
+    expected = ROTATIONS3.identity()
+    for _ in range(3):
+        expected = ROTATIONS3.act(rotations.letter_transverse(1), expected)
+    assert reduced.is_identity(1e-12)
+    assert ROTATIONS3.point_dist(moved, expected) < 1e-12
+
+
 def test_trivial_product_matches_base():
     base = build_octagon()
     model = build_product(base, TRIVIAL)
     rng = random.Random(3)
     f = random_frame(rng)
     reduced, y = model.reduce_state(f, None)
-    base_reduced, _ = base.reduce_frame(f)
+    base_reduced = base.reduce_frame(f)
     assert reduced.close_to(base_reduced, 1e-12)
     assert y is None
 
@@ -315,20 +339,16 @@ def test_t3a_minimal_set_distance():
         minimal_set_distance(build_modular(), at_inf)
 
 
-def test_reduction_cap_is_reported():
+def test_reduction_cap_is_reported(monkeypatch):
     model = build_octagon()
     # a frame this deep in the group would take far more than the cap's
     # worth of descent steps only if the descent cycled; instead we check
-    # the error type is wired by forcing an absurdly small cap
-    import horoflow.models.octagon as oct_mod
-
-    old_cap = oct_mod.REDUCE_CAP
-    oct_mod.REDUCE_CAP = 1
-    try:
-        deep = model.generators[0].mul(model.generators[1]).mul(
-            model.generators[2]
-        )
-        with pytest.raises(ReductionError):
-            model.reduce_frame(deep)
-    finally:
-        oct_mod.REDUCE_CAP = old_cap
+    # the error is wired by forcing an absurdly small cap on the kernel the
+    # reduction runs, the pure one whichever backend is selected
+    monkeypatch.setattr(_kernels, "surface_orbit", _pure.surface_orbit)
+    monkeypatch.setattr(_pure, "_REDUCE_CAP", 1)
+    deep = model.generators[0].mul(model.generators[1]).mul(
+        model.generators[2]
+    )
+    with pytest.raises(ValueError, match="did not settle within 1 descents"):
+        model.reduce_frame(deep)
