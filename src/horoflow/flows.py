@@ -32,7 +32,7 @@ from horoflow.models import (
     ProductModel,
     TorusBundleModel,
 )
-from horoflow.models.base import NO_TRANSVERSE, QuotientPoint
+from horoflow.models.base import QuotientPoint
 from horoflow.moebius import (
     BoundaryPoint,
     HalfPlanePoint,
@@ -282,12 +282,7 @@ def _surface_point(name, coords, boundary=False):
 def _integrate_surface(model, start, flow, steps, seed, sample_every, rng):
     if start is None:
         start = model.sample_point(rng)
-    if isinstance(model, ProductModel):
-        start_point = model.reduce(start.frame, start.transverse)
-        trans_state = model.pack_transverse(start_point.transverse)
-    else:
-        start_point = model.reduce(start.frame)
-        trans_state = NO_TRANSVERSE
+    start_point, trans_state = model.kernel_start(start)
     raw, _, _ = model.kernel_orbit(
         start_point.frame.entries, surface_step_element(flow).entries, steps,
         sample_every, trans_state,

@@ -34,7 +34,7 @@ class QuotientPoint:
 
 
 class ReductionError(RuntimeError):
-    """A reduction loop hit its iteration cap; carries how far it got."""
+    """The modular descent hit its iteration cap; carries how far it got."""
 
     def __init__(self, message, iterations):
         super().__init__(message)

@@ -113,6 +113,10 @@ class ModularModel:
     def reduce(self, f):
         return self.point_from_frame(self.reduce_frame(f))
 
+    def kernel_start(self, point):
+        """The reduced start point and the kernel's empty transverse state."""
+        return self.reduce(point.frame), NO_TRANSVERSE
+
     def point_from_frame(self, f):
         tangent = frame_to_tangent(f)
         return QuotientPoint(

@@ -11,8 +11,7 @@ The matrices are assembled in the disk model, where the rotation symmetry
 is diagonal, and carried to the half-plane by the Cayley map.  The
 conjugation must land back in real matrices; the construction asserts the
 imaginary residue is below 1e-12 instead of silently discarding it.
-Frames are reduced by the surface orbit kernel, the descent every orbit step
-runs.
+Frames are reduced by the surface orbit kernel that every orbit step runs.
 """
 
 from __future__ import annotations
@@ -148,6 +147,10 @@ class OctagonModel:
 
     def reduce(self, f):
         return self.point_from_frame(self.reduce_frame(f))
+
+    def kernel_start(self, point):
+        """The reduced start point and the kernel's empty transverse state."""
+        return self.reduce(point.frame), NO_TRANSVERSE
 
     def point_from_frame(self, f):
         tangent = frame_to_tangent(f)

@@ -5,6 +5,8 @@ step that left-multiplies the frame by a generator simultaneously moves the
 transverse coordinate by that generator's holonomy image.  Pairs are reduced
 by one identity step of the base model's orbit kernel, which carries no
 transverse, the boundary circle under the diagonal holonomy, or rotations.
+A product over the modular base thus reduces through the modular kernel,
+which may differ from `ModularModel.reduce` in the last bits.
 Two stock holonomies matter here:
 
 * the diagonal boundary model, where the transverse factor is the boundary
@@ -36,10 +38,15 @@ from horoflow.models.octagon import OctagonModel
 from horoflow.models.t3a import TorusBundleModel
 from horoflow.moebius import BoundaryPoint, MoebiusElement
 
-_TRANS_KINDS = {
-    TRIVIAL: _kernels.TRANS_NONE,
-    BOUNDARY_CIRCLE: _kernels.TRANS_BOUNDARY,
-    ROTATIONS3: _kernels.TRANS_ROTATION,
+# transverse space -> (kernel kind, pack into the kernel's state, unpack)
+_PACKING = {
+    TRIVIAL: (_kernels.TRANS_NONE, lambda y: NO_TRANSVERSE, lambda t: None),
+    BOUNDARY_CIRCLE: (
+        _kernels.TRANS_BOUNDARY,
+        lambda y: (y.theta, 0.0, 0.0, 0.0),
+        lambda t: BoundaryPoint(t[0]),
+    ),
+    ROTATIONS3: (_kernels.TRANS_ROTATION, tuple, lambda t: t),
 }
 
 
@@ -62,10 +69,10 @@ class ProductModel:
             self._image_of_letter(k) for k in range(base.letter_count())
         ]
         # the kernel's transverse arguments, built once
-        if space not in _TRANS_KINDS or (
+        if space not in _PACKING or (
                 space is BOUNDARY_CIRCLE and not self.diagonal()):
             raise ValueError("no orbit kernel for this %s holonomy" % space.name)
-        self.trans_kind = _TRANS_KINDS[space]
+        self.trans_kind, self.pack_transverse, self._unpack = _PACKING[space]
         self.trans_quats = None
         if space is ROTATIONS3:
             self.trans_quats = tuple(
@@ -88,14 +95,6 @@ class ProductModel:
 
     # -- reduction of (frame, transverse) pairs ------------------------------
 
-    def pack_transverse(self, y):
-        """The kernel's four-float transverse state of the point y."""
-        if self.space is BOUNDARY_CIRCLE:
-            return (y.theta, 0.0, 0.0, 0.0)
-        if self.space is ROTATIONS3:
-            return tuple(y)
-        return NO_TRANSVERSE
-
     def kernel_orbit(self, frame, step, steps, sample_every, trans_state):
         """The base model's kernel, moving the packed transverse state."""
         return self.base.kernel_orbit(
@@ -109,15 +108,16 @@ class ProductModel:
         _, frame, trans = self.kernel_orbit(
             f.entries, IDENTITY_STEP, 1, 1, self.pack_transverse(y)
         )
-        if self.space is BOUNDARY_CIRCLE:
-            y = BoundaryPoint(trans[0])
-        elif self.space is ROTATIONS3:
-            y = trans
-        return MoebiusElement(*frame), y
+        return MoebiusElement(*frame), self._unpack(trans)
 
     def reduce(self, f, y):
         reduced, y = self.reduce_state(f, y)
         return self.point_from_state(reduced, y)
+
+    def kernel_start(self, point):
+        """The reduced start point and its packed transverse state."""
+        start = self.reduce(point.frame, point.transverse)
+        return start, self.pack_transverse(start.transverse)
 
     def point_from_state(self, f, y):
         base_point = self.base.point_from_frame(f)

@@ -10,15 +10,17 @@ import pytest
 
 from horoflow import _kernels
 from horoflow._kernels import _pure
-from horoflow.groups import ROTATIONS3
+from horoflow.groups import BOUNDARY_CIRCLE, ROTATIONS3
 from horoflow.models import build_modular, build_octagon, build_product, build_t3a
 from horoflow.models.base import QuotientPoint
+from horoflow.models.product import random_unit_quaternion
 from horoflow.models.t3a import sol3_mul
 from horoflow.moebius import (
     BoundaryPoint,
     HalfPlanePoint,
     MoebiusElement,
     TangentFrame,
+    hyp_dist,
     tangent_to_frame,
 )
 
@@ -38,6 +40,41 @@ def rotation_quats(model):
     for k in range(model.base.letter_count()):
         flat.extend(model.letter_transverse(k))
     return flat
+
+
+def reference_descent(model, f):
+    """Independent oracle for the octagon kernel's reduction: the greedy
+    descent on the base point's distance to i, applying the first side
+    pairing that shortens it by more than 1e-12.  Returns the frame and the
+    letters applied, in order."""
+    steps = []
+    z = f.apply(1.0j)
+    dist = hyp_dist(z, 1.0j)
+    for _ in range(1000):
+        for k, g in enumerate(model.generators):
+            cand = g.apply(z)
+            cand_dist = hyp_dist(cand, 1.0j)
+            if cand_dist < dist - 1e-12:
+                f, z, dist = g.mul(f), cand, cand_dist
+                steps.append(k)
+                break
+        else:
+            return f, steps
+    raise AssertionError("reference descent did not settle")
+
+
+def reference_fold(model, f, y):
+    """Reduce a product pair by the reference descent, moving the transverse
+    by each applied letter's holonomy image through the group's own action."""
+    f, steps = reference_descent(model.base, f)
+    for k in steps:
+        y = model.space.act(model.letter_transverse(k), y)
+    return f, y
+
+
+def assert_quats_close(p, q):
+    # entrywise up to sign: point_dist's arccos resolves only ~1e-8 here
+    assert min(max(abs(a - s * b) for a, b in zip(p, q)) for s in (1, -1)) < 1e-12
 
 
 def modular_quats(model):
@@ -192,7 +229,7 @@ def test_surface_kernel_matches_model_reduction():
     model_points = []
     for i in range(300):
         f = f.mul(step_el)
-        f = oc.reduce_frame(f)
+        f, _ = reference_descent(oc, f)
         if (i + 1) % 50 == 0:
             model_points.append(oc.point_from_frame(f))
     assert len(samples) == len(model_points)
@@ -258,7 +295,8 @@ def test_rotation_transverse_matches_model_fold():
     model = build_product(build_octagon(), ROTATIONS3, seed=7)
     letters = octagon_letters()
     quats = rotation_quats(model)
-    start_q = (1.0, 0.0, 0.0, 0.0)
+    # not the identity, so a letter folded on the wrong side shows
+    start_q = random_unit_quaternion(random.Random(3))
     step_el = MoebiusElement.u(0.07)
     _, kframe, ktrans = _kernels.surface_orbit(
         IDENTITY, step_el.entries, letters, 2, quats, start_q, 200, 200
@@ -267,9 +305,36 @@ def test_rotation_transverse_matches_model_fold():
     y = start_q
     for _ in range(200):
         f = f.mul(step_el)
-        f, y = model.reduce_state(f, y)
+        f, y = reference_fold(model, f, y)
     assert f.close_to(MoebiusElement(*kframe), 1e-9)
-    assert ROTATIONS3.point_dist(ktrans, y) < 1e-9
+    assert_quats_close(ktrans, y)
+
+
+def test_model_reductions_match_reference_descent():
+    # Unreduced frames, a few side pairings deep, through the models'
+    # one-step kernel reductions and through the reference descent.
+    oc = build_octagon()
+    boundary = build_product(oc, BOUNDARY_CIRCLE)
+    so3 = build_product(oc, ROTATIONS3, seed=7)
+    rng = random.Random(17)
+    for _ in range(200):
+        f = MoebiusElement.u(rng.uniform(-2.0, 2.0)).mul(
+            MoebiusElement.rot(rng.uniform(-math.pi, math.pi))
+        )
+        for _ in range(rng.randrange(4)):
+            f = oc.generators[rng.randrange(8)].mul(f)
+        expected, steps = reference_descent(oc, f)
+        assert oc.reduce_frame(f).close_to(expected, 1e-9)
+        theta = BoundaryPoint(rng.uniform(-math.pi, math.pi))
+        got, moved = boundary.reduce_state(f, theta)
+        want_f, want_y = reference_fold(boundary, f, theta)
+        assert got.close_to(want_f, 1e-9)
+        assert moved.chordal(want_y) < 1e-9
+        q = random_unit_quaternion(rng)
+        got, moved = so3.reduce_state(f, q)
+        want_f, want_y = reference_fold(so3, f, q)
+        assert got.close_to(want_f, 1e-9)
+        assert_quats_close(moved, want_y)
 
 
 def test_final_determinant_stays_normalized():
