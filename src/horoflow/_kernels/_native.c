@@ -93,6 +93,23 @@ static int py_div(double num, double den, double *out)
     return -1;
 }
 
+/* Python's float `x ** y`: finite inputs whose power is infinite raise
+   the interpreter's own error (OverflowError, or ZeroDivisionError for a
+   zero base), where C would go on with the inf.  A negative base with a
+   fractional exponent, a complex power in Python, is not handled. */
+static int py_pow(double x, double y, double *out)
+{
+    *out = pow(x, y);
+    if (!isinf(*out) || !isfinite(x) || !isfinite(y))
+        return 0;
+    PyObject *b = PyFloat_FromDouble(x), *e = PyFloat_FromDouble(y);
+    if (b != NULL && e != NULL)
+        Py_XDECREF(PyNumber_Power(b, e, Py_None)); /* raises */
+    Py_XDECREF(b);
+    Py_XDECREF(e);
+    return -1;
+}
+
 /* Python's float `x % y`: fmod, the sign fix, and a zero with y's sign. */
 static double py_mod(double x, double y)
 {
@@ -425,7 +442,9 @@ static PyObject *t3a_orbit(PyObject *self, PyObject *args, PyObject *kwargs)
             || (samples = PyList_New(0)) == NULL)
         return NULL;
     for (long i = 0; i < steps; i++) {
-        double scale = pow(lam, p[2]), shear, n, m1, m2;
+        double scale, shear, n, m1, m2;
+        if (py_pow(lam, p[2], &scale))
+            goto done;
         p[0] += scale * s[0];
         if (py_div(s[1], scale, &shear))
             goto done;
@@ -444,8 +463,8 @@ static PyObject *t3a_orbit(PyObject *self, PyObject *args, PyObject *kwargs)
                 }
                 goto done;
             }
-            double down = pow(lam, n);
-            if (py_div(p[0], down, &p[0]))
+            double down;
+            if (py_pow(lam, n, &down) || py_div(p[0], down, &p[0]))
                 goto done;
             p[1] *= down;
             p[2] -= n;

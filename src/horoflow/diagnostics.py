@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from horoflow.flows import OrbitSegment, flow_label
 from horoflow.groups import GeneratedGroup, word_ball
-from horoflow.moebius import BoundaryPoint, MoebiusElement
+from horoflow.moebius import BoundaryPoint, MoebiusElement, canonical_entries
 from horoflow.models.base import QuotientPoint
 from horoflow.models.product import ProductModel, minimal_set_distance
 from horoflow.models.t3a import TorusBundleModel
@@ -262,17 +262,33 @@ def minimal_set_residual(model, sample_count, group_radius, action_grid=None,
             [("a%d" % i, g) for i, g in enumerate(model.base.independent_generators())]
         )
         gammas = _sample_gammas(word_ball(group, group_radius), gamma_count, rng)
-        grid = tuple(action_grid)
+        grid = [b.entries for b in action_grid]
+        # The loop is minimal_set_distance(model, (pushed.mul(b), xi)) on raw
+        # floats, with the same bits: the canonical entries of pushed * b,
+        # boundary_angle(a, b, c, d, pi) written out (sin(pi/2) is exactly
+        # 1.0; cos(pi/2) is 6.1e-17, not 0, and stays) and the chordal
+        # distance to xi.
+        q_inf = math.cos(0.5 * math.pi)
+        half_pi = 0.5 * math.pi
+        atan2, sin = math.atan2, math.sin
         worst = 0.0
         for _ in range(sample_count):
             frame = model.base.sample_point(rng).frame
             on_set = model.graph_point(frame)
             for gamma in gammas:
-                pushed = gamma.m.mul(on_set.frame)
-                xi = gamma.m.apply_boundary(on_set.transverse)
-                for b in grid:
-                    # minimal_set_distance without its per-call model check
-                    dist = xi.chordal(pushed.mul(b).boundary_image_of_infinity())
+                pa, pb, pc, pd = gamma.m.mul(on_set.frame).entries
+                theta = gamma.m.apply_boundary(on_set.transverse).theta
+                for ba, bb, bc, bd in grid:
+                    a, b, c, d = canonical_entries(
+                        pa * ba + pb * bc, pa * bb + pb * bd,
+                        pc * ba + pd * bc, pc * bb + pd * bd,
+                    )
+                    phi = atan2(a + b * q_inf, c + d * q_inf)
+                    if phi <= -half_pi:
+                        phi += math.pi
+                    elif phi > half_pi:
+                        phi -= math.pi
+                    dist = abs(2.0 * sin(0.5 * (theta - 2.0 * phi)))
                     if dist > worst:
                         worst = dist
         return worst

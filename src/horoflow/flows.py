@@ -38,6 +38,7 @@ from horoflow.moebius import (
     HalfPlanePoint,
     MoebiusElement,
     TangentFrame,
+    boundary_angle,
     tangent_to_frame,
 )
 
@@ -327,13 +328,14 @@ def _integrate_dual_boundary(model, start, flow, steps, seed, sample_every, rng)
     if start is None:
         start = (BoundaryPoint(rng.uniform(-math.pi, math.pi)), rng.uniform(-1.0, 1.0))
     xi, y_prime = dual_boundary_state(start)
-    scale = MoebiusElement.geo(math.sqrt(model.lam))
-    rows = [(xi.theta, y_prime)]
+    a, b, c, d = MoebiusElement.geo(math.sqrt(model.lam)).entries
+    theta = xi.theta
+    rows = [(theta, y_prime)]
     for n in range(1, steps + 1):
-        xi = scale.apply_boundary(xi)
+        theta = boundary_angle(a, b, c, d, theta)
         y_prime /= model.lam
         if n % sample_every == 0:
-            rows.append((xi.theta, y_prime))
+            rows.append((theta, y_prime))
     # Sample j sits at step n = sample_every * j, and the float time
     # 1.0 * sample_every * j is exactly n.
     return OrbitSegment.from_rows(
@@ -518,21 +520,23 @@ def keylemma_converge(
     xi_minus, minus_steps = _limit_on_boundary(backward, z0, budget, tol)
 
     tracked = [xi for xi in grid if xi.chordal(xi_minus) >= exclusion]
-    current = list(tracked)
+    # The grid moves as raw angles; the residual is BoundaryPoint.chordal
+    # against xi_plus, written out.
+    start = [xi.theta for xi in tracked]
+    current = start
+    plus = xi_plus.theta
     history = []
     first_passage = [None] * len(tracked)
-    if explicit:
-        step_maps = seq[:n_max]
-    else:
-        step_maps = None
+    if not explicit:
+        a, b, c, d = generator.entries
     for n in range(1, n_max + 1):
         if explicit:
-            current = [step_maps[n - 1].apply_boundary(xi) for xi in tracked]
-        else:
-            current = [generator.apply_boundary(xi) for xi in current]
+            a, b, c, d = seq[n - 1].entries
+            current = start
+        current = [boundary_angle(a, b, c, d, t) for t in current]
         worst = 0.0
-        for idx, xi in enumerate(current):
-            residual = xi.chordal(xi_plus)
+        for idx, t in enumerate(current):
+            residual = abs(2.0 * math.sin(0.5 * (t - plus)))
             if residual > worst:
                 worst = residual
             if (
@@ -544,8 +548,8 @@ def keylemma_converge(
         history.append(worst)
     max_residual = 0.0
     worst_xi = None
-    for start_xi, xi in zip(tracked, current):
-        residual = xi.chordal(xi_plus)
+    for start_xi, t in zip(tracked, current):
+        residual = abs(2.0 * math.sin(0.5 * (t - plus)))
         if residual >= max_residual:
             max_residual = residual
             worst_xi = start_xi

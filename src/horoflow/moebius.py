@@ -16,6 +16,11 @@ The punctured plane R^2 \\ {0} modulo +-1 carries the linear action of the
 same matrices; it is the natural home of the first-column projection used by
 the duality diagnostics.  Points there keep their length (no projective
 normalisation), only the sign is canonicalised.
+
+The canonical sign and determinant rule and the boundary action also exist
+as functions of raw entries, canonical_entries and boundary_angle, which the
+class uses and which hot loops call to get the same bits without building an
+element or a point per step.
 """
 
 from __future__ import annotations
@@ -36,6 +41,47 @@ class ElementClass(enum.Enum):
     HYPERBOLIC = "hyperbolic"
 
 
+def canonical_entries(a, b, c, d):
+    """The entries MoebiusElement(a, b, c, d) stores, as a tuple.
+
+    The determinant must be positive; a drift above RENORM_TOL is divided
+    out, and the sign is chosen so that c > 0, or a >= 0 when |c| is within
+    SIGN_TOL of zero.
+    """
+    det = a * d - b * c
+    if not det > 0.0:
+        raise ValueError(
+            "matrix must have positive determinant, got det=%g" % det
+        )
+    if abs(det - 1.0) > RENORM_TOL:
+        s = math.sqrt(det)
+        a, b, c, d = a / s, b / s, c / s, d / s
+    if c < -SIGN_TOL or (abs(c) <= SIGN_TOL and a < 0.0):
+        return -a, -b, -c, -d
+    return a, b, c, d
+
+
+def boundary_angle(a, b, c, d, theta):
+    """Angle of the image of the boundary point at angle theta under the
+    matrix (a, b; c, d); MoebiusElement.apply_boundary wraps it.
+
+    Works projectively on (sin(theta/2), cos(theta/2)), so the point at
+    infinity needs no special casing and the result is well defined up to
+    the matrix sign, though its last bits are those of apply_boundary only
+    for canonical_entries.  The fold puts phi in (-pi/2, pi/2], so 2 * phi
+    is already in (-pi, pi] and BoundaryPoint stores it unchanged.
+    """
+    half = 0.5 * theta
+    p = math.sin(half)
+    q = math.cos(half)
+    phi = math.atan2(a * p + b * q, c * p + d * q)
+    if phi <= -0.5 * math.pi:
+        phi += math.pi
+    elif phi > 0.5 * math.pi:
+        phi -= math.pi
+    return 2.0 * phi
+
+
 class MoebiusElement:
     """A Mobius transformation z -> (a z + b) / (c z + d), up to sign.
 
@@ -47,20 +93,7 @@ class MoebiusElement:
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
-        det = a * d - b * c
-        if not det > 0.0:
-            raise ValueError(
-                "matrix must have positive determinant, got det=%g" % det
-            )
-        if abs(det - 1.0) > RENORM_TOL:
-            s = math.sqrt(det)
-            a, b, c, d = a / s, b / s, c / s, d / s
-        if c < -SIGN_TOL or (abs(c) <= SIGN_TOL and a < 0.0):
-            a, b, c, d = -a, -b, -c, -d
-        self.a = a
-        self.b = b
-        self.c = c
-        self.d = d
+        self.a, self.b, self.c, self.d = canonical_entries(a, b, c, d)
 
     # -- constructors ---------------------------------------------------
 
@@ -160,23 +193,10 @@ class MoebiusElement:
         return (self.a * z + self.b) / (self.c * z + self.d)
 
     def apply_boundary(self, point):
-        """Act on a boundary-circle point.
-
-        Works projectively on (sin(theta/2), cos(theta/2)) so the point at
-        infinity needs no special casing and the result is well defined up to
-        the matrix sign.
-        """
-        half = 0.5 * point.theta
-        p = math.sin(half)
-        q = math.cos(half)
-        pp = self.a * p + self.b * q
-        qp = self.c * p + self.d * q
-        phi = math.atan2(pp, qp)
-        if phi <= -0.5 * math.pi:
-            phi += math.pi
-        elif phi > 0.5 * math.pi:
-            phi -= math.pi
-        return BoundaryPoint(2.0 * phi)
+        """Act on a boundary-circle point; see boundary_angle."""
+        return BoundaryPoint(
+            boundary_angle(self.a, self.b, self.c, self.d, point.theta)
+        )
 
     def apply_plane(self, point):
         """Act linearly on a punctured-plane point (column vector, mod sign)."""

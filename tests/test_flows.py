@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from horoflow import _kernels
+from horoflow import _kernels, acceptance, flows
 from horoflow.flows import (
     BorelB,
     DualBoundaryIterate,
@@ -356,6 +356,92 @@ def test_keylemma_first_passage_reporting():
     passages = report["first_passage"]
     assert len(passages) == len(report["tracked_grid"])
     assert all(n is not None and n <= 200 for n in passages)
+
+
+def reference_keylemma_converge(generator, n_max, exclusion, pass_tol):
+    """keylemma_converge as it ran on BoundaryPoint objects, for comparison."""
+    grid = boundary_grid()
+    explicit = not isinstance(generator, MoebiusElement)
+    if explicit:
+        seq = tuple(generator)
+        n_max = min(n_max, len(seq))
+        budget = len(seq)
+        forward = iter(seq)
+        backward = (f.inv() for f in seq)
+    else:
+        budget = max(n_max, flows.ESTIMATE_FLOOR)
+        forward = flows._powers(generator)
+        backward = flows._powers(generator.inv())
+    xi_plus, plus_steps = flows._limit_on_boundary(forward, 1j, budget, 1e-9)
+    xi_minus, minus_steps = flows._limit_on_boundary(backward, 1j, budget, 1e-9)
+    tracked = [xi for xi in grid if xi.chordal(xi_minus) >= exclusion]
+    current = list(tracked)
+    history = []
+    first_passage = [None] * len(tracked)
+    for n in range(1, n_max + 1):
+        if explicit:
+            current = [seq[n - 1].apply_boundary(xi) for xi in tracked]
+        else:
+            current = [generator.apply_boundary(xi) for xi in current]
+        worst = 0.0
+        for idx, xi in enumerate(current):
+            residual = xi.chordal(xi_plus)
+            if residual > worst:
+                worst = residual
+            if first_passage[idx] is None and residual < pass_tol:
+                first_passage[idx] = n
+        history.append(worst)
+    max_residual = 0.0
+    worst_xi = None
+    for start_xi, xi in zip(tracked, current):
+        residual = xi.chordal(xi_plus)
+        if residual >= max_residual:
+            max_residual = residual
+            worst_xi = start_xi
+    return {
+        "xi_plus": xi_plus,
+        "xi_minus": xi_minus,
+        "max_residual": max_residual,
+        "worst_xi": worst_xi,
+        "residual_history": tuple(history),
+        "plus_steps": plus_steps,
+        "minus_steps": minus_steps,
+        "tracked_grid": tuple(tracked),
+        "first_passage": tuple(first_passage),
+    }
+
+
+def _report_bits(report):
+    """The report with boundary points as angles, as one exact string."""
+    def angle(value):
+        if isinstance(value, BoundaryPoint):
+            return value.theta
+        if isinstance(value, tuple):
+            return tuple(angle(v) for v in value)
+        return value
+    return repr(sorted((key, angle(value)) for key, value in report.items()))
+
+
+def test_keylemma_matches_boundary_point_loop():
+    # Criterion 1's twenty seeded generators, then an explicit sequence
+    # g^n h that is not a power sequence.
+    rng = random.Random(acceptance.SUITE_SEED)
+    for _ in range(20):
+        g = acceptance._random_hyperbolic(rng, 2.1)
+        got = keylemma_converge(g, n_max=200, exclusion=0.01, pass_tol=1e-4)
+        want = reference_keylemma_converge(g, 200, 0.01, 1e-4)
+        assert _report_bits(got) == _report_bits(want)
+    g = MoebiusElement.geo(1.5).mul(MoebiusElement.u(0.3))
+    h = acceptance._random_frame(rng)
+    seq = []
+    f = g
+    for _ in range(40):
+        seq.append(f.mul(h))
+        f = f.mul(g)
+    got = keylemma_converge(seq, n_max=50, exclusion=0.01, pass_tol=1e-4)
+    want = reference_keylemma_converge(seq, 50, 0.01, 1e-4)
+    assert got["first_passage"].count(None) < len(got["first_passage"])
+    assert _report_bits(got) == _report_bits(want)
 
 
 def test_keylemma_monotone_for_antipodal_fixed_points():

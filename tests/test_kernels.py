@@ -450,6 +450,31 @@ def test_nonfinite_and_zero_inputs_fail_alike(native):
     )
 
 
+def test_t3a_power_overflow_fails_alike(native):
+    # Python's float ** raises where C's pow returns inf: the C kernel must
+    # raise the same error, not fail later on the level guard.
+    unit = (1.0, 0.0, 0.0, 1.0)
+    calls = [
+        # lam ** t at the step start
+        lambda k: k.t3a_orbit((0.1, 0.1, 1000.0), 2.618, unit,
+                              (0.01, 0.0, 0.0), 3, 1),
+        # lam ** n when the suspension coordinate is brought back down
+        lambda k: k.t3a_orbit((0.1, 0.1, 0.0), 1e300, unit,
+                              (0.01, 0.0, 2.0), 3, 1),
+        # a zero base to a negative power
+        lambda k: k.t3a_orbit((0.1, 0.1, -0.5), 0.0, unit,
+                              (0.01, 0.0, 0.0), 3, 1),
+    ]
+    expected = [
+        (OverflowError, "(34, 'Numerical result out of range')"),
+        (OverflowError, "(34, 'Numerical result out of range')"),
+        (ZeroDivisionError, "0.0 cannot be raised to a negative power"),
+    ]
+    for call, want in zip(calls, expected):
+        assert failure(call, _pure) == want
+        assert failure(call, native) == want
+
+
 def test_pure_reduction_cap_reports_step(monkeypatch):
     monkeypatch.setattr(_pure, "_REDUCE_CAP", 0)
     letters = octagon_letters()

@@ -7,10 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from horoflow.moebius import (
+    RENORM_TOL,
+    SIGN_TOL,
     BoundaryPoint,
     ElementClass,
     MoebiusElement,
     PlanePoint,
+    boundary_angle,
+    canonical_entries,
     classify_element,
     fixed_points,
     frame_to_tangent,
@@ -210,6 +214,73 @@ def test_boundary_action_matches_real_formula(t, lam, theta, x):
     expected = (f.a * x + f.b) / denom
     got = f.apply_boundary(BoundaryPoint.from_real(x))
     assert got.chordal(BoundaryPoint.from_real(expected)) < 1e-9
+
+
+def reference_boundary_image(a, b, c, d, theta):
+    """Angle of MoebiusElement(a, b, c, d).apply_boundary(BoundaryPoint(theta))
+    as the element, the action and the point computed it on objects."""
+    det = a * d - b * c
+    if abs(det - 1.0) > RENORM_TOL:
+        s = math.sqrt(det)
+        a, b, c, d = a / s, b / s, c / s, d / s
+    if c < -SIGN_TOL or (abs(c) <= SIGN_TOL and a < 0.0):
+        a, b, c, d = -a, -b, -c, -d
+
+    def wrap(t):
+        t = math.remainder(t, 2.0 * math.pi)
+        return math.pi if t <= -math.pi else t
+
+    half = 0.5 * wrap(theta)
+    p = math.sin(half)
+    q = math.cos(half)
+    phi = math.atan2(a * p + b * q, c * p + d * q)
+    if phi <= -0.5 * math.pi:
+        phi += math.pi
+    elif phi > 0.5 * math.pi:
+        phi -= math.pi
+    return wrap(2.0 * phi)
+
+
+near_pi = [math.pi, -math.pi, math.nextafter(math.pi, 0.0),
+           math.nextafter(-math.pi, 0.0), math.nextafter(math.pi, 4.0),
+           math.nextafter(-math.pi, -4.0), 3.0 * math.pi, 0.0, -0.0]
+boundary_angles = st.one_of(
+    st.sampled_from(near_pi),
+    st.floats(-math.pi, math.pi),
+    st.floats(-20.0, 20.0, allow_nan=False),
+)
+
+
+@st.composite
+def raw_matrices(draw):
+    """Entries with det near 1, some with |c| <= SIGN_TOL and a < 0, some
+    off the sign convention, some with a det drift above RENORM_TOL."""
+    a = draw(st.one_of(st.floats(-5.0, -0.1), st.floats(0.1, 5.0)))
+    b = draw(st.floats(-5.0, 5.0))
+    c = draw(st.one_of(st.floats(-5.0, 5.0), st.floats(-SIGN_TOL, SIGN_TOL)))
+    d = (1.0 + b * c) / a
+    scale = draw(st.one_of(
+        st.just(1.0),
+        st.floats(1.0 - 1e-9, 1.0 + 1e-9),
+        st.floats(0.5, 2.0),
+        st.just(-1.0),
+    ))
+    return a * scale, b * scale, c * scale, d * scale
+
+
+@given(raw_matrices(), boundary_angles)
+@example((1.0, 0.0, 0.0, 1.0), math.pi)
+@example((-2.0, 0.3, 1e-13, -0.5), math.pi)
+@example((-2.0, 0.3, -1e-13, -0.5), -math.pi)
+@example((1.1, 0.2, 0.0, 1.0), math.nextafter(-math.pi, 0.0))
+@settings(max_examples=400, deadline=None)
+def test_boundary_angle_matches_object_action(entries, theta):
+    want = reference_boundary_image(*entries, theta)
+    raw = boundary_angle(*canonical_entries(*entries), BoundaryPoint(theta).theta)
+    assert repr(raw) == repr(want)
+    element = MoebiusElement(*entries)
+    got = element.apply_boundary(BoundaryPoint(theta)).theta
+    assert repr(got) == repr(want)
 
 
 def test_plane_points():

@@ -400,3 +400,21 @@ def test_graph_residual_matches_minimal_set_distance_loop():
     expected = reference_graph_residual(model, 6, 2, grid, 9, 10)
     assert expected > 0.0
     assert minimal_set_residual(model, 6, 2, grid, seed=9, gamma_count=10) == expected
+
+
+def test_graph_residual_keeps_each_distance_bit_for_bit():
+    # One point, one gamma and one grid element per call, so the residual
+    # is a single distance and no maximum hides a last-bit difference.
+    # Off the triangular subgroup the products need a sign flip; far out
+    # their determinant drifts past RENORM_TOL.
+    model = build_model("octagon_boundary")
+    grids = [
+        (MoebiusElement.rot(2.5),),
+        (MoebiusElement.b_el(3.0, 40.0),),
+        (MoebiusElement.rot(1.0).mul(MoebiusElement.geo(30.0)),),
+    ]
+    for seed in range(40):
+        for grid in grids:
+            assert minimal_set_residual(
+                model, 1, 2, grid, seed=seed, gamma_count=1
+            ) == reference_graph_residual(model, 1, 2, grid, seed, 1)
