@@ -32,6 +32,7 @@
 #define QUICK_NORM 1e4
 #define QUICK_DET 1e-9
 #define QUICK_MARGIN 1e-6
+#define INNER_MARGIN 1e-4
 #define TRANS_BOUNDARY 1
 #define TRANS_ROTATION 2
 
@@ -96,7 +97,8 @@ static int py_div(double num, double den, double *out)
 /* Python's float `x ** y`: finite inputs whose power is infinite raise
    the interpreter's own error (OverflowError, or ZeroDivisionError for a
    zero base), where C would go on with the inf.  A negative base with a
-   fractional exponent, a complex power in Python, is not handled. */
+   fractional exponent, a complex power in Python, is not handled: the
+   caller rejects a negative base first. */
 static int py_pow(double x, double y, double *out)
 {
     *out = pow(x, y);
@@ -137,6 +139,17 @@ static int append_row(PyObject *samples, const double *row, Py_ssize_t n)
     return rc;
 }
 
+/* Raise ValueError(format % text), text the value as `"%g" % value`
+   formats it. */
+static void value_error_g(const char *format, double value)
+{
+    char *text = PyOS_double_to_string(value, 'g', 6, 0, NULL);
+    if (text != NULL) {
+        PyErr_Format(PyExc_ValueError, format, text);
+        PyMem_Free(text);
+    }
+}
+
 /* Right-multiply the frame m by s, then renormalise as _pure does. */
 static int step_frame(double *m, const double *s, long i)
 {
@@ -146,13 +159,7 @@ static int step_frame(double *m, const double *s, long i)
     if (det - 1.0 > DET_TOL || 1.0 - det > DET_TOL
             || (i + 1) % RENORM_EVERY == 0) {
         if (det <= 0.0) {
-            /* formatted as `"%g" % det` formats it */
-            char *text = PyOS_double_to_string(det, 'g', 6, 0, NULL);
-            if (text != NULL) {
-                PyErr_Format(PyExc_ValueError,
-                             "frame determinant collapsed to %s", text);
-                PyMem_Free(text);
-            }
+            value_error_g("frame determinant collapsed to %s", det);
             return -1;
         }
         double scale = 1.0 / sqrt(det);
@@ -189,6 +196,24 @@ static void quick_form(const double *l, double *q)
     q[0] = q11;
     q[1] = 2.0 * q12;
     q[2] = q22;
+}
+
+/* T of _pure._inner_bound, the inner-ball threshold of the _pure.py
+   docstring, from the n quick forms: NaN when n is 0 or a letter has a
+   NaN q11. */
+static double inner_bound(const double *quick, Py_ssize_t n)
+{
+    double norm = INFINITY;
+    if (n == 0)
+        return NAN;
+    for (Py_ssize_t k = 0; k < n; k++) {
+        const double *q = quick + 3 * k;
+        if (isnan(q[0]))
+            return NAN;
+        if (q[0] + q[2] < norm)
+            norm = q[0] + q[2];
+    }
+    return 2.0 * sqrt((0.5 * norm + 1.0) * 0.5) * (1.0 - INNER_MARGIN);
 }
 
 static double boundary_apply(double a, double b, double c, double d,
@@ -284,15 +309,16 @@ static PyObject *surface_orbit(PyObject *self, PyObject *args,
         goto done;
     for (Py_ssize_t k = 0; k < n_letters; k++)
         quick_form(lets + 4 * k, quick + 3 * k);
+    double inner = inner_bound(quick, n_letters);
     for (long i = 0; i < steps; i++) {
         if (step_frame(m, s, i))
             goto done;
         /* greedy descent toward the domain center, with the quick reject
-           of _pure.surface_orbit, where its error bound is derived */
-        double arg, dist = 0.0;
-        int have_dist = 0, descend = 0;
-        if (cosh_dist(m, &arg))
-            goto done;
+           and the inner-ball skip of _pure.surface_orbit, where their error
+           bounds are derived; the frame's cosh argument is taken before
+           the first letter loop that runs */
+        double arg = 0.0, dist = 0.0;
+        int have_arg = 0, have_dist = 0, descend = 0;
         for (;;) {
             double p11 = m[0] * m[0] + m[1] * m[1];
             double p12 = m[0] * m[2] + m[1] * m[3];
@@ -300,8 +326,16 @@ static PyObject *surface_orbit(PyObject *self, PyObject *args,
             double n = p11 + p22;
             double det = m[0] * m[3] - m[1] * m[2];
             double thr = NAN;
-            if (n <= QUICK_NORM && fabs(det - 1.0) <= QUICK_DET)
+            if (n <= QUICK_NORM && fabs(det - 1.0) <= QUICK_DET) {
+                if (n <= inner)
+                    break;
                 thr = n * (1.0 + QUICK_MARGIN);
+            }
+            if (!have_arg) {
+                if (cosh_dist(m, &arg))
+                    goto done;
+                have_arg = 1;
+            }
             int moved = 0;
             for (Py_ssize_t k = 0; k < n_letters; k++) {
                 const double *q = quick + 3 * k;
@@ -437,9 +471,13 @@ static PyObject *t3a_orbit(PyObject *self, PyObject *args, PyObject *kwargs)
     long steps, every;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "(ddd)d(dddd)(ddd)ll",
             names, &p[0], &p[1], &p[2], &lam, &e[0], &e[1], &e[2], &e[3],
-            &s[0], &s[1], &s[2], &steps, &every)
-            || check_every(steps, every)
-            || (samples = PyList_New(0)) == NULL)
+            &s[0], &s[1], &s[2], &steps, &every))
+        return NULL;
+    if (lam < 0.0) {
+        value_error_g("lam must not be negative, got %s", lam);
+        return NULL;
+    }
+    if (check_every(steps, every) || (samples = PyList_New(0)) == NULL)
         return NULL;
     for (long i = 0; i < steps; i++) {
         double scale, shear, n, m1, m2;

@@ -25,8 +25,21 @@ P = g g^T, built once per descent round, and a candidate at least 1e-6
 above ||g||^2 cannot win.  The rule applies only while g and L have det
 near 1 and norms below 1e4; the comment in surface_orbit bounds its error.
 A surviving candidate whose cosh argument is no smaller than the frame's is
-dropped before its acosh.  Neither filter changes a decision, a result or
-an error, and _native.c does the same, expression for expression.
+dropped before its acosh.
+
+Most frames need no letter loop at all.  A letter L moves i by D_L, with
+||L||^2 = 2*cosh D_L, so a frame g whose point g i lies within D/2 of i,
+D the shortest of these translations, is in the inscribed ball of the
+Dirichlet domain: by the triangle inequality every L g i is farther out.
+For the octagon that ball holds about 71 % of the domain's area and of
+the steps of an orbit.  Since ||g||^2 = 2*cosh d(g i, i), the test is
+||g||^2 <= T with T = 2*cosh(D/2) shrunk by 1e-4, computed once per call
+from the letters' quadratic forms with one square root; inside it the
+descent round ends before any quick form is evaluated, and the frame's
+own cosh argument is taken only once a letter loop runs.  A letter that
+may not be quick-rejected, or an empty letter list, turns the skip off.
+None of these filters changes a decision, a result or an error, and
+_native.c does the same, expression for expression.
 """
 
 import math
@@ -38,6 +51,7 @@ _REDUCE_CAP = 10_000
 _QUICK_NORM = 1e4
 _QUICK_DET = 1e-9
 _QUICK_MARGIN = 1e-6
+_INNER_MARGIN = 1e-4
 _PI = math.pi
 _HALF_PI = 0.5 * math.pi
 _TAU = 2.0 * math.pi
@@ -85,6 +99,19 @@ def _letter_table(letters):
             q11 = math.nan
         table.append((q11, 2.0 * q12, q22, la, lb, lc, ld, k))
     return table
+
+
+def _inner_bound(table):
+    """T = 2*cosh(D/2)*(1 - _INNER_MARGIN), D the shortest letter translation.
+
+    A row's q11 + q22 is ||L||^2 = 2*cosh D_L for its letter, so cosh(D/2)
+    is sqrt((||L||^2/2 + 1)/2) at the smallest norm.  NaN, which no norm
+    passes, when there is no letter or a letter has a NaN q11.
+    """
+    if not table or any(math.isnan(row[0]) for row in table):
+        return math.nan
+    norm = min(q11 + q22 for q11, _, q22, *_ in table)
+    return 2.0 * math.sqrt((0.5 * norm + 1.0) * 0.5) * (1.0 - _INNER_MARGIN)
 
 
 def _tangent_coords(a, b, c, d):
@@ -171,6 +198,7 @@ def surface_orbit(frame, step, letters, trans_kind, trans_quats, trans_state,
     sa, sb, sc, sd = step
     t0, t1, t2, t3 = trans_state
     table = _letter_table(letters)
+    inner = _inner_bound(table)
     samples = []
     for i in range(steps):
         # right multiplication by the step element
@@ -184,9 +212,9 @@ def surface_orbit(frame, step, letters, trans_kind, trans_quats, trans_state,
         if det - 1.0 > _DET_TOL or 1.0 - det > _DET_TOL or (i + 1) % RENORM_EVERY == 0:
             a, b, c, d = _renorm(a, b, c, d)
         # greedy descent toward the domain center.  The frame's cosh
-        # argument is taken eagerly, so that a degenerate frame fails at
-        # this step as before; its acosh only once a candidate comes closer.
-        arg = _cosh_dist(a, b, c, d)
+        # argument is taken before the first letter loop that runs, its
+        # acosh only once a candidate comes closer.
+        arg = None
         dist = None
         descend = 0
         while True:
@@ -208,9 +236,24 @@ def surface_orbit(frame, step, letters, trans_kind, trans_quats, trans_state,
             n = p11 + p22
             det = a * d - b * c
             if n <= _QUICK_NORM and abs(det - 1.0) <= _QUICK_DET:
+                # Inner-ball skip, exact by this bound.  With det within
+                # 1e-9 of 1, n <= T puts g i within D/2 of i, cosh shrunk
+                # by about 1e-4.  Then d(L g i, i) >= D - d(g i, i) and
+                # cosh(D - x)*cosh(x) >= cosh(D/2)^2 give ||L g||^2 >=
+                # n*(1 - 1e-4)^-2 > n*(1 + 2e-4) up to the det terms
+                # (below 1e-8 relative) and the rounding of T and n (a few
+                # ulps): far above thr, so the quick reject would drop
+                # every letter.  A NaN, infinite or degenerate frame fails
+                # n <= T or the det guard and reaches the loop, where its
+                # cosh argument raises as before; inside, gamma*(a^2 + b^2)
+                # >= det^2 keeps gamma above 0.2.
+                if n <= inner:
+                    break
                 thr = n * (1.0 + _QUICK_MARGIN)
             else:
                 thr = math.nan
+            if arg is None:
+                arg = _cosh_dist(a, b, c, d)
             moved = False
             for q11, q12x2, q22, la, lb, lc, ld, k in table:
                 if q11 * p11 + q12x2 * p12 + q22 * p22 >= thr:
@@ -336,11 +379,14 @@ def t3a_orbit(state, lam, eigen, sol_step, steps, sample_every):
     """Iterate a right solvable-group translation on the torus bundle.
 
     state: (x', y', t') in the eigenframe; eigen: (a', b', c', d');
-    sol_step: the per-step right factor in the same coordinates.
+    sol_step: the per-step right factor in the same coordinates.  A
+    negative lam, whose powers would be complex, is rejected at once.
     """
     xp, yp, tp = state
     ap, bp, cp, dp = eigen
     sx, sy, st = sol_step
+    if lam < 0.0:
+        raise ValueError("lam must not be negative, got %g" % lam)
     samples = []
     for i in range(steps):
         scale = lam ** tp

@@ -475,6 +475,20 @@ def test_t3a_power_overflow_fails_alike(native):
         assert failure(call, native) == want
 
 
+def test_t3a_negative_lam_fails_alike(native):
+    # a negative base has complex fractional powers: both kernels refuse it
+    # before the loop, whatever the steps and the sampling
+    unit = (1.0, 0.0, 0.0, 1.0)
+    for lam, steps, every, text in ((-2.618, 3, 1, "-2.618"),
+                                    (-1e300, 0, 1, "-1e+300"),
+                                    (-0.5, 3, 0, "-0.5")):
+        call = lambda k: k.t3a_orbit((0.1, 0.1, 0.5), lam, unit,
+                                     (0.01, 0.0, 0.3), steps, every)
+        want = (ValueError, "lam must not be negative, got " + text)
+        assert failure(call, _pure) == want
+        assert failure(call, native) == want
+
+
 def test_pure_reduction_cap_reports_step(monkeypatch):
     monkeypatch.setattr(_pure, "_REDUCE_CAP", 0)
     letters = octagon_letters()
