@@ -36,7 +36,6 @@ from horoflow.models import (
     OctagonModel,
     ProductModel,
     QuotientPoint,
-    ReductionError,
     TorusBundleModel,
     build_model,
     build_modular,
@@ -86,7 +85,6 @@ __all__ = [
     "ProductModel",
     "ProjectionClass",
     "QuotientPoint",
-    "ReductionError",
     "Sol3U",
     "TangentFrame",
     "TorusBundleModel",

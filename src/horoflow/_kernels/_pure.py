@@ -184,6 +184,12 @@ def _trans_coords(trans_kind, t0, t1, t2, t3):
     return ()
 
 
+def _check_every(steps, sample_every):
+    """Refuse a zero sampling interval before the loop, as _native.c does."""
+    if sample_every == 0 and steps > 0:
+        raise ZeroDivisionError("integer modulo by zero")
+
+
 def surface_orbit(frame, step, letters, trans_kind, trans_quats, trans_state,
                   steps, sample_every):
     """Iterate a right action on a cocompact surface quotient.
@@ -197,6 +203,7 @@ def surface_orbit(frame, step, letters, trans_kind, trans_quats, trans_state,
     a, b, c, d = frame
     sa, sb, sc, sd = step
     t0, t1, t2, t3 = trans_state
+    _check_every(steps, sample_every)
     table = _letter_table(letters)
     inner = _inner_bound(table)
     samples = []
@@ -312,6 +319,7 @@ def modular_orbit(frame, step, trans_kind, trans_quats, trans_state,
     a, b, c, d = frame
     sa, sb, sc, sd = step
     t0, t1, t2, t3 = trans_state
+    _check_every(steps, sample_every)
     samples = []
     for i in range(steps):
         a, b, c, d = (
@@ -387,6 +395,7 @@ def t3a_orbit(state, lam, eigen, sol_step, steps, sample_every):
     sx, sy, st = sol_step
     if lam < 0.0:
         raise ValueError("lam must not be negative, got %g" % lam)
+    _check_every(steps, sample_every)
     samples = []
     for i in range(steps):
         scale = lam ** tp

@@ -33,7 +33,7 @@ from horoflow.flows import (
     integrate_orbit,
     keylemma_converge,
 )
-from horoflow.groups import BOUNDARY_CIRCLE, GeneratedGroup, word_ball
+from horoflow.groups import BOUNDARY_CIRCLE, word_ball
 from horoflow.models import build_modular, build_octagon, build_product, build_t3a
 from horoflow.models.t3a import b_affine_params, sol3_b_embed, sol3_mul
 from horoflow.moebius import BoundaryPoint, MoebiusElement, steer_to_diagonal
@@ -207,10 +207,7 @@ def cocompact_trace_gap():
     """6: no near-parabolic traces in the octagon ball; relator collapses."""
     start = time.perf_counter()
     model = build_octagon()
-    group = GeneratedGroup.from_moebius(
-        [("g%d" % i, g) for i, g in enumerate(model.independent_generators())]
-    )
-    ball = word_ball(group, 4)
+    ball = word_ball(model.group(), 4)
     gap = min(
         abs(pe.m.trace_abs() - 2.0) for word, pe in ball.elements if word != ()
     )
@@ -257,10 +254,7 @@ def compact_surface_density():
 
 
 def _surface_reduction_trials(model, rng, trials):
-    group = GeneratedGroup.from_moebius(
-        [("g%d" % i, g) for i, g in enumerate(model.independent_generators())]
-    )
-    gammas = [pe.m for _, pe in word_ball(group, 2).elements]
+    gammas = [pe.m for _, pe in word_ball(model.group(), 2).elements]
     failures = 0
     for _ in range(trials):
         p = model.sample_point(rng)
@@ -275,11 +269,7 @@ def _surface_reduction_trials(model, rng, trials):
 
 
 def _product_reduction_trials(model, rng, trials):
-    group = GeneratedGroup.from_moebius(
-        [("g%d" % i, g)
-         for i, g in enumerate(model.base.independent_generators())]
-    )
-    gammas = [pe.m for _, pe in word_ball(group, 2).elements]
+    gammas = [pe.m for _, pe in word_ball(model.base.group(), 2).elements]
     failures = 0
     for _ in range(trials):
         p = model.sample_point(rng)

@@ -50,7 +50,7 @@ from horoflow.groups import (
     detect_semi_parabolic,
 )
 from horoflow.models import MODEL_NAMES
-from horoflow.models.base import QuotientPoint, ReductionError
+from horoflow.models.base import QuotientPoint
 from horoflow.moebius import BoundaryPoint, MoebiusElement
 from horoflow.orbitio import read_orbit_csv, write_density_json, write_orbit_csv
 
@@ -194,7 +194,7 @@ def _integrate(args):
             seed=args.seed,
             sample_every=args.sample_every or 1,
         )
-    except (ValueError, ArithmeticError, ReductionError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise RunError(str(exc)) from None
     if steps == 0:
         # zero steps means "emit the format, integrate nothing"
@@ -341,7 +341,13 @@ def _svg_scale(values, lo, hi, out_lo, out_hi):
 
 
 def render_scatter_svg(xs, ys, xlabel, ylabel, title):
-    """Fixed-size deterministic scatter; degenerate ranges get unit padding."""
+    """Fixed-size deterministic scatter; degenerate ranges get unit padding.
+
+    The labels and the title come from the CSV and are escaped; saxutils is
+    imported here, as it pulls in urllib.request.
+    """
+    from xml.sax.saxutils import escape
+
     width, height, margin = 640, 480, 54
     xlo, xhi = min(xs), max(xs)
     ylo, yhi = min(ys), max(ys)
@@ -362,12 +368,12 @@ def render_scatter_svg(xs, ys, xlabel, ylabel, title):
         % (margin, height - margin, margin, margin),
         "</g>",
         '<text x="%d" y="%d" font-size="13" text-anchor="middle">%s</text>'
-        % (width // 2, 22, title),
+        % (width // 2, 22, escape(title)),
         '<text x="%d" y="%d" font-size="12" text-anchor="middle">%s</text>'
-        % (width // 2, height - 10, xlabel),
+        % (width // 2, height - 10, escape(xlabel)),
         '<text x="14" y="%d" font-size="12" text-anchor="middle" '
         'transform="rotate(-90 14 %d)">%s</text>'
-        % (height // 2, height // 2, ylabel),
+        % (height // 2, height // 2, escape(ylabel)),
         '<text x="%d" y="%d" font-size="10">%.4g</text>'
         % (margin, height - margin + 14, xlo),
         '<text x="%d" y="%d" font-size="10" text-anchor="end">%.4g</text>'

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 
 from horoflow.flows import OrbitSegment, flow_label
-from horoflow.groups import GeneratedGroup, word_ball
+from horoflow.groups import word_ball
 from horoflow.moebius import BoundaryPoint, MoebiusElement, canonical_entries
 from horoflow.models.base import QuotientPoint
 from horoflow.models.product import ProductModel, minimal_set_distance
@@ -247,7 +247,7 @@ def minimal_set_residual(model, sample_count, group_radius, action_grid=None,
     if action_grid is None:
         action_grid = borel_grid(DEFAULT_GRID_COUNT)
     if isinstance(model, TorusBundleModel):
-        ball = word_ball(GeneratedGroup(model.dual_generators()), group_radius)
+        ball = word_ball(model.dual_group(), group_radius)
         gammas = _sample_gammas(ball, gamma_count, rng)
         infinity = BoundaryPoint.infinity()
         worst = 0.0
@@ -258,10 +258,9 @@ def minimal_set_residual(model, sample_count, group_radius, action_grid=None,
                 worst = max(worst, minimal_set_distance(model, moved))
         return worst
     if isinstance(model, ProductModel) and model.diagonal():
-        group = GeneratedGroup.from_moebius(
-            [("a%d" % i, g) for i, g in enumerate(model.base.independent_generators())]
+        gammas = _sample_gammas(
+            word_ball(model.base.group(), group_radius), gamma_count, rng
         )
-        gammas = _sample_gammas(word_ball(group, group_radius), gamma_count, rng)
         grid = [b.entries for b in action_grid]
         # The loop is minimal_set_distance(model, (pushed.mul(b), xi)) on raw
         # floats, with the same bits: the canonical entries of pushed * b,

@@ -28,8 +28,8 @@ from itertools import chain, islice
 from horoflow import _kernels
 from horoflow.models import (
     ModularModel,
-    OctagonModel,
     ProductModel,
+    SurfaceModel,
     TorusBundleModel,
 )
 from horoflow.models.base import QuotientPoint
@@ -251,12 +251,6 @@ class OrbitSegment:
     def __len__(self):
         return len(self.rows)
 
-    def points(self):
-        return tuple(p for _, p in self.samples)
-
-    def final(self):
-        return self.samples[-1]
-
 
 def _validate_counts(steps, sample_every):
     if not isinstance(steps, int) or steps < 0:
@@ -350,8 +344,9 @@ def integrate_orbit(model, start, flow, steps, seed=None, sample_every=1):
     start is a reduced or reducible quotient point of the model, or None to
     draw one from the model's sampler with the given seed; the dual boundary
     iteration instead takes a (boundary point, y') pair.  The segment always
-    includes the reduced start at time zero.  Reduction failures from the
-    kernels surface as ValueError carrying the step index.
+    includes the reduced start at time zero.  Every reduction that does not
+    settle raises ValueError: a kernel's names the step index, the modular
+    start reduction's names its cap.
     """
     if not isinstance(flow, FLOW_KINDS):
         raise TypeError("unknown flow kind: %r" % (flow,))
@@ -369,7 +364,7 @@ def integrate_orbit(model, start, flow, steps, seed=None, sample_every=1):
         raise ValueError(
             "flow %s is only defined on the torus bundle" % flow_label(flow)
         )
-    if isinstance(model, (OctagonModel, ModularModel, ProductModel)):
+    if isinstance(model, (SurfaceModel, ProductModel)):
         return _integrate_surface(model, start, flow, steps, seed, sample_every, rng)
     raise TypeError("no integrator for model %r" % (model,))
 

@@ -327,11 +327,6 @@ class ProductElement:
         return "ProductElement(%r, %r, %s)" % (self.m, self.g, self.space.name)
 
 
-def product_apply(gamma, pair):
-    """Componentwise action of a product element on (boundary, transverse)."""
-    return gamma.apply_pair(pair)
-
-
 class GeneratedGroup:
     """Ordered, named generating set of product elements (inverses implicit)."""
 
@@ -381,9 +376,6 @@ class WordBall:
 
     def __len__(self):
         return len(self.elements)
-
-    def nonidentity(self):
-        return [entry for entry in self.elements if entry[0] != ()]
 
 
 def word_ball(group, radius, radius_cap=WORD_BALL_RADIUS_CAP,

@@ -2,13 +2,15 @@
 
 Descriptor names: `t3a` (integer matrix via the A parameter), `octagon`,
 `octagon_so3` (seeded rotation holonomy), `octagon_boundary` (diagonal
-boundary holonomy), `modular`.
+boundary holonomy), `modular`.  `OctagonModel` and `ModularModel` share
+`SurfaceModel`; a product model crosses one with a transverse factor.
+Every reduction that does not settle raises ValueError.
 """
 
 from __future__ import annotations
 
 from horoflow.groups import BOUNDARY_CIRCLE, ROTATIONS3
-from horoflow.models.base import QuotientPoint, ReductionError
+from horoflow.models.base import QuotientPoint, SurfaceModel
 from horoflow.models.modular import ModularModel, build_modular, modular_reduce
 from horoflow.models.octagon import OctagonModel, build_octagon
 from horoflow.models.product import (
@@ -61,7 +63,7 @@ __all__ = [
     "OctagonModel",
     "ProductModel",
     "QuotientPoint",
-    "ReductionError",
+    "SurfaceModel",
     "TorusBundleModel",
     "b_affine_params",
     "build_model",

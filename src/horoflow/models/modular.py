@@ -16,19 +16,14 @@ from __future__ import annotations
 import math
 
 from horoflow import _kernels
-from horoflow.models.base import NO_TRANSVERSE, QuotientPoint, ReductionError
-from horoflow.moebius import (
-    HalfPlanePoint,
-    MoebiusElement,
-    frame_to_tangent,
-    hyp_dist,
-)
+from horoflow.models.base import NO_TRANSVERSE, QuotientPoint, SurfaceModel
+from horoflow.moebius import HalfPlanePoint, MoebiusElement
 
 REDUCE_CAP = 10_000
 _BOUNDARY_SLACK = 1e-12
 
 
-class ModularModel:
+class ModularModel(SurfaceModel):
     """PSL(2, Z) with the standard fundamental domain."""
 
     name = "modular"
@@ -54,9 +49,6 @@ class ModularModel:
         """Letter k as (independent generator index, inverted)."""
         return ((0, False), (0, True), (1, False))[k]
 
-    def generators_named(self):
-        return [("T", self.gen_t), ("S", self.gen_s)]
-
     # -- reduction ---------------------------------------------------------
 
     def reduce_point(self, z):
@@ -78,9 +70,8 @@ class ModularModel:
                 z = -1.0 / z
             else:
                 return QuotientPoint(self.name, (z.real, z.imag))
-        raise ReductionError(
-            "modular point reduction did not settle within %d steps" % REDUCE_CAP,
-            REDUCE_CAP,
+        raise ValueError(
+            "modular point reduction did not settle within %d steps" % REDUCE_CAP
         )
 
     def kernel_orbit(self, frame, step, steps, sample_every,
@@ -105,49 +96,13 @@ class ModularModel:
                 f = self.gen_s.mul(f)
             else:
                 return f
-        raise ReductionError(
-            "modular frame reduction did not settle within %d steps" % REDUCE_CAP,
-            REDUCE_CAP,
-        )
-
-    def reduce(self, f):
-        return self.point_from_frame(self.reduce_frame(f))
-
-    def kernel_start(self, point):
-        """The reduced start point and the kernel's empty transverse state."""
-        return self.reduce(point.frame), NO_TRANSVERSE
-
-    def point_from_frame(self, f):
-        tangent = frame_to_tangent(f)
-        return QuotientPoint(
-            self.name,
-            (tangent.base.re, tangent.base.im, tangent.direction),
-            frame=f,
+        raise ValueError(
+            "modular frame reduction did not settle within %d steps" % REDUCE_CAP
         )
 
     def in_domain(self, z, slack=_BOUNDARY_SLACK):
         z = complex(z)
         return abs(z.real) <= 0.5 + slack and abs(z) >= 1.0 - slack
-
-    def points_close(self, p, q, tol=1e-9):
-        f, g = p.frame, q.frame
-        if f.close_to(g, tol):
-            return True
-        for letter in self.letters:
-            if letter.mul(f).close_to(g, tol):
-                return True
-        return False
-
-    def sample_point(self, rng):
-        f = (
-            MoebiusElement.u(rng.uniform(-2.0, 2.0))
-            .mul(MoebiusElement.geo(math.sqrt(rng.uniform(0.3, 3.0))))
-            .mul(MoebiusElement.rot(rng.uniform(-math.pi, math.pi)))
-        )
-        return self.point_from_frame(self.reduce_frame(f))
-
-    def coord_names(self):
-        return ("re", "im", "direction")
 
     def coverage_box(self):
         """Window over the finite-area part of the domain.
@@ -157,12 +112,6 @@ class ModularModel:
         cusp neighborhood carries negligible area.
         """
         return ((-0.5, 0.5), (0.5 * math.sqrt(3.0), 3.0))
-
-    def default_ranges(self, flow):
-        """Density ranges of (re, im, direction): the coverage box, then the
-        full circle of directions."""
-        box = self.coverage_box()
-        return (box[0], box[1], (0.0, 2.0 * math.pi))
 
 
 def build_modular():

@@ -19,8 +19,8 @@ from __future__ import annotations
 import math
 
 from horoflow import _kernels
-from horoflow.models.base import IDENTITY_STEP, NO_TRANSVERSE, QuotientPoint
-from horoflow.moebius import MoebiusElement, frame_to_tangent, hyp_dist
+from horoflow.models.base import IDENTITY_STEP, NO_TRANSVERSE, SurfaceModel
+from horoflow.moebius import MoebiusElement, hyp_dist
 
 SIDE_PAIRINGS = 8
 _HALF_LENGTH_COSH = 1.0 + math.sqrt(2.0)  # cot(pi/8)
@@ -89,7 +89,7 @@ def _pairing_matrix(k):
     )
 
 
-class OctagonModel:
+class OctagonModel(SurfaceModel):
     """The octagon surface group with its Dirichlet domain at i."""
 
     name = "octagon"
@@ -145,21 +145,6 @@ class OctagonModel:
         _, frame, _ = self.kernel_orbit(f.entries, IDENTITY_STEP, 1, 1)
         return MoebiusElement(*frame)
 
-    def reduce(self, f):
-        return self.point_from_frame(self.reduce_frame(f))
-
-    def kernel_start(self, point):
-        """The reduced start point and the kernel's empty transverse state."""
-        return self.reduce(point.frame), NO_TRANSVERSE
-
-    def point_from_frame(self, f):
-        tangent = frame_to_tangent(f)
-        return QuotientPoint(
-            self.name,
-            (tangent.base.re, tangent.base.im, tangent.direction),
-            frame=f,
-        )
-
     def in_domain(self, z, slack=1e-12):
         """Dirichlet-domain membership for a half-plane point (complex)."""
         d0 = hyp_dist(z, 1.0j)
@@ -167,31 +152,6 @@ class OctagonModel:
             if d0 > hyp_dist(z, g.apply(1.0j)) + slack:
                 return False
         return True
-
-    def points_close(self, p, q, tol=1e-9):
-        """Orbit-aware frame comparison.
-
-        Boundary representatives differ by one side pairing, so the direct
-        comparison is backed up by a single-letter translate on either side.
-        """
-        f, g = p.frame, q.frame
-        if f.close_to(g, tol):
-            return True
-        for k in range(SIDE_PAIRINGS):
-            if self.generators[k].mul(f).close_to(g, tol):
-                return True
-        return False
-
-    def sample_point(self, rng):
-        f = (
-            MoebiusElement.u(rng.uniform(-2.0, 2.0))
-            .mul(MoebiusElement.geo(math.sqrt(rng.uniform(0.3, 3.0))))
-            .mul(MoebiusElement.rot(rng.uniform(-math.pi, math.pi)))
-        )
-        return self.point_from_frame(self.reduce_frame(f))
-
-    def coord_names(self):
-        return ("re", "im", "direction")
 
     def coverage_box(self):
         """Bounding box of the inscribed disk of the Dirichlet domain.
@@ -203,12 +163,6 @@ class OctagonModel:
         """
         sh = math.sinh(INNER_RADIUS)
         return ((-sh, sh), (math.exp(-INNER_RADIUS), math.exp(INNER_RADIUS)))
-
-    def default_ranges(self, flow):
-        """Density ranges of (re, im, direction): the coverage box, then the
-        full circle of directions."""
-        box = self.coverage_box()
-        return (box[0], box[1], (0.0, 2.0 * math.pi))
 
 
 def build_octagon():

@@ -33,8 +33,6 @@ from horoflow.groups import (
     quat_normalize,
 )
 from horoflow.models.base import IDENTITY_STEP, NO_TRANSVERSE, QuotientPoint
-from horoflow.models.modular import ModularModel
-from horoflow.models.octagon import OctagonModel
 from horoflow.models.t3a import TorusBundleModel
 from horoflow.moebius import BoundaryPoint, MoebiusElement
 

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -272,6 +273,25 @@ def test_plot_single_point_pads_degenerate_range(tmp_path):
     out = tmp_path / "one.svg"
     assert run(["plot", "--in", orbit, "--out", out]) == 0
     assert 'r="3"' in out.read_text()
+
+
+def test_plot_escapes_legend_text(tmp_path):
+    # legend values reach the SVG's <text> elements and must stay well formed
+    orbit = tmp_path / "odd.csv"
+    orbit.write_text(
+        "# model = a&b\n"
+        "# flow = <none>\n"
+        "# c1 = x<y\n"
+        "# c2 = p>q & r\n"
+        "time,c1,c2\n"
+        "0,0.25,0.75\n"
+        "1,0.5,0.25\n"
+    )
+    out = tmp_path / "odd.svg"
+    assert run(["plot", "--in", orbit, "--out", out]) == 0
+    root = ElementTree.parse(out).getroot()
+    texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert texts[:3] == ["a&b / <none>", "x<y", "p>q & r"]
 
 
 def test_plot_rejects_missing_column_and_bad_csv(tmp_path, capsys):

@@ -19,7 +19,6 @@ from horoflow.groups import (
     ProjectionClass,
     classify_psl_projection,
     detect_semi_parabolic,
-    product_apply,
     quat_mul,
     quat_normalize,
     quat_rotate_vector,
@@ -277,12 +276,12 @@ def test_product_apply_torus_bundle_translations():
         MoebiusElement.u(A_PRIME), REAL_AFFINE.make(1.0, B_PRIME), REAL_AFFINE
     )
     xi = BoundaryPoint.from_real(0.25)
-    xi2, y2 = product_apply(t1_star, (xi, 0.5))
+    xi2, y2 = t1_star.apply_pair((xi, 0.5))
     assert abs(xi2.value - (0.25 + A_PRIME)) < 1e-12
     assert abs(y2 - (0.5 + B_PRIME)) < 1e-12
 
     ident = ProductElement(MoebiusElement.identity(), REAL_AFFINE.identity(), REAL_AFFINE)
-    xi3, y3 = product_apply(ident, (xi, 0.5))
+    xi3, y3 = ident.apply_pair((xi, 0.5))
     assert xi3.chordal(xi) == 0.0 and y3 == 0.5
 
 
@@ -292,7 +291,7 @@ def test_product_apply_expansion_contraction():
         REAL_AFFINE.make(1.0 / LAMBDA, 0.0),
         REAL_AFFINE,
     )
-    xi, y = product_apply(h_star, (BoundaryPoint.from_real(1.0), 1.0))
+    xi, y = h_star.apply_pair((BoundaryPoint.from_real(1.0), 1.0))
     assert abs(xi.value - LAMBDA) < 1e-12
     assert abs(y - 1.0 / LAMBDA) < 1e-12
 

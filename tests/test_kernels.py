@@ -442,12 +442,23 @@ def test_nonfinite_and_zero_inputs_fail_alike(native):
         lambda k: k.modular_orbit(IDENTITY, step, 0, None, NO_TRANS, 3, 0),
         lambda k: k.t3a_orbit((0.0, 0.0, 0.0), m.lam, eigen,
                               (0.0, 0.0, 0.1), 3, 0),
+        # `% 0` is refused before step 0 can fail in its own way
+        lambda k: k.surface_orbit((1.0, 0.0, 0.0, -1.0), IDENTITY,
+                                  octagon_letters(), 0, None, NO_TRANS, 3, 0),
+        lambda k: k.modular_orbit((1.0, 0.0, 0.0, -1.0), IDENTITY, 0, None,
+                                  NO_TRANS, 3, 0),
+        lambda k: k.t3a_orbit((0.1, 0.1, -0.5), 0.0, eigen,
+                              (0.01, 0.0, 0.0), 3, 0),
     ]
     for call in calls:
         assert failure(call, native) == failure(call, _pure)
     assert failure(calls[0], native) == (
         ZeroDivisionError, "float division by zero"
     )
+    for call in calls[-3:]:
+        assert failure(call, _pure) == (
+            ZeroDivisionError, "integer modulo by zero"
+        )
 
 
 def test_t3a_power_overflow_fails_alike(native):

@@ -208,6 +208,24 @@ def test_modular_frame_reduction_shifts_back():
     assert reduced.is_identity(1e-12)
 
 
+def test_modular_reduction_cap_raises_value_error(monkeypatch):
+    # 2 + 0.5i needs two rounds: shift and invert to 2i, then stop
+    z = complex(2.0, 0.5)
+    frame = MoebiusElement.u(2.0).mul(MoebiusElement.geo(math.sqrt(0.5)))
+    assert abs(frame.apply(1.0j) - z) < 1e-12
+    model = build_modular()
+    monkeypatch.setattr("horoflow.models.modular.REDUCE_CAP", 2)
+    assert abs(model.reduce_point(z).coords[1] - 2.0) < 1e-12
+    assert model.in_domain(model.reduce_frame(frame).apply(1.0j))
+    monkeypatch.setattr("horoflow.models.modular.REDUCE_CAP", 1)
+    with pytest.raises(ValueError,
+                       match="modular point reduction did not settle within 1 steps"):
+        model.reduce_point(z)
+    with pytest.raises(ValueError,
+                       match="modular frame reduction did not settle within 1 steps"):
+        model.reduce_frame(frame)
+
+
 # -- product models ---------------------------------------------------------------
 
 
