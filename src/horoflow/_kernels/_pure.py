@@ -2,7 +2,9 @@
 
 The compiled twin in _native.c keeps the same functions with the same
 expression structure, operation for operation, so both backends produce the
-same floating point results; any change here must be mirrored there.
+same floating point results; any change here must be mirrored there.  The
+boundary action of a letter on the circle is moebius.boundary_angle, whose
+C twin is _native.c's boundary_apply.
 
 State conventions shared by both backends:
 
@@ -44,6 +46,8 @@ _native.c does the same, expression for expression.
 
 import math
 
+from horoflow.moebius import boundary_angle
+
 RENORM_EVERY = 64
 _DET_TOL = 1e-12
 _DESCENT_SLACK = 1e-12
@@ -52,7 +56,6 @@ _QUICK_NORM = 1e4
 _QUICK_DET = 1e-9
 _QUICK_MARGIN = 1e-6
 _INNER_MARGIN = 1e-4
-_PI = math.pi
 _HALF_PI = 0.5 * math.pi
 _TAU = 2.0 * math.pi
 
@@ -120,20 +123,6 @@ def _tangent_coords(a, b, c, d):
     im = 1.0 / gamma
     direction = (_HALF_PI - 2.0 * math.atan2(c, d)) % _TAU
     return (re, im, direction)
-
-
-def _boundary_apply(a, b, c, d, theta):
-    half = 0.5 * theta
-    p = math.sin(half)
-    q = math.cos(half)
-    pp = a * p + b * q
-    qp = c * p + d * q
-    phi = math.atan2(pp, qp)
-    if phi <= -_HALF_PI:
-        phi += _PI
-    elif phi > _HALF_PI:
-        phi -= _PI
-    return 2.0 * phi
 
 
 def _quat_mul_norm(l0, l1, l2, l3, t0, t1, t2, t3):
@@ -281,7 +270,7 @@ def surface_orbit(frame, step, letters, trans_kind, trans_quats, trans_state,
                     arg = carg
                     dist = cand
                     if trans_kind == TRANS_BOUNDARY:
-                        t0 = _boundary_apply(la, lb, lc, ld, t0)
+                        t0 = boundary_angle(la, lb, lc, ld, t0)
                     elif trans_kind == TRANS_ROTATION:
                         t0, t1, t2, t3 = _quat_mul_norm(
                             trans_quats[4 * k],
@@ -342,7 +331,7 @@ def modular_orbit(frame, step, trans_kind, trans_quats, trans_state,
                 b -= m * d
                 re -= m
                 if trans_kind == TRANS_BOUNDARY:
-                    t0 = _boundary_apply(1.0, -m, 0.0, 1.0, t0)
+                    t0 = boundary_angle(1.0, -m, 0.0, 1.0, t0)
                 elif trans_kind == TRANS_ROTATION:
                     # T applied -m times: use the inverse quaternion for m > 0
                     q0 = trans_quats[0]
@@ -358,7 +347,7 @@ def modular_orbit(frame, step, trans_kind, trans_quats, trans_state,
             if re * re + im * im < 1.0 - _DET_TOL:
                 a, b, c, d = (-c, -d, a, b)
                 if trans_kind == TRANS_BOUNDARY:
-                    t0 = _boundary_apply(0.0, -1.0, 1.0, 0.0, t0)
+                    t0 = boundary_angle(0.0, -1.0, 1.0, 0.0, t0)
                 elif trans_kind == TRANS_ROTATION:
                     t0, t1, t2, t3 = _quat_mul_norm(
                         trans_quats[4],

@@ -172,8 +172,8 @@ def boundary_funneling():
         y = rng.uniform(-1.0, 1.0)
         seg = integrate_orbit(model, (xi, y), DualBoundaryIterate(), 60)
         gaps = [
-            max(BoundaryPoint(p.coords[0]).chordal(infinity), abs(p.coords[1]))
-            for _, p in seg.samples
+            max(BoundaryPoint(theta).chordal(infinity), abs(y_prime))
+            for theta, y_prime in seg.rows
         ]
         best = min(gaps)
         worst_gap = max(worst_gap, best)
@@ -229,7 +229,8 @@ def noncompact_contrast():
     useg = integrate_orbit(model, origin, HorocycleU(0.01), 100)
     periodic = model.points_close(useg.samples[100][1], useg.samples[0][1], 1e-9)
     gseg = integrate_orbit(model, origin, GeodesicD(0.01), 600)
-    peak = max(p.coords[1] for t, p in gseg.samples if t <= 6.0 + 1e-12)
+    peak = max(row[1] for t, row in zip(gseg.times(), gseg.rows)
+               if t <= 6.0 + 1e-12)
     elapsed = time.perf_counter() - start
     return CriterionResult(
         7, "noncompact_contrast", periodic and peak > 100.0, elapsed, 1.0,

@@ -198,9 +198,7 @@ def _integrate(args):
         raise RunError(str(exc)) from None
     if steps == 0:
         # zero steps means "emit the format, integrate nothing"
-        segment = segment.__class__(
-            segment.model, segment.flow, (), segment.seed, 0, segment.coord_names
-        )
+        segment.rows = ()
     return model, segment
 
 

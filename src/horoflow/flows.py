@@ -6,9 +6,11 @@ multiplies the current frame by a fixed step element and reduces back into
 the fundamental domain.  The per-step reduction is the performance hot spot;
 the heavy loops live in horoflow._kernels behind a compiled/pure switch.
 
-An orbit segment stores its samples as the coordinate rows the kernels
-return, the reduced start as row 0, and builds sample points only when
-`segment.samples` is first read; coverage and the CSV writer read the rows.
+An orbit segment is built from the coordinate rows the kernels return, the
+reduced start as row 0, and the sampling interval; it derives each row's
+time from the flow and builds sample points only when `segment.samples` is
+first read.  Coverage, the CSV writer and divergence detection read only
+the rows and times; sample points are for comparisons that need frames.
 Sample points carry quotient coordinates and, for the surface models, a
 reconstructed frame so orbit-aware point comparisons work on them.  Samples
 of a rotation-group bundle carry only the projected pole coordinates of the
@@ -176,63 +178,40 @@ def sol_step_increment(flow, log_lam):
     raise ValueError("flow %s has no section coordinates" % flow_label(flow))
 
 
-def _check_increasing(pairs):
-    if any(b <= a for a, b in pairs):
-        raise ValueError("sample times must increase strictly")
-
-
 class OrbitSegment:
-    """A sampled orbit: (time, reduced point) pairs with provenance fields.
+    """A sampled orbit: coordinate rows with provenance fields.
 
-    `rows` holds each sample's flat coordinates.  A segment built by
-    `from_rows` keeps only those rows, sample j at time time_step * j, and
-    builds the (time, point) pairs of `samples` on first access; a segment
-    built from explicit samples keeps them as given.
+    `rows` holds each sample's flat coordinates, row 0 the reduced start.
+    Row j is sampled at time (flow_time_step(flow) * sample_every) * j, row 0
+    at 0.0.  `point(row)` builds the QuotientPoint of one row when `samples`,
+    the (time, point) pairs, is first read; `start`, if given, is the point
+    of row 0 itself.
     """
 
-    def __init__(self, model, flow, samples, seed, steps, coord_names=()):
-        samples = tuple(samples)
-        times = [t for t, _ in samples]
-        _check_increasing(zip(times, times[1:]))
-        self.model = model
-        self.flow = flow
-        self.seed = seed
-        self.steps = steps
-        self.coord_names = coord_names
-        self.rows = tuple(p.coords for _, p in samples)
-        self._samples = samples
-
-    @classmethod
-    def from_rows(cls, model, flow, rows, seed, steps, coord_names, time_step,
-                  point, start=None):
-        """A segment over coordinate rows; row 0 is the reduced start.
-
-        Row j is sampled at time time_step * j, row 0 at 0.0.  `point(row)`
-        builds the QuotientPoint of one row when the samples are first read;
-        `start`, if given, is the point of row 0 itself.
-        """
+    def __init__(self, model, flow, rows, seed, steps, coord_names,
+                 sample_every, point, start=None):
+        time_step = flow_time_step(flow) * sample_every
         # time_step * j never falls as j grows, and two times can only meet
         # once they overflow to inf, so the first and the last pair of
         # times stand for all of them.
         last = len(rows) - 1
-        ends = []
-        if last >= 1:
-            ends.append((0.0, time_step))
-        if last >= 2:
-            ends.append((time_step * (last - 1), time_step * last))
-        _check_increasing(ends)
-        segment = cls(model, flow, (), seed, steps, coord_names)
-        segment.rows = rows
-        segment._samples = None
-        segment._time_step = time_step
-        segment._point = point
-        segment._start = start
-        return segment
+        if (last >= 1 and time_step <= 0.0) or (
+            last >= 2 and time_step * last <= time_step * (last - 1)
+        ):
+            raise ValueError("sample times must increase strictly")
+        self.model = model
+        self.flow = flow
+        self.rows = rows
+        self.seed = seed
+        self.steps = steps
+        self.coord_names = coord_names
+        self._time_step = time_step
+        self._point = point
+        self._start = start
+        self._samples = None
 
     def times(self):
         """An iterator over the sample times, one per row."""
-        if self._samples is not None:
-            return (t for t, _ in self._samples)
         later = map(self._time_step.__mul__, range(1, len(self.rows)))
         return chain((0.0,), later)
 
@@ -285,9 +264,9 @@ def _integrate_surface(model, start, flow, steps, seed, sample_every, rng):
     raw.insert(0, start_point.coords)
     point = partial(_surface_point, model.name,
                     boundary=isinstance(start_point.transverse, BoundaryPoint))
-    return OrbitSegment.from_rows(
-        model.name, flow, raw, seed, steps, model.coord_names(),
-        flow_time_step(flow) * sample_every, point, start_point,
+    return OrbitSegment(
+        model.name, flow, raw, seed, steps, model.coord_names(), sample_every,
+        point, start_point,
     )
 
 
@@ -300,10 +279,9 @@ def _integrate_torus_bundle(model, start, flow, steps, seed, sample_every, rng):
     eigen = (model.a_prime, model.b_prime, model.c_prime, model.d_prime)
     raw, _ = _kernels.t3a_orbit(state, model.lam, eigen, sol, steps, sample_every)
     raw.insert(0, start_point.coords)
-    return OrbitSegment.from_rows(
-        model.name, flow, raw, seed, steps, model.coord_names(),
-        flow_time_step(flow) * sample_every, partial(QuotientPoint, model.name),
-        start_point,
+    return OrbitSegment(
+        model.name, flow, raw, seed, steps, model.coord_names(), sample_every,
+        partial(QuotientPoint, model.name), start_point,
     )
 
 
@@ -332,9 +310,9 @@ def _integrate_dual_boundary(model, start, flow, steps, seed, sample_every, rng)
             rows.append((theta, y_prime))
     # Sample j sits at step n = sample_every * j, and the float time
     # 1.0 * sample_every * j is exactly n.
-    return OrbitSegment.from_rows(
-        DUAL_MODEL_ID, flow, rows, seed, steps, DUAL_COORD_NAMES,
-        flow_time_step(flow) * sample_every, partial(QuotientPoint, DUAL_MODEL_ID),
+    return OrbitSegment(
+        DUAL_MODEL_ID, flow, rows, seed, steps, DUAL_COORD_NAMES, sample_every,
+        partial(QuotientPoint, DUAL_MODEL_ID),
     )
 
 

@@ -52,9 +52,6 @@ class TransverseSpace:
     def is_identity(self, g, tol=1e-9):
         raise NotImplementedError
 
-    def dist_to_identity(self, g):
-        raise NotImplementedError
-
     def point_dist(self, x, y):
         raise NotImplementedError
 
@@ -89,9 +86,6 @@ class TrivialSpace(TransverseSpace):
 
     def is_identity(self, g, tol=1e-9):
         return True
-
-    def dist_to_identity(self, g):
-        return 0.0
 
     def point_dist(self, x, y):
         return 0.0
@@ -129,9 +123,6 @@ class RealAffineSpace(TransverseSpace):
 
     def is_identity(self, g, tol=1e-9):
         return abs(g[0] - 1.0) <= tol and abs(g[1]) <= tol
-
-    def dist_to_identity(self, g):
-        return math.hypot(math.log(g[0]), g[1])
 
     def point_dist(self, x, y):
         return abs(x - y)
@@ -221,11 +212,6 @@ class Rotations3Space(TransverseSpace):
             abs(g[1]) <= tol and abs(g[2]) <= tol and abs(g[3]) <= tol
         )
 
-    def dist_to_identity(self, g):
-        # rotation angle in [0, pi]
-        w = min(1.0, abs(g[0]))
-        return 2.0 * math.acos(w)
-
     def point_dist(self, x, y):
         dot = abs(x[0] * y[0] + x[1] * y[1] + x[2] * y[2] + x[3] * y[3])
         return 2.0 * math.acos(min(1.0, dot))
@@ -261,12 +247,6 @@ class BoundaryCircleSpace(TransverseSpace):
 
     def is_identity(self, g, tol=1e-9):
         return g.is_identity(tol)
-
-    def dist_to_identity(self, g):
-        e = g.entries
-        return math.sqrt(
-            (e[0] - 1.0) ** 2 + e[1] ** 2 + e[2] ** 2 + (e[3] - 1.0) ** 2
-        )
 
     def point_dist(self, x, y):
         return x.chordal(y)

@@ -9,6 +9,8 @@ below by the unit circle.
 Frames are reduced in Python: the modular kernel differs in the last bits,
 as its inversion has an exact 0 where S = rot(pi/2) has cos(pi/2) = 6.1e-17,
 and it tests |z|^2 < 1 - 1e-12 where the descent tests |z| < 1 - 1e-12.
+reduce_frame is the one Python descent; reduce_point runs it on a frame
+over the point.
 """
 
 from __future__ import annotations
@@ -54,25 +56,17 @@ class ModularModel(SurfaceModel):
     def reduce_point(self, z):
         """Reduce a half-plane point into the fundamental domain.
 
-        Alternates the horizontal translation into |Re| <= 1/2 with the
-        inversion while the point is inside the unit circle.
+        Reduces the frame u(x) geo(sqrt(y)) over z = x + iy with
+        reduce_frame and returns the point that frame carries i to.
         """
         if isinstance(z, HalfPlanePoint):
             z = z.as_complex()
         z = complex(z)
         if z.imag <= 0.0:
             raise ValueError("point must lie in the open upper half-plane")
-        for _ in range(REDUCE_CAP):
-            m = math.floor(z.real + 0.5)
-            if m != 0:
-                z = complex(z.real - m, z.imag)
-            if abs(z) < 1.0 - _BOUNDARY_SLACK:
-                z = -1.0 / z
-            else:
-                return QuotientPoint(self.name, (z.real, z.imag))
-        raise ValueError(
-            "modular point reduction did not settle within %d steps" % REDUCE_CAP
-        )
+        frame = MoebiusElement.u(z.real).mul(MoebiusElement.geo(math.sqrt(z.imag)))
+        w = self.reduce_frame(frame).apply(1.0j)
+        return QuotientPoint(self.name, (w.real, w.imag))
 
     def kernel_orbit(self, frame, step, steps, sample_every,
                      trans_state=NO_TRANSVERSE, trans_kind=_kernels.TRANS_NONE,

@@ -22,7 +22,6 @@ from horoflow._kernels._pure import (
     RENORM_EVERY,
     TRANS_BOUNDARY,
     TRANS_ROTATION,
-    _boundary_apply,
     _inner_bound,
     _letter_table,
     _quat_mul_norm,
@@ -32,7 +31,7 @@ from horoflow._kernels._pure import (
 )
 from horoflow.groups import ROTATIONS3
 from horoflow.models import build_octagon, build_product
-from horoflow.moebius import MoebiusElement
+from horoflow.moebius import MoebiusElement, boundary_angle
 
 IDENTITY = (1.0, 0.0, 0.0, 1.0)
 NO_TRANS = (0.0, 0.0, 0.0, 0.0)
@@ -83,7 +82,7 @@ def reference_surface_orbit(frame, step, letters, trans_kind, trans_quats,
                     a, b, c, d = (ca, cb, cc, cd)
                     dist = cand
                     if trans_kind == TRANS_BOUNDARY:
-                        t0 = _boundary_apply(la, lb, lc, ld, t0)
+                        t0 = boundary_angle(la, lb, lc, ld, t0)
                     elif trans_kind == TRANS_ROTATION:
                         t0, t1, t2, t3 = _quat_mul_norm(
                             trans_quats[4 * k],

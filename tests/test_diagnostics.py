@@ -2,6 +2,7 @@
 
 import math
 import random
+from functools import partial
 
 import pytest
 
@@ -39,11 +40,9 @@ def diagonal():
 
 
 def segment_of(coords_list, names=()):
-    samples = tuple(
-        (float(i), QuotientPoint("synthetic", c)) for i, c in enumerate(coords_list)
-    )
-    return OrbitSegment("synthetic", HorocycleU(1.0), samples, None,
-                        max(0, len(coords_list) - 1), coord_names=names)
+    return OrbitSegment("synthetic", HorocycleU(1.0), tuple(coords_list), None,
+                        max(0, len(coords_list) - 1), names, 1,
+                        partial(QuotientPoint, "synthetic"))
 
 
 # -- binning spec -------------------------------------------------------------
@@ -104,8 +103,8 @@ def test_coverage_skips_out_of_box_samples():
 def test_coverage_monotone_in_prefix(t3a):
     seg = integrate_orbit(t3a, None, Sol3U(0.037), 20_000, seed=8)
     spec = BinningSpec(((0.0, 1.0), (0.0, 1.0)), (30, 30))
-    prefix = OrbitSegment(seg.model, seg.flow, seg.samples[:4000], seg.seed,
-                          4000, coord_names=seg.coord_names)
+    prefix = OrbitSegment(seg.model, seg.flow, seg.rows[:4000], seg.seed,
+                          4000, seg.coord_names, 1, partial(QuotientPoint, seg.model))
     assert coverage(prefix, spec).fraction <= coverage(seg, spec).fraction
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+from functools import partial
 
 import pytest
 
@@ -185,9 +186,12 @@ def test_zero_steps_single_sample(modular):
 
 
 def test_segment_rejects_unordered_times():
-    p = QuotientPoint("modular", (0.0, 1.0, 0.0))
-    with pytest.raises(ValueError):
-        OrbitSegment("modular", HorocycleU(0.1), ((0.0, p), (0.0, p)), None, 1)
+    # a time step of 2e308 overflows to inf, so rows 1 and 2 share a time
+    row = (0.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="increase strictly"):
+        OrbitSegment("modular", HorocycleU(1e308), (row, row, row), None, 2,
+                     ("re", "im", "direction"), 2,
+                     partial(QuotientPoint, "modular"))
 
 
 def test_product_orbit_keeps_graph_relation(octagon):

@@ -2,12 +2,14 @@
 
 import json
 import os
+from functools import partial
 
 import pytest
 
 from horoflow.diagnostics import BinningSpec, coverage
 from horoflow.flows import HorocycleU, OrbitSegment, Sol3U, integrate_orbit
 from horoflow.models import build_modular, build_t3a
+from horoflow.models.base import QuotientPoint
 from horoflow.orbitio import (
     density_json_text,
     orbit_csv_text,
@@ -47,7 +49,8 @@ def test_csv_is_byte_deterministic(segment, tmp_path):
 
 def test_csv_empty_segment_is_header_only():
     empty = OrbitSegment("modular", HorocycleU(0.1), (), None, 0,
-                         coord_names=("re", "im", "direction"))
+                         ("re", "im", "direction"), 1,
+                         partial(QuotientPoint, "modular"))
     text = orbit_csv_text(empty)
     lines = text.strip().splitlines()
     assert lines[-1] == "time,c1,c2,c3"

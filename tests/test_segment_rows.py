@@ -8,6 +8,7 @@ library ran before, kept here so that every result can be compared exactly.
 
 import math
 import random
+from functools import partial
 
 import pytest
 
@@ -203,13 +204,6 @@ def test_csv_text_matches_per_cell_formatting(case):
     assert orbit_csv_text(seg) == reference_csv_text(seg)
 
 
-def test_csv_text_of_an_explicit_segment(case):
-    _, _, seg = case
-    explicit = OrbitSegment(seg.model, seg.flow, seg.samples, seg.seed,
-                            seg.steps, seg.coord_names)
-    assert orbit_csv_text(explicit) == orbit_csv_text(seg)
-
-
 def test_coverage_matches_binning_indices(case):
     model, flow, seg = case
     ranges = _ranges(model, flow)
@@ -232,8 +226,8 @@ def test_coverage_matches_binning_indices_on_the_box_edges():
     spec = BinningSpec(((0.0, 1.0), (-2.0, 2.0)), (4, 8))
     rows = [(0.0, -2.0), (1.0, 2.0), (1.0, -2.0), (0.999, 1.999), (0.25, 2.0),
             (1.0000001, 0.0), (0.5, math.nan), (math.inf, 0.0), (-1e-300, 0.0)]
-    samples = [(float(i), QuotientPoint("edges", row)) for i, row in enumerate(rows)]
-    seg = OrbitSegment("edges", HorocycleU(1.0), samples, None, len(rows) - 1)
+    seg = OrbitSegment("edges", HorocycleU(1.0), rows, None, len(rows) - 1,
+                       ("x", "y"), 1, partial(QuotientPoint, "edges"))
     for axes in ((0, 1), (1, 0)):
         binning = spec if axes == (0, 1) else BinningSpec(spec.ranges[::-1],
                                                          spec.counts[::-1])
@@ -269,18 +263,16 @@ def test_lazy_samples_match_eager_construction(case):
 
 
 def test_row_segment_times_and_order():
-    point = lambda row: QuotientPoint("line", row)  # noqa: E731
+    point = partial(QuotientPoint, "line")
     rows = [(0.0,), (1.0,), (2.0,), (3.0,)]
-    seg = OrbitSegment.from_rows("line", HorocycleU(0.5), rows, None, 3,
-                                 ("x",), 0.5, point)
+    seg = OrbitSegment("line", HorocycleU(0.5), rows, None, 3, ("x",), 1, point)
     assert [t for t, _ in seg.samples] == [0.0, 0.5, 1.0, 1.5]
     assert [p.coords for _, p in seg.samples] == rows
     # times that overflow to inf repeat, which a segment rejects
     with pytest.raises(ValueError, match="increase strictly"):
-        OrbitSegment.from_rows("line", HorocycleU(0.5), rows, None, 3,
-                               ("x",), 1e308, point)
-    single = OrbitSegment.from_rows("line", HorocycleU(0.5), rows[:2], None, 1,
-                                    ("x",), math.inf, point)
+        OrbitSegment("line", HorocycleU(1e308), rows, None, 3, ("x",), 1, point)
+    single = OrbitSegment("line", HorocycleU(1e308), rows[:2], None, 2, ("x",), 2,
+                          point)
     assert [t for t, _ in single.samples] == [0.0, math.inf]
 
 

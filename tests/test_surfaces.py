@@ -186,6 +186,31 @@ def test_modular_reduce_postconditions():
         assert math.hypot(re, im) >= 1.0 - 1e-12
 
 
+def reference_reduce_point(z):
+    """The modular point descent reduce_point ran before it reduced a frame:
+    shift into |Re z| <= 1/2, invert while inside the unit circle."""
+    for _ in range(10_000):
+        m = math.floor(z.real + 0.5)
+        if m != 0:
+            z = complex(z.real - m, z.imag)
+        if abs(z) < 1.0 - 1e-12:
+            z = -1.0 / z
+        else:
+            return z
+    raise AssertionError("reference descent did not settle")
+
+
+def test_modular_reduce_point_matches_point_descent():
+    model = build_modular()
+    rng = random.Random(29)
+    for _ in range(1000):
+        z = complex(rng.uniform(-8, 8), math.exp(rng.uniform(-3, 2)))
+        expected = reference_reduce_point(z)
+        re, im = model.reduce_point(z).coords
+        assert abs(re - expected.real) <= 1e-12
+        assert abs(im - expected.imag) <= 1e-12
+
+
 def test_modular_frame_reduction_invariant():
     model = build_modular()
     rng = random.Random(17)
@@ -219,7 +244,7 @@ def test_modular_reduction_cap_raises_value_error(monkeypatch):
     assert model.in_domain(model.reduce_frame(frame).apply(1.0j))
     monkeypatch.setattr("horoflow.models.modular.REDUCE_CAP", 1)
     with pytest.raises(ValueError,
-                       match="modular point reduction did not settle within 1 steps"):
+                       match="modular frame reduction did not settle within 1 steps"):
         model.reduce_point(z)
     with pytest.raises(ValueError,
                        match="modular frame reduction did not settle within 1 steps"):
