@@ -3,7 +3,9 @@
 The compiled backend is picked up when the extension module built from
 _native.c is importable; setting HOROFLOW_PURE=1 in the environment forces
 the pure-Python backend.  Both expose the same three functions with the same
-floating point behavior, so the choice only affects speed.
+floating point behavior, so the choice only affects speed.  Each returns its
+samples as one flat array('d') of exactly (steps // sample_every) rows, with
+the final state beside it.
 """
 
 import os

@@ -121,22 +121,47 @@ static double py_mod(double x, double y)
     return (y < 0) != (mod < 0) ? mod + y : mod;
 }
 
-static int append_row(PyObject *samples, const double *row, Py_ssize_t n)
+/* array.array, looked up once.  A lookup by a fresh name string on every
+   call would leave some of those strings in the interpreter's type lookup
+   cache, so the memory a call keeps would vary from run to run. */
+static PyObject *array_type(void)
 {
-    PyObject *tuple = PyTuple_New(n);
-    if (tuple == NULL)
-        return -1;
-    for (Py_ssize_t j = 0; j < n; j++) {
-        PyObject *value = PyFloat_FromDouble(row[j]);
-        if (value == NULL) {
-            Py_DECREF(tuple);
-            return -1;
-        }
-        PyTuple_SET_ITEM(tuple, j, value);
+    static PyObject *type = NULL;
+    if (type == NULL) {
+        PyObject *module = PyImport_ImportModule("array");
+        if (module == NULL)
+            return NULL;
+        type = PyObject_GetAttrString(module, "array");
+        Py_DECREF(module);
     }
-    int rc = PyList_Append(samples, tuple);
-    Py_DECREF(tuple);
-    return rc;
+    return type;
+}
+
+/* The rows one orbit call emits, one per multiple of `every` in 1..steps,
+   as a zeroed array('d') of exactly rows * width doubles, which the caller
+   fills through *view: a repeat sizes the array exactly, where append and
+   extend over-allocate.  `every` is nonzero once check_every has passed. */
+static PyObject *sample_buffer(long steps, long every, Py_ssize_t width,
+                               Py_buffer *view)
+{
+    long rows = steps <= 0 ? 0 : steps / every;
+    if (rows < 0)
+        rows = -rows;
+    if (rows > PY_SSIZE_T_MAX / width)
+        return PyErr_NoMemory();
+    PyObject *type = array_type();
+    if (type == NULL)
+        return NULL;
+    PyObject *zero = PyObject_CallFunction(type, "s[d]", "d", 0.0);
+    if (zero == NULL)
+        return NULL;
+    PyObject *buffer = PySequence_Repeat(zero, (Py_ssize_t)rows * width);
+    Py_DECREF(zero);
+    if (buffer != NULL && PyObject_GetBuffer(buffer, view, PyBUF_WRITABLE)) {
+        Py_DECREF(buffer);
+        return NULL;
+    }
+    return buffer;
 }
 
 /* Raise ValueError(format % text), text the value as `"%g" % value`
@@ -251,29 +276,32 @@ static UNFUSED int quat_mul_norm(const double *l, double *t)
     return 0;
 }
 
-/* Append (re, im, direction) plus the transverse coordinates of `kind`. */
-static int append_sample(PyObject *samples, const double *m, int kind,
-                         const double *t)
+static Py_ssize_t row_width(int kind)
 {
-    double row[5];
-    Py_ssize_t n = 3;
+    return 3 + (kind == TRANS_BOUNDARY ? 1 : kind == TRANS_ROTATION ? 2 : 0);
+}
+
+/* Write (re, im, direction) plus the transverse coordinates of `kind` to
+   row[0..row_width(kind) - 1]. */
+static int put_sample(double *row, const double *m, int kind, const double *t)
+{
     double gamma = m[2] * m[2] + m[3] * m[3];
     if (py_div(m[0] * m[2] + m[1] * m[3], gamma, &row[0])
             || py_div(1.0, gamma, &row[1]))
         return -1;
     row[2] = py_mod(HALF_PI - 2.0 * atan2(m[2], m[3]), TAU);
     if (kind == TRANS_BOUNDARY) {
-        row[n++] = t[0];
+        row[3] = t[0];
     }
     else if (kind == TRANS_ROTATION) {
         double vx = 2.0 * (t[0] * t[2] + t[1] * t[3]);
         double vy = 2.0 * (t[2] * t[3] - t[0] * t[1]);
         double vz = 1.0 - 2.0 * t[1] * t[1] - 2.0 * t[2] * t[2];
         vz = vz > 1.0 ? 1.0 : vz < -1.0 ? -1.0 : vz;
-        row[n++] = acos(vz);
-        row[n++] = atan2(vy, vx);
+        row[3] = acos(vz);
+        row[4] = atan2(vy, vx);
     }
-    return append_row(samples, row, n);
+    return 0;
 }
 
 static PyObject *surface_orbit(PyObject *self, PyObject *args,
@@ -284,6 +312,7 @@ static PyObject *surface_orbit(PyObject *self, PyObject *args,
                             "sample_every", NULL};
     double m[4], s[4], t[4];
     PyObject *letters, *trans_quats, *samples = NULL, *result = NULL;
+    Py_buffer view = {0};
     int kind;
     long steps, every;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "(dddd)(dddd)OiO(dddd)ll",
@@ -305,8 +334,10 @@ static PyObject *surface_orbit(PyObject *self, PyObject *args,
     if (read_doubles(letters, lets, 4 * n_letters)
             || (kind == TRANS_ROTATION
                 && read_doubles(trans_quats, quats, 4 * n_letters))
-            || (samples = PyList_New(0)) == NULL)
+            || (samples = sample_buffer(steps, every, row_width(kind),
+                                        &view)) == NULL)
         goto done;
+    double *row = view.buf;
     for (Py_ssize_t k = 0; k < n_letters; k++)
         quick_form(lets + 4 * k, quick + 3 * k);
     double inner = inner_bound(quick, n_letters);
@@ -379,13 +410,17 @@ static PyObject *surface_orbit(PyObject *self, PyObject *args,
                 goto done;
             }
         }
-        if ((i + 1) % every == 0 && append_sample(samples, m, kind, t))
-            goto done;
+        if ((i + 1) % every == 0) {
+            if (put_sample(row, m, kind, t))
+                goto done;
+            row += row_width(kind);
+        }
     }
     result = Py_BuildValue("(O(dddd)(dddd))", samples, m[0], m[1], m[2], m[3],
                            t[0], t[1], t[2], t[3]);
 done:
     PyMem_Free(lets);
+    PyBuffer_Release(&view);
     Py_XDECREF(samples);
     return result;
 }
@@ -397,6 +432,7 @@ static PyObject *modular_orbit(PyObject *self, PyObject *args,
                             "trans_state", "steps", "sample_every", NULL};
     double m[4], s[4], t[4], quats[8];
     PyObject *trans_quats, *samples, *result = NULL;
+    Py_buffer view = {0};
     int kind;
     long steps, every;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "(dddd)(dddd)iO(dddd)ll",
@@ -404,8 +440,10 @@ static PyObject *modular_orbit(PyObject *self, PyObject *args,
             &kind, &trans_quats, &t[0], &t[1], &t[2], &t[3], &steps, &every)
             || check_every(steps, every)
             || (kind == TRANS_ROTATION && read_doubles(trans_quats, quats, 8))
-            || (samples = PyList_New(0)) == NULL)
+            || (samples = sample_buffer(steps, every, row_width(kind),
+                                        &view)) == NULL)
         return NULL;
+    double *row = view.buf;
     for (long i = 0; i < steps; i++) {
         if (step_frame(m, s, i))
             goto done;
@@ -452,12 +490,16 @@ static PyObject *modular_orbit(PyObject *self, PyObject *args,
                 goto done;
             }
         }
-        if ((i + 1) % every == 0 && append_sample(samples, m, kind, t))
-            goto done;
+        if ((i + 1) % every == 0) {
+            if (put_sample(row, m, kind, t))
+                goto done;
+            row += row_width(kind);
+        }
     }
     result = Py_BuildValue("(O(dddd)(dddd))", samples, m[0], m[1], m[2], m[3],
                            t[0], t[1], t[2], t[3]);
 done:
+    PyBuffer_Release(&view);
     Py_DECREF(samples);
     return result;
 }
@@ -468,6 +510,7 @@ static PyObject *t3a_orbit(PyObject *self, PyObject *args, PyObject *kwargs)
                             "sample_every", NULL};
     double p[3], lam, e[4], s[3];
     PyObject *samples, *result = NULL;
+    Py_buffer view = {0};
     long steps, every;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "(ddd)d(dddd)(ddd)ll",
             names, &p[0], &p[1], &p[2], &lam, &e[0], &e[1], &e[2], &e[3],
@@ -477,8 +520,10 @@ static PyObject *t3a_orbit(PyObject *self, PyObject *args, PyObject *kwargs)
         value_error_g("lam must not be negative, got %s", lam);
         return NULL;
     }
-    if (check_every(steps, every) || (samples = PyList_New(0)) == NULL)
+    if (check_every(steps, every)
+            || (samples = sample_buffer(steps, every, 3, &view)) == NULL)
         return NULL;
+    double *row = view.buf;
     for (long i = 0; i < steps; i++) {
         double scale, shear, n, m1, m2;
         if (py_pow(lam, p[2], &scale))
@@ -515,12 +560,16 @@ static PyObject *t3a_orbit(PyObject *self, PyObject *args, PyObject *kwargs)
             p[0] -= m1 * e[0] + m2 * e[2];
             p[1] -= m1 * e[1] + m2 * e[3];
         }
-        double row[3] = {x - m1, y - m2, p[2]};
-        if ((i + 1) % every == 0 && append_row(samples, row, 3))
-            goto done;
+        if ((i + 1) % every == 0) {
+            row[0] = x - m1;
+            row[1] = y - m2;
+            row[2] = p[2];
+            row += 3;
+        }
     }
     result = Py_BuildValue("(O(ddd))", samples, p[0], p[1], p[2]);
 done:
+    PyBuffer_Release(&view);
     Py_DECREF(samples);
     return result;
 }

@@ -12,9 +12,11 @@ State conventions shared by both backends:
   beyond 1e-12 and unconditionally every 64 steps;
 * transverse state is (theta, 0, 0, 0) for the boundary circle and a unit
   quaternion for rotations;
-* samples are emitted as flat coordinate tuples ready for quotient points:
-  (re, im, direction) for surfaces plus (theta,) or (polar, azimuth) for a
-  transverse factor, and (x, y, t) for the torus bundle.
+* samples come back in one flat array('d'), row after row, each row the
+  coordinates of a quotient point: (re, im, direction) for surfaces plus
+  theta or (polar, azimuth) for a transverse factor, and (x, y, t) for the
+  torus bundle.  The array holds exactly (steps // sample_every) * width
+  doubles, allocated before the loop.
 
 All reduction loops raise ValueError carrying the step index on a cap or
 guard violation.
@@ -45,6 +47,7 @@ _native.c does the same, expression for expression.
 """
 
 import math
+from array import array
 
 from horoflow.moebius import boundary_angle
 
@@ -173,10 +176,21 @@ def _trans_coords(trans_kind, t0, t1, t2, t3):
     return ()
 
 
-def _check_every(steps, sample_every):
-    """Refuse a zero sampling interval before the loop, as _native.c does."""
-    if sample_every == 0 and steps > 0:
+def _row_width(trans_kind):
+    return 3 + (1 if trans_kind == TRANS_BOUNDARY
+                else 2 if trans_kind == TRANS_ROTATION else 0)
+
+
+def _sample_buffer(steps, sample_every, width):
+    """Zeros for every row the loop emits, one per multiple of sample_every
+    in 1..steps.  A repeat sizes the array exactly, where extend would
+    over-allocate; a zero sampling interval is refused before the loop, as
+    _native.c does."""
+    if steps <= 0:
+        return array("d")
+    if sample_every == 0:
         raise ZeroDivisionError("integer modulo by zero")
+    return array("d", [0.0]) * (steps // abs(sample_every) * width)
 
 
 def surface_orbit(frame, step, letters, trans_kind, trans_quats, trans_state,
@@ -192,10 +206,10 @@ def surface_orbit(frame, step, letters, trans_kind, trans_quats, trans_state,
     a, b, c, d = frame
     sa, sb, sc, sd = step
     t0, t1, t2, t3 = trans_state
-    _check_every(steps, sample_every)
+    samples = _sample_buffer(steps, sample_every, _row_width(trans_kind))
+    j = 0
     table = _letter_table(letters)
     inner = _inner_bound(table)
-    samples = []
     for i in range(steps):
         # right multiplication by the step element
         a, b, c, d = (
@@ -290,10 +304,10 @@ def surface_orbit(frame, step, letters, trans_kind, trans_quats, trans_state,
                     % (_REDUCE_CAP, i)
                 )
         if (i + 1) % sample_every == 0:
-            samples.append(
-                _tangent_coords(a, b, c, d)
-                + _trans_coords(trans_kind, t0, t1, t2, t3)
-            )
+            for value in (_tangent_coords(a, b, c, d)
+                          + _trans_coords(trans_kind, t0, t1, t2, t3)):
+                samples[j] = value
+                j += 1
     return (samples, (a, b, c, d), (t0, t1, t2, t3))
 
 
@@ -308,8 +322,8 @@ def modular_orbit(frame, step, trans_kind, trans_quats, trans_state,
     a, b, c, d = frame
     sa, sb, sc, sd = step
     t0, t1, t2, t3 = trans_state
-    _check_every(steps, sample_every)
-    samples = []
+    samples = _sample_buffer(steps, sample_every, _row_width(trans_kind))
+    j = 0
     for i in range(steps):
         a, b, c, d = (
             a * sa + b * sc,
@@ -365,10 +379,10 @@ def modular_orbit(frame, step, trans_kind, trans_quats, trans_state,
                     % (_REDUCE_CAP, i)
                 )
         if (i + 1) % sample_every == 0:
-            samples.append(
-                _tangent_coords(a, b, c, d)
-                + _trans_coords(trans_kind, t0, t1, t2, t3)
-            )
+            for value in (_tangent_coords(a, b, c, d)
+                          + _trans_coords(trans_kind, t0, t1, t2, t3)):
+                samples[j] = value
+                j += 1
     return (samples, (a, b, c, d), (t0, t1, t2, t3))
 
 
@@ -384,8 +398,8 @@ def t3a_orbit(state, lam, eigen, sol_step, steps, sample_every):
     sx, sy, st = sol_step
     if lam < 0.0:
         raise ValueError("lam must not be negative, got %g" % lam)
-    _check_every(steps, sample_every)
-    samples = []
+    samples = _sample_buffer(steps, sample_every, 3)
+    j = 0
     for i in range(steps):
         scale = lam ** tp
         xp += scale * sx
@@ -409,5 +423,8 @@ def t3a_orbit(state, lam, eigen, sol_step, steps, sample_every):
             xp -= m1 * ap + m2 * cp
             yp -= m1 * bp + m2 * dp
         if (i + 1) % sample_every == 0:
-            samples.append((x - m1, y - m2, tp))
+            samples[j] = x - m1
+            samples[j + 1] = y - m2
+            samples[j + 2] = tp
+            j += 3
     return (samples, (xp, yp, tp))

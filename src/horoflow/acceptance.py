@@ -173,7 +173,7 @@ def boundary_funneling():
         seg = integrate_orbit(model, (xi, y), DualBoundaryIterate(), 60)
         gaps = [
             max(BoundaryPoint(theta).chordal(infinity), abs(y_prime))
-            for theta, y_prime in seg.rows
+            for theta, y_prime in seg.rows()
         ]
         best = min(gaps)
         worst_gap = max(worst_gap, best)
@@ -229,7 +229,7 @@ def noncompact_contrast():
     useg = integrate_orbit(model, origin, HorocycleU(0.01), 100)
     periodic = model.points_close(useg.samples[100][1], useg.samples[0][1], 1e-9)
     gseg = integrate_orbit(model, origin, GeodesicD(0.01), 600)
-    peak = max(row[1] for t, row in zip(gseg.times(), gseg.rows)
+    peak = max(row[1] for t, row in zip(gseg.times(), gseg.rows())
                if t <= 6.0 + 1e-12)
     elapsed = time.perf_counter() - start
     return CriterionResult(

@@ -198,7 +198,7 @@ def _integrate(args):
         raise RunError(str(exc)) from None
     if steps == 0:
         # zero steps means "emit the format, integrate nothing"
-        segment.rows = ()
+        segment.values = segment.values[:0]
     return model, segment
 
 
@@ -426,7 +426,7 @@ def cmd_plot(args):
     )
     from horoflow.orbitio import _atomic_write
 
-    _atomic_write(out, svg)
+    _atomic_write(out, (svg,))
     print("wrote %s (%d points)" % (out, len(xs)))
     return 0
 

@@ -122,12 +122,10 @@ def coverage(orbit, binning, axes=None):
         axes = tuple(range(k))
     elif len(axes) != k:
         raise ValueError("%d axes for %d binning ranges" % (len(axes), k))
-    rows = orbit.rows
     top = max(axes)
-    if rows and top >= min(map(len, rows)):
-        short = next(row for row in rows if top >= len(row))
+    if len(orbit) and top >= orbit.width:
         raise ValueError(
-            "sample has %d coordinates, axes need %d" % (len(short), top + 1)
+            "sample has %d coordinates, axes need %d" % (orbit.width, top + 1)
         )
     # BinningSpec.indices unrolled over the rows: the same closed box test
     # and cell arithmetic, with each cell flattened to one integer.
@@ -136,7 +134,7 @@ def coverage(orbit, binning, axes=None):
         for a, (lo, hi), n in zip(axes, binning.ranges, binning.counts)
     ]
     visited = set()
-    for row in rows:
+    for row in orbit.rows():
         cell = 0
         for a, lo, hi, span, n in bins:
             value = row[a]
@@ -182,15 +180,16 @@ def fiber_variation(orbit, coordinate):
         index = names.index(coordinate)
     else:
         index = coordinate
-    rows = orbit.rows
-    if not rows:
+    if not len(orbit):
         return 0.0
-    first = rows[0][index]
-    name = names[index] if index < len(names) else None
-    period = COORD_PERIODS.get(name)
+    width = orbit.width
+    if not -width <= index < width:
+        raise IndexError("no coordinate %d in rows of %d" % (index, width))
+    column = orbit.values[index % width::width]
+    first = column[0]
+    period = COORD_PERIODS.get(names[index])
     worst = 0.0
-    for row in rows:
-        value = row[index]
+    for value in column:
         if period is None:
             gap = abs(value - first)
         else:

@@ -6,11 +6,13 @@ multiplies the current frame by a fixed step element and reduces back into
 the fundamental domain.  The per-step reduction is the performance hot spot;
 the heavy loops live in horoflow._kernels behind a compiled/pure switch.
 
-An orbit segment is built from the coordinate rows the kernels return, the
-reduced start as row 0, and the sampling interval; it derives each row's
-time from the flow and builds sample points only when `segment.samples` is
-first read.  Coverage, the CSV writer and divergence detection read only
-the rows and times; sample points are for comparisons that need frames.
+An orbit segment is built from the flat array('d') of coordinates the
+kernels return, prefixed by the reduced start as row 0, and the sampling
+interval; it derives each row's time from the flow and builds sample points
+only when `segment.samples` is first read.  Coverage, the CSV writer and
+divergence detection read only the coordinates and times, row by row
+through `segment.rows()`; sample points are for comparisons that need
+frames.
 Sample points carry quotient coordinates and, for the surface models, a
 reconstructed frame so orbit-aware point comparisons work on them.  Samples
 of a rotation-group bundle carry only the projected pole coordinates of the
@@ -23,9 +25,10 @@ boundary iteration counts integer time.
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice
+from itertools import chain
 
 from horoflow import _kernels
 from horoflow.models import (
@@ -45,8 +48,8 @@ from horoflow.moebius import (
 )
 
 MAX_STEPS = 10 ** 8
-# Samples one run may keep: each is a coordinate row of about 130 to 210 B,
-# so the rows of one run stay near 2 GB at most.
+# Samples one run may keep: each row is 8 B per coordinate, 24 to 40 B, so
+# the coordinates of one run stay below 400 MB.
 MAX_SAMPLES = 10 ** 7
 
 DUAL_MODEL_ID = "t3a_dual"
@@ -179,29 +182,35 @@ def sol_step_increment(flow, log_lam):
 
 
 class OrbitSegment:
-    """A sampled orbit: coordinate rows with provenance fields.
+    """A sampled orbit: flat coordinate rows with provenance fields.
 
-    `rows` holds each sample's flat coordinates, row 0 the reduced start.
-    Row j is sampled at time (flow_time_step(flow) * sample_every) * j, row 0
-    at 0.0.  `point(row)` builds the QuotientPoint of one row when `samples`,
+    `values` holds each sample's coordinates, row after row, `width =
+    len(coord_names)` of them per row; row 0 is the reduced start.  Row j
+    is sampled at time (flow_time_step(flow) * sample_every) * j, row 0 at
+    0.0.  `point(row)` builds the QuotientPoint of one row when `samples`,
     the (time, point) pairs, is first read; `start`, if given, is the point
     of row 0 itself.
     """
 
-    def __init__(self, model, flow, rows, seed, steps, coord_names,
+    def __init__(self, model, flow, values, seed, steps, coord_names,
                  sample_every, point, start=None):
+        width = len(coord_names)
+        if width < 1 or len(values) % width:
+            raise ValueError("%d values do not fill rows of %d coordinates"
+                             % (len(values), width))
         time_step = flow_time_step(flow) * sample_every
         # time_step * j never falls as j grows, and two times can only meet
         # once they overflow to inf, so the first and the last pair of
         # times stand for all of them.
-        last = len(rows) - 1
+        last = len(values) // width - 1
         if (last >= 1 and time_step <= 0.0) or (
             last >= 2 and time_step * last <= time_step * (last - 1)
         ):
             raise ValueError("sample times must increase strictly")
         self.model = model
         self.flow = flow
-        self.rows = rows
+        self.values = values
+        self.width = width
         self.seed = seed
         self.steps = steps
         self.coord_names = coord_names
@@ -210,25 +219,32 @@ class OrbitSegment:
         self._start = start
         self._samples = None
 
-    def times(self):
-        """An iterator over the sample times, one per row."""
-        later = map(self._time_step.__mul__, range(1, len(self.rows)))
-        return chain((0.0,), later)
+    def rows(self, start=0, stop=None):
+        """An iterator over the coordinate tuples of rows start..stop-1."""
+        values, w = self.values, self.width
+        if start or stop is not None:
+            values = values[start * w:None if stop is None else stop * w]
+        return zip(*[iter(values)] * w)
+
+    def times(self, start=0, stop=None):
+        """An iterator over the sample times of rows start..stop-1."""
+        stop = len(self) if stop is None else stop
+        later = map(self._time_step.__mul__, range(max(start, 1), stop))
+        return chain((0.0,), later) if start == 0 < stop else later
 
     @property
     def samples(self):
         """The (time, QuotientPoint) pairs, built on first read."""
         if self._samples is None:
             if self._start is None:
-                points = map(self._point, self.rows)
+                points = map(self._point, self.rows())
             else:
-                points = chain((self._start,),
-                               map(self._point, islice(self.rows, 1, None)))
+                points = chain((self._start,), map(self._point, self.rows(1)))
             self._samples = tuple(zip(self.times(), points))
         return self._samples
 
     def __len__(self):
-        return len(self.rows)
+        return len(self.values) // self.width
 
 
 def _validate_counts(steps, sample_every):
@@ -261,12 +277,11 @@ def _integrate_surface(model, start, flow, steps, seed, sample_every, rng):
         start_point.frame.entries, surface_step_element(flow).entries, steps,
         sample_every, trans_state,
     )
-    raw.insert(0, start_point.coords)
     point = partial(_surface_point, model.name,
                     boundary=isinstance(start_point.transverse, BoundaryPoint))
     return OrbitSegment(
-        model.name, flow, raw, seed, steps, model.coord_names(), sample_every,
-        point, start_point,
+        model.name, flow, array("d", start_point.coords) + raw, seed, steps,
+        model.coord_names(), sample_every, point, start_point,
     )
 
 
@@ -278,10 +293,10 @@ def _integrate_torus_bundle(model, start, flow, steps, seed, sample_every, rng):
     sol = sol_step_increment(flow, model.log_lam)
     eigen = (model.a_prime, model.b_prime, model.c_prime, model.d_prime)
     raw, _ = _kernels.t3a_orbit(state, model.lam, eigen, sol, steps, sample_every)
-    raw.insert(0, start_point.coords)
     return OrbitSegment(
-        model.name, flow, raw, seed, steps, model.coord_names(), sample_every,
-        partial(QuotientPoint, model.name), start_point,
+        model.name, flow, array("d", start_point.coords) + raw, seed, steps,
+        model.coord_names(), sample_every, partial(QuotientPoint, model.name),
+        start_point,
     )
 
 
@@ -302,17 +317,23 @@ def _integrate_dual_boundary(model, start, flow, steps, seed, sample_every, rng)
     xi, y_prime = dual_boundary_state(start)
     a, b, c, d = MoebiusElement.geo(math.sqrt(model.lam)).entries
     theta = xi.theta
-    rows = [(theta, y_prime)]
+    # sized exactly, as the kernels size theirs
+    values = array("d", [0.0]) * (2 * (steps // sample_every + 1))
+    values[0] = theta
+    values[1] = y_prime
+    j = 2
     for n in range(1, steps + 1):
         theta = boundary_angle(a, b, c, d, theta)
         y_prime /= model.lam
         if n % sample_every == 0:
-            rows.append((theta, y_prime))
+            values[j] = theta
+            values[j + 1] = y_prime
+            j += 2
     # Sample j sits at step n = sample_every * j, and the float time
     # 1.0 * sample_every * j is exactly n.
     return OrbitSegment(
-        DUAL_MODEL_ID, flow, rows, seed, steps, DUAL_COORD_NAMES, sample_every,
-        partial(QuotientPoint, DUAL_MODEL_ID),
+        DUAL_MODEL_ID, flow, values, seed, steps, DUAL_COORD_NAMES,
+        sample_every, partial(QuotientPoint, DUAL_MODEL_ID),
     )
 
 
@@ -385,7 +406,7 @@ def detect_divergence(model, start, flow, horizon, threshold, seed=None):
     escape = escape_functional(model, flow)
     first_passage = None
     peak = -math.inf
-    for time, coords in zip(segment.times(), segment.rows):
+    for time, coords in zip(segment.times(), segment.rows()):
         value = escape(coords)
         peak = max(peak, value)
         if first_passage is None and value > threshold:

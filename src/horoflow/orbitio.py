@@ -9,7 +9,9 @@ Density reports serialize to a flat JSON object with sorted keys: model,
 flow, steps, seed, bins, visited, total, fraction.
 
 All writes go through a temp file in the target directory followed by an
-atomic rename, so readers never observe a half-written file.
+atomic rename, so readers never observe a half-written file.  An orbit CSV
+is rendered and written CSV_CHUNK_ROWS rows at a time, so its whole text is
+never held at once.
 """
 
 from __future__ import annotations
@@ -21,14 +23,17 @@ import tempfile
 from horoflow.flows import flow_label
 
 FLOAT_FMT = "%.17g"
+CSV_CHUNK_ROWS = 2048
 
 
-def _atomic_write(path, text):
+def _atomic_write(path, chunks):
+    """Write an iterable of text chunks to path through a temp file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".horoflow-", suffix=".part")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -36,27 +41,37 @@ def _atomic_write(path, text):
         raise
 
 
-def orbit_csv_text(segment):
-    """Render one orbit segment in the CSV layout described above."""
-    names = tuple(segment.coord_names)
-    rows = segment.rows
-    width = len(rows[0]) if rows else len(names)
-    lines = [
-        "# model = %s" % segment.model,
-        "# flow = %s" % flow_label(segment.flow),
-        "# seed = %s" % segment.seed,
-        "# steps = %d" % segment.steps,
-    ]
-    for i in range(min(width, len(names))):
-        lines.append("# c%d = %s" % (i + 1, names[i]))
-    lines.append("time," + ",".join("c%d" % (i + 1) for i in range(width)))
-    row_fmt = ",".join([FLOAT_FMT] * (width + 1))
-    lines.extend(row_fmt % (time, *row) for time, row in zip(segment.times(), rows))
-    return "\n".join(lines) + "\n"
+def orbit_csv_text(segment, start=0, stop=None):
+    """Render rows start..stop-1 of one orbit segment in the CSV layout
+    described above; the legend and the header come only with row 0, so
+    the texts of consecutive ranges concatenate to the whole file."""
+    lines = []
+    if start == 0:
+        names = segment.coord_names
+        lines += [
+            "# model = %s" % segment.model,
+            "# flow = %s" % flow_label(segment.flow),
+            "# seed = %s" % segment.seed,
+            "# steps = %d" % segment.steps,
+        ]
+        lines.extend("# c%d = %s" % (i + 1, name) for i, name in enumerate(names))
+        lines.append("time," + ",".join("c%d" % (i + 1) for i in range(len(names))))
+    row_fmt = ",".join([FLOAT_FMT] * (segment.width + 1))
+    lines.extend(
+        row_fmt % (time, *row)
+        for time, row in zip(segment.times(start, stop), segment.rows(start, stop))
+    )
+    return "\n".join(lines) + "\n" if lines else ""
 
 
 def write_orbit_csv(segment, path):
-    _atomic_write(path, orbit_csv_text(segment))
+    rows = len(segment)
+    # one chunk even for no rows, which carries the legend and header
+    chunks = (
+        orbit_csv_text(segment, start, min(start + CSV_CHUNK_ROWS, rows))
+        for start in range(0, max(rows, 1), CSV_CHUNK_ROWS)
+    )
+    _atomic_write(path, chunks)
     return path
 
 
@@ -118,5 +133,5 @@ def density_json_text(report):
 
 
 def write_density_json(report, path):
-    _atomic_write(path, density_json_text(report))
+    _atomic_write(path, (density_json_text(report),))
     return path

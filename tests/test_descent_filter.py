@@ -3,12 +3,14 @@ unfiltered descent.
 
 `reference_surface_orbit` is the surface kernel as it was before the
 descent skipped candidates: every letter's candidate is formed and its
-distance taken with acosh.  Both backends must return exactly what it
+distance taken with acosh.  Like the kernels, it returns its samples as one
+flat array('d').  Both backends must return exactly what it
 returns, or raise the same exception with the same message.
 """
 
 import math
 import sys
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -51,7 +53,7 @@ def reference_surface_orbit(frame, step, letters, trans_kind, trans_quats,
     sa, sb, sc, sd = step
     t0, t1, t2, t3 = trans_state
     n_letters = len(letters) // 4
-    samples = []
+    samples = array("d")
     for i in range(steps):
         # right multiplication by the step element
         a, b, c, d = (
@@ -102,7 +104,7 @@ def reference_surface_orbit(frame, step, letters, trans_kind, trans_quats,
                     % (_REDUCE_CAP, i)
                 )
         if (i + 1) % sample_every == 0:
-            samples.append(
+            samples.extend(
                 _tangent_coords(a, b, c, d)
                 + _trans_coords(trans_kind, t0, t1, t2, t3)
             )

@@ -2,6 +2,7 @@
 
 import math
 import random
+from array import array
 from functools import partial
 
 import pytest
@@ -39,8 +40,13 @@ def diagonal():
     return build_product(build_octagon(), BOUNDARY_CIRCLE)
 
 
-def segment_of(coords_list, names=()):
-    return OrbitSegment("synthetic", HorocycleU(1.0), tuple(coords_list), None,
+def segment_of(coords_list, names=None):
+    """A segment of the given rows, with columns c1, c2, ... unless named."""
+    if names is None:
+        width = len(coords_list[0]) if coords_list else 1
+        names = tuple("c%d" % (i + 1) for i in range(width))
+    values = array("d", [v for coords in coords_list for v in coords])
+    return OrbitSegment("synthetic", HorocycleU(1.0), values, None,
                         max(0, len(coords_list) - 1), names, 1,
                         partial(QuotientPoint, "synthetic"))
 
@@ -103,8 +109,9 @@ def test_coverage_skips_out_of_box_samples():
 def test_coverage_monotone_in_prefix(t3a):
     seg = integrate_orbit(t3a, None, Sol3U(0.037), 20_000, seed=8)
     spec = BinningSpec(((0.0, 1.0), (0.0, 1.0)), (30, 30))
-    prefix = OrbitSegment(seg.model, seg.flow, seg.rows[:4000], seg.seed,
-                          4000, seg.coord_names, 1, partial(QuotientPoint, seg.model))
+    prefix = OrbitSegment(seg.model, seg.flow, seg.values[:4000 * seg.width],
+                          seg.seed, 4000, seg.coord_names, 1,
+                          partial(QuotientPoint, seg.model))
     assert coverage(prefix, spec).fraction <= coverage(seg, spec).fraction
 
 
@@ -166,6 +173,11 @@ def test_fiber_variation_bad_coordinate():
         fiber_variation(seg, "q")
     with pytest.raises(IndexError):
         fiber_variation(seg, 5)
+    # a stride past the row width would read the next rows' coordinates
+    wide = segment_of([(0.0, 1.0), (2.0, 3.0), (4.0, 5.0)], names=("a", "b"))
+    with pytest.raises(IndexError):
+        fiber_variation(wide, 2)
+    assert fiber_variation(wide, -1) == fiber_variation(wide, 1) == 4.0
 
 
 # -- minimal set residual -----------------------------------------------------

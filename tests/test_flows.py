@@ -2,6 +2,7 @@
 
 import math
 import random
+from array import array
 from functools import partial
 
 import pytest
@@ -187,9 +188,9 @@ def test_zero_steps_single_sample(modular):
 
 def test_segment_rejects_unordered_times():
     # a time step of 2e308 overflows to inf, so rows 1 and 2 share a time
-    row = (0.0, 1.0, 0.0)
+    rows = array("d", (0.0, 1.0, 0.0) * 3)
     with pytest.raises(ValueError, match="increase strictly"):
-        OrbitSegment("modular", HorocycleU(1e308), (row, row, row), None, 2,
+        OrbitSegment("modular", HorocycleU(1e308), rows, None, 2,
                      ("re", "im", "direction"), 2,
                      partial(QuotientPoint, "modular"))
 

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from array import array
 
 import pytest
 
@@ -26,6 +27,11 @@ from horoflow.moebius import (
 
 IDENTITY = (1.0, 0.0, 0.0, 1.0)
 NO_TRANS = (0.0, 0.0, 0.0, 0.0)
+
+
+def rows_of(values, width):
+    """The coordinate tuples of a kernel's flat sample array."""
+    return list(zip(*[iter(values)] * width))
 
 
 def octagon_letters():
@@ -182,7 +188,7 @@ def test_t3a_parity_keeps_zero_signs(native):
     m = build_t3a(((2, 1), (1, 1)))
     eigen = (m.a_prime, m.b_prime, m.c_prime, m.d_prime)
     args = ((0.0, 0.0, 0.0), m.lam, eigen, (0.0, 0.0, 0.01), 50, 1)
-    assert repr(_pure.t3a_orbit(*args)[0][0][0]) == "-0.0"
+    assert repr(_pure.t3a_orbit(*args)[0][0]) == "-0.0"
     assert_same_bits(native, "t3a_orbit", args)
 
 
@@ -201,9 +207,50 @@ def test_zero_steps_returns_inputs():
     samples, frame, trans = _kernels.surface_orbit(
         IDENTITY, step, letters, 0, None, NO_TRANS, 0, 1
     )
-    assert samples == []
+    assert type(samples) is array and samples.typecode == "d"
+    assert len(samples) == 0
     assert frame == IDENTITY
     assert trans == NO_TRANS
+
+
+@pytest.mark.parametrize("steps, every", [(0, 1), (0, 7), (1, 1), (6, 7),
+                                          (7, 7), (100, 7), (99, 1)])
+def test_kernels_return_exact_flat_arrays(native, steps, every):
+    """Each kernel returns one array('d') of (steps // sample_every) rows of
+    its width, sized exactly, on both backends."""
+    m = build_t3a(((2, 1), (1, 1)))
+    eigen = (m.a_prime, m.b_prime, m.c_prime, m.d_prime)
+    so3 = build_product(build_octagon(), ROTATIONS3, seed=7)
+    quats = modular_quats(build_product(build_modular(), ROTATIONS3, seed=7))
+    step = MoebiusElement.u(0.07).entries
+    unit = (1.0, 0.0, 0.0, 0.0)
+    calls = [
+        (3, lambda k: k.surface_orbit(IDENTITY, step, octagon_letters(), 0,
+                                      None, NO_TRANS, steps, every)),
+        (4, lambda k: k.surface_orbit(IDENTITY, step, octagon_letters(), 1,
+                                      None, (0.3, 0.0, 0.0, 0.0), steps, every)),
+        (5, lambda k: k.surface_orbit(IDENTITY, step, octagon_letters(), 2,
+                                      rotation_quats(so3), unit, steps, every)),
+        (3, lambda k: k.modular_orbit(IDENTITY, step, 0, None, NO_TRANS,
+                                      steps, every)),
+        (4, lambda k: k.modular_orbit(IDENTITY, step, 1, None,
+                                      (0.3, 0.0, 0.0, 0.0), steps, every)),
+        (5, lambda k: k.modular_orbit(IDENTITY, step, 2, quats, unit,
+                                      steps, every)),
+        (3, lambda k: k.t3a_orbit((0.1, 0.2, 0.3), m.lam, eigen,
+                                  (0.037, 0.0, 0.01), steps, every)),
+    ]
+    empty = sys.getsizeof(array("d"))
+    for width, call in calls:
+        outputs = []
+        for impl in (_pure, native):
+            values = call(impl)[0]
+            assert type(values) is array and values.typecode == "d"
+            assert len(values) == steps // every * width
+            # no room allocated past the last row
+            assert sys.getsizeof(values) == empty + 8 * len(values)
+            outputs.append(repr(values))
+        assert outputs[0] == outputs[1]
 
 
 # -- agreement with the model-level reduction -------------------------------
@@ -222,9 +269,10 @@ def test_surface_kernel_matches_model_reduction():
     oc = build_octagon()
     letters = octagon_letters()
     step_el = MoebiusElement.u(0.07)
-    samples, kframe, _ = _kernels.surface_orbit(
+    values, kframe, _ = _kernels.surface_orbit(
         IDENTITY, step_el.entries, letters, 0, None, NO_TRANS, 300, 50
     )
+    samples = rows_of(values, 3)
     f = MoebiusElement.identity()
     model_points = []
     for i in range(300):
@@ -263,7 +311,8 @@ def test_t3a_kernel_matches_model_reduction():
     eigen = (m.a_prime, m.b_prime, m.c_prime, m.d_prime)
     sol_step = (0.037, 0.0, 0.0)
     x0, y0 = m.primed_from_torus(0.2, 0.7)
-    samples, _ = _kernels.t3a_orbit((x0, y0, 0.35), m.lam, eigen, sol_step, 400, 1)
+    values, _ = _kernels.t3a_orbit((x0, y0, 0.35), m.lam, eigen, sol_step, 400, 1)
+    samples = rows_of(values, 3)
     state = (x0, y0, 0.35)
     for i in range(400):
         state = sol3_mul(state, sol_step, m.lam)
@@ -515,10 +564,11 @@ def test_pure_reduction_cap_reports_step(monkeypatch):
 def test_sample_coordinates_well_formed():
     letters = octagon_letters()
     step = MoebiusElement.u(0.07).entries
-    samples, _, _ = _kernels.surface_orbit(
+    values, _, _ = _kernels.surface_orbit(
         IDENTITY, step, letters, 0, None, NO_TRANS, 2000, 1
     )
-    for re, im, direction in samples:
+    assert len(values) == 3 * 2000
+    for re, im, direction in rows_of(values, 3):
         assert im > 0.0
         assert 0.0 <= direction < 2.0 * math.pi
         assert math.isfinite(re)

@@ -1,22 +1,74 @@
 """Round trips and byte determinism for the CSV and JSON emitters."""
 
 import json
+import math
 import os
+import random
+import tracemalloc
+from array import array
 from functools import partial
 
 import pytest
 
+from horoflow import orbitio
 from horoflow.diagnostics import BinningSpec, coverage
-from horoflow.flows import HorocycleU, OrbitSegment, Sol3U, integrate_orbit
+from horoflow.flows import (
+    HorocycleU,
+    OrbitSegment,
+    Sol3U,
+    flow_label,
+    integrate_orbit,
+)
 from horoflow.models import build_modular, build_t3a
 from horoflow.models.base import QuotientPoint
 from horoflow.orbitio import (
+    CSV_CHUNK_ROWS,
     density_json_text,
     orbit_csv_text,
     read_orbit_csv,
     write_density_json,
     write_orbit_csv,
 )
+
+CHUNK = CSV_CHUNK_ROWS
+# cells whose %.17g text is easy to get wrong: a signed zero, the
+# infinities, NaN and a value near the bottom of the normal range
+SPECIAL_CELLS = (-0.0, math.inf, -math.inf, math.nan, 1e-300)
+
+
+def synthetic_segment(rows, width, seed=0):
+    """A segment of `rows` rows of `width` coordinates, every fourth cell
+    taken from SPECIAL_CELLS in turn; returns it with its rows as tuples."""
+    rng = random.Random(seed)
+    cells = [
+        SPECIAL_CELLS[k // 4 % len(SPECIAL_CELLS)] if k % 4 == 0
+        else rng.uniform(-1e3, 1e3)
+        for k in range(rows * width)
+    ]
+    names = tuple("q%d" % (i + 1) for i in range(width))
+    segment = OrbitSegment("synthetic", HorocycleU(0.37), array("d", cells),
+                           11, rows, names, 3,
+                           partial(QuotientPoint, "synthetic"))
+    return segment, list(zip(*[iter(cells)] * width))
+
+
+def reference_csv_text(segment, rows):
+    """The CSV renderer as it was before it wrote in chunks: the whole file
+    as one string, one line per row tuple."""
+    names = tuple(segment.coord_names)
+    width = len(rows[0]) if rows else len(names)
+    lines = [
+        "# model = %s" % segment.model,
+        "# flow = %s" % flow_label(segment.flow),
+        "# seed = %s" % segment.seed,
+        "# steps = %d" % segment.steps,
+    ]
+    for i in range(min(width, len(names))):
+        lines.append("# c%d = %s" % (i + 1, names[i]))
+    lines.append("time," + ",".join("c%d" % (i + 1) for i in range(width)))
+    row_fmt = ",".join(["%.17g"] * (width + 1))
+    lines.extend(row_fmt % (time, *row) for time, row in zip(segment.times(), rows))
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +100,7 @@ def test_csv_is_byte_deterministic(segment, tmp_path):
 
 
 def test_csv_empty_segment_is_header_only():
-    empty = OrbitSegment("modular", HorocycleU(0.1), (), None, 0,
+    empty = OrbitSegment("modular", HorocycleU(0.1), array("d"), None, 0,
                          ("re", "im", "direction"), 1,
                          partial(QuotientPoint, "modular"))
     text = orbit_csv_text(empty)
@@ -100,3 +152,61 @@ def test_density_json_schema(tmp_path):
     assert payload["visited"] <= 100
     assert 0.0 <= payload["fraction"] <= 1.0
     assert density_json_text(report) == density_json_text(report)
+
+
+# -- chunked writing ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("width", [3, 4, 5])
+@pytest.mark.parametrize(
+    "rows", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]
+)
+def test_chunked_csv_matches_whole_text(rows, width, tmp_path):
+    segment, row_tuples = synthetic_segment(rows, width, seed=rows + width)
+    path = write_orbit_csv(segment, str(tmp_path / "orbit.csv"))
+    with open(path, "rb") as handle:
+        written = handle.read()
+    text = orbit_csv_text(segment)
+    assert written == text.encode("utf-8")
+    assert text == reference_csv_text(segment, row_tuples)
+    # legend, header and one line per row
+    assert text.count("\n") == 5 + width + rows
+    if rows > 4:
+        cells = set(text.replace("\n", ",").split(","))
+        assert {"-0", "inf", "-inf", "nan", "1e-300"} <= cells
+
+
+def test_csv_chunks_go_through_the_module_renderer(monkeypatch, tmp_path):
+    # a tracer may wrap orbitio.orbit_csv_text: the writer must call it, by
+    # its module name, once per chunk
+    segment, _ = synthetic_segment(2 * CHUNK + 1, 4)
+    calls = []
+    real = orbitio.orbit_csv_text
+
+    def spy(seg, start=0, stop=None):
+        calls.append((start, stop))
+        return real(seg, start, stop)
+
+    monkeypatch.setattr(orbitio, "orbit_csv_text", spy)
+    path = write_orbit_csv(segment, str(tmp_path / "orbit.csv"))
+    assert calls == [(0, CHUNK), (CHUNK, 2 * CHUNK), (2 * CHUNK, 2 * CHUNK + 1)]
+    with open(path, "r", encoding="utf-8") as handle:
+        assert handle.read() == real(segment)
+
+
+def test_csv_write_holds_a_few_chunks_not_the_file(tmp_path):
+    segment, _ = synthetic_segment(100_000, 4)
+    chunk = len(orbit_csv_text(segment, 1, 1 + CHUNK))
+    path = str(tmp_path / "orbit.csv")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        write_orbit_csv(segment, path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    size = os.path.getsize(path)
+    assert size > 40 * chunk
+    # about 5 chunks measured: the row strings, their join and its encoding
+    assert peak < 8 * chunk

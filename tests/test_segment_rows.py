@@ -1,13 +1,15 @@
 """Row-based orbit segments against the per-sample loops they replaced.
 
-Orbit segments keep the kernels' coordinate rows and build sample points
-only when `samples` is read; coverage, fiber variation and the CSV writer
-read the rows.  The reference functions below are the per-sample loops the
+Orbit segments keep the kernels' coordinate rows in one flat array and
+build sample points only when `samples` is read; coverage, fiber variation
+and the CSV writer read the rows.  The reference functions below are the per-sample loops the
 library ran before, kept here so that every result can be compared exactly.
 """
 
 import math
 import random
+import tracemalloc
+from array import array
 from functools import partial
 
 import pytest
@@ -155,7 +157,7 @@ def reference_samples(model, flow, steps, seed, sample_every):
         for kernel in ("surface_orbit", "modular_orbit", "t3a_orbit"):
             def record(*args, real=getattr(_kernels, kernel)):
                 result = real(*args)
-                captured.append(list(result[0]))
+                captured.append(result[0])
                 return result
 
             mp.setattr(_kernels, kernel, record)
@@ -163,7 +165,7 @@ def reference_samples(model, flow, steps, seed, sample_every):
                         sample_every=sample_every)
     # reductions run the kernels too, one identity step each; the orbit
     # comes last
-    raw = captured[-1]
+    raw = list(zip(*[iter(captured[-1])] * len(model.coord_names())))
     if isinstance(model, TorusBundleModel):
         start_point = model.reduce(start.coords)
         return [(0.0, start_point)] + [
@@ -226,7 +228,8 @@ def test_coverage_matches_binning_indices_on_the_box_edges():
     spec = BinningSpec(((0.0, 1.0), (-2.0, 2.0)), (4, 8))
     rows = [(0.0, -2.0), (1.0, 2.0), (1.0, -2.0), (0.999, 1.999), (0.25, 2.0),
             (1.0000001, 0.0), (0.5, math.nan), (math.inf, 0.0), (-1e-300, 0.0)]
-    seg = OrbitSegment("edges", HorocycleU(1.0), rows, None, len(rows) - 1,
+    values = array("d", [v for row in rows for v in row])
+    seg = OrbitSegment("edges", HorocycleU(1.0), values, None, len(rows) - 1,
                        ("x", "y"), 1, partial(QuotientPoint, "edges"))
     for axes in ((0, 1), (1, 0)):
         binning = spec if axes == (0, 1) else BinningSpec(spec.ranges[::-1],
@@ -238,7 +241,7 @@ def test_coverage_matches_binning_indices_on_the_box_edges():
 
 def test_fiber_variation_matches_per_sample_loop(case):
     _, _, seg = case
-    for index in range(len(seg.rows[0])):
+    for index in range(seg.width):
         assert fiber_variation(seg, index) == reference_fiber_variation(seg, index)
 
 
@@ -259,21 +262,43 @@ def test_lazy_samples_match_eager_construction(case):
             assert p.frame.entries == ep.frame.entries
         assert _transverse_value(p.transverse) == _transverse_value(ep.transverse)
     assert list(seg.times()) == [t for t, _ in expected]
-    assert list(seg.rows) == [p.coords for _, p in expected]
+    assert list(seg.rows()) == [p.coords for _, p in expected]
 
 
 def test_row_segment_times_and_order():
     point = partial(QuotientPoint, "line")
     rows = [(0.0,), (1.0,), (2.0,), (3.0,)]
-    seg = OrbitSegment("line", HorocycleU(0.5), rows, None, 3, ("x",), 1, point)
+    values = array("d", [0.0, 1.0, 2.0, 3.0])
+    seg = OrbitSegment("line", HorocycleU(0.5), values, None, 3, ("x",), 1, point)
     assert [t for t, _ in seg.samples] == [0.0, 0.5, 1.0, 1.5]
     assert [p.coords for _, p in seg.samples] == rows
     # times that overflow to inf repeat, which a segment rejects
     with pytest.raises(ValueError, match="increase strictly"):
-        OrbitSegment("line", HorocycleU(1e308), rows, None, 3, ("x",), 1, point)
-    single = OrbitSegment("line", HorocycleU(1e308), rows[:2], None, 2, ("x",), 2,
-                          point)
+        OrbitSegment("line", HorocycleU(1e308), values, None, 3, ("x",), 1, point)
+    single = OrbitSegment("line", HorocycleU(1e308), values[:2], None, 2, ("x",),
+                          2, point)
     assert [t for t, _ in single.samples] == [0.0, math.inf]
+
+
+# -- memory -------------------------------------------------------------------
+
+
+def test_segment_keeps_eight_bytes_per_coordinate():
+    # rows of tuples kept about 134 B per sample; the flat array keeps 8 B
+    # per coordinate, 32 B for octagon_boundary's four
+    model = build_model("octagon_boundary")
+    flow = BorelB(0.01, 0.01)
+    integrate_orbit(model, None, flow, 10, seed=1)  # first-call imports
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        seg = integrate_orbit(model, None, flow, 50_000, seed=1)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(seg) == 50_001
+    assert kept <= 8 * 4 * len(seg) + 4096
+    assert seg.width == 4
 
 
 # -- the density path builds no sample points ---------------------------------
