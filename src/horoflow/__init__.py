@@ -49,7 +49,6 @@ from horoflow.moebius import (
     ElementClass,
     HalfPlanePoint,
     MoebiusElement,
-    PlanePoint,
     TangentFrame,
     classify_element,
     fixed_points,
@@ -81,7 +80,6 @@ __all__ = [
     "ModularModel",
     "OctagonModel",
     "OrbitSegment",
-    "PlanePoint",
     "ProductModel",
     "ProjectionClass",
     "QuotientPoint",

@@ -1,8 +1,13 @@
 /* Compiled orbit kernels.
 
-   Line-for-line twin of _pure.py: the same functions, the same expression
-   order, the same libm calls, so both backends agree bit for bit.  Any
-   change must be mirrored there.  Building needs only a C99 compiler and
+   Twin of _pure.py: every float expression is mirrored operation for
+   operation, in the same order and with the same libm calls, so both
+   backends agree bit for bit; any change to one must be mirrored in the
+   other.  Loop bookkeeping may differ: here each step tests
+   (i + 1) % RENORM_EVERY and (i + 1) % sample_every, recomputes the
+   determinant in every descent round and builds the letters' quick forms
+   per call, where _pure.py counts down, reuses the post-step determinant
+   and caches its letter table.  Building needs only a C99 compiler and
    the CPython headers: `python setup.py build_ext --inplace`. */
 
 /* A fused multiply-add rounds once where Python's separate float operations

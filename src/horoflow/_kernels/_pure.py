@@ -1,8 +1,13 @@
 """Pure-Python orbit kernels.
 
-The compiled twin in _native.c keeps the same functions with the same
-expression structure, operation for operation, so both backends produce the
-same floating point results; any change here must be mirrored there.  The
+The compiled twin in _native.c mirrors every float expression here,
+operation for operation, so both backends produce the same floating point
+results; any change to one must be mirrored in the other.  Loop bookkeeping
+may differ: here the renormalisation and sampling steps are counted down,
+the first descent round reuses the post-step determinant, _put_row writes
+each row into the buffer in place, and the letter table is built once per
+distinct letter list, where _native.c tests (i + 1) modulo each interval,
+recomputes the determinant every round and builds its table per call.  The
 boundary action of a letter on the circle is moebius.boundary_angle, whose
 C twin is _native.c's boundary_apply.
 
@@ -24,9 +29,9 @@ guard violation.
 The surface descent tries every letter L on the frame g and keeps the first
 candidate L g closer to i.  Most candidates are farther out, and a quick
 reject drops them before L g is formed: ||L g||^2 is the quadratic form
-q11*p11 + 2*q12*p12 + q22*p22 of Q = L^T L, built once per call, against
-P = g g^T, built once per descent round, and a candidate at least 1e-6
-above ||g||^2 cannot win.  The rule applies only while g and L have det
+q11*p11 + 2*q12*p12 + q22*p22 of Q = L^T L, built once per letter list,
+against P = g g^T, built once per descent round, and a candidate at least
+1e-6 above ||g||^2 cannot win.  The rule applies only while g and L have det
 near 1 and norms below 1e4; the comment in surface_orbit bounds its error.
 A surviving candidate whose cosh argument is no smaller than the frame's is
 dropped before its acosh.
@@ -37,8 +42,8 @@ D the shortest of these translations, is in the inscribed ball of the
 Dirichlet domain: by the triangle inequality every L g i is farther out.
 For the octagon that ball holds about 71 % of the domain's area and of
 the steps of an orbit.  Since ||g||^2 = 2*cosh d(g i, i), the test is
-||g||^2 <= T with T = 2*cosh(D/2) shrunk by 1e-4, computed once per call
-from the letters' quadratic forms with one square root; inside it the
+||g||^2 <= T with T = 2*cosh(D/2) shrunk by 1e-4, computed with the
+letters' quadratic forms from them with one square root; inside it the
 descent round ends before any quick form is evaluated, and the frame's
 own cosh argument is taken only once a letter loop runs.  A letter that
 may not be quick-rejected, or an empty letter list, turns the skip off.
@@ -48,6 +53,7 @@ _native.c does the same, expression for expression.
 
 import math
 from array import array
+from functools import lru_cache
 
 from horoflow.moebius import boundary_angle
 
@@ -120,12 +126,18 @@ def _inner_bound(table):
     return 2.0 * math.sqrt((0.5 * norm + 1.0) * 0.5) * (1.0 - _INNER_MARGIN)
 
 
-def _tangent_coords(a, b, c, d):
-    gamma = c * c + d * d
-    re = (a * c + b * d) / gamma
-    im = 1.0 / gamma
-    direction = (_HALF_PI - 2.0 * math.atan2(c, d)) % _TAU
-    return (re, im, direction)
+@lru_cache(maxsize=16)
+def _descent_table(key):
+    """(_letter_table rows as a tuple, their _inner_bound) for the letters
+    whose doubles, as _native.c reads them, are the bytes `key`.
+
+    Both depend on the letters alone, so they are built once per distinct
+    letter list: criterion 9 alone makes thousands of one-step calls with
+    the octagon's letters.  Keyed by bytes, letters that differ only in the
+    sign of a zero do not share a table.
+    """
+    table = tuple(_letter_table(array("d", key)))
+    return table, _inner_bound(table)
 
 
 def _quat_mul_norm(l0, l1, l2, l3, t0, t1, t2, t3):
@@ -157,28 +169,35 @@ def _quat_mul_norm(l0, l1, l2, l3, t0, t1, t2, t3):
     return (w, x, y, z)
 
 
-def _pole_coords(t0, t1, t2, t3):
-    vx = 2.0 * (t0 * t2 + t1 * t3)
-    vy = 2.0 * (t2 * t3 - t0 * t1)
-    vz = 1.0 - 2.0 * t1 * t1 - 2.0 * t2 * t2
-    if vz > 1.0:
-        vz = 1.0
-    elif vz < -1.0:
-        vz = -1.0
-    return (math.acos(vz), math.atan2(vy, vx))
-
-
-def _trans_coords(trans_kind, t0, t1, t2, t3):
-    if trans_kind == TRANS_BOUNDARY:
-        return (t0,)
-    if trans_kind == TRANS_ROTATION:
-        return _pole_coords(t0, t1, t2, t3)
-    return ()
-
-
 def _row_width(trans_kind):
     return 3 + (1 if trans_kind == TRANS_BOUNDARY
                 else 2 if trans_kind == TRANS_ROTATION else 0)
+
+
+def _put_row(samples, j, a, b, c, d, trans_kind, t0, t1, t2, t3):
+    """Write the sample row of frame (a, b, c, d) and transverse state t
+    into samples[j:], as _native.c's put_sample does, and return the index
+    after it: (re, im, direction) of the tangent vector, then theta for the
+    boundary circle or (polar, azimuth) of the rotated pole."""
+    gamma = c * c + d * d
+    samples[j] = (a * c + b * d) / gamma
+    samples[j + 1] = 1.0 / gamma
+    samples[j + 2] = (_HALF_PI - 2.0 * math.atan2(c, d)) % _TAU
+    if trans_kind == TRANS_BOUNDARY:
+        samples[j + 3] = t0
+        return j + 4
+    if trans_kind == TRANS_ROTATION:
+        vx = 2.0 * (t0 * t2 + t1 * t3)
+        vy = 2.0 * (t2 * t3 - t0 * t1)
+        vz = 1.0 - 2.0 * t1 * t1 - 2.0 * t2 * t2
+        if vz > 1.0:
+            vz = 1.0
+        elif vz < -1.0:
+            vz = -1.0
+        samples[j + 3] = math.acos(vz)
+        samples[j + 4] = math.atan2(vy, vx)
+        return j + 5
+    return j + 3
 
 
 def _sample_buffer(steps, sample_every, width):
@@ -208,8 +227,15 @@ def surface_orbit(frame, step, letters, trans_kind, trans_quats, trans_state,
     t0, t1, t2, t3 = trans_state
     samples = _sample_buffer(steps, sample_every, _row_width(trans_kind))
     j = 0
-    table = _letter_table(letters)
-    inner = _inner_bound(table)
+    table, inner = _descent_table(array("d", letters).tobytes())
+    acosh = math.acosh
+    det_tol, slack, nan = _DET_TOL, _DESCENT_SLACK, math.nan
+    quick_norm, quick_det, quick_margin = _QUICK_NORM, _QUICK_DET, _QUICK_MARGIN
+    # countdowns to the steps i with (i + 1) % RENORM_EVERY == 0, which
+    # renormalise, and with (i + 1) % sample_every == 0, which sample
+    renorm_in = RENORM_EVERY
+    every = abs(sample_every)
+    sample_in = every
     for i in range(steps):
         # right multiplication by the step element
         a, b, c, d = (
@@ -219,11 +245,16 @@ def surface_orbit(frame, step, letters, trans_kind, trans_quats, trans_state,
             c * sb + d * sd,
         )
         det = a * d - b * c
-        if det - 1.0 > _DET_TOL or 1.0 - det > _DET_TOL or (i + 1) % RENORM_EVERY == 0:
+        renorm_in -= 1
+        if det - 1.0 > det_tol or 1.0 - det > det_tol or not renorm_in:
             a, b, c, d = _renorm(a, b, c, d)
+            det = a * d - b * c
+            if not renorm_in:
+                renorm_in = RENORM_EVERY
         # greedy descent toward the domain center.  The frame's cosh
         # argument is taken before the first letter loop that runs, its
-        # acosh only once a candidate comes closer.
+        # acosh only once a candidate comes closer.  `det` is the frame's
+        # a*d - b*c throughout.
         arg = None
         dist = None
         descend = 0
@@ -244,8 +275,7 @@ def surface_orbit(frame, step, letters, trans_kind, trans_quats, trans_state,
             p12 = a * c + b * d
             p22 = c * c + d * d
             n = p11 + p22
-            det = a * d - b * c
-            if n <= _QUICK_NORM and abs(det - 1.0) <= _QUICK_DET:
+            if n <= quick_norm and abs(det - 1.0) <= quick_det:
                 # Inner-ball skip, exact by this bound.  With det within
                 # 1e-9 of 1, n <= T puts g i within D/2 of i, cosh shrunk
                 # by about 1e-4.  Then d(L g i, i) >= D - d(g i, i) and
@@ -259,9 +289,9 @@ def surface_orbit(frame, step, letters, trans_kind, trans_quats, trans_state,
                 # >= det^2 keeps gamma above 0.2.
                 if n <= inner:
                     break
-                thr = n * (1.0 + _QUICK_MARGIN)
+                thr = n * (1.0 + quick_margin)
             else:
-                thr = math.nan
+                thr = nan
             if arg is None:
                 arg = _cosh_dist(a, b, c, d)
             moved = False
@@ -276,11 +306,12 @@ def surface_orbit(frame, step, letters, trans_kind, trans_quats, trans_state,
                 # acosh is monotone: no smaller argument, no descent
                 if carg >= arg:
                     continue
-                cand = math.acosh(carg)
+                cand = acosh(carg)
                 if dist is None:
-                    dist = math.acosh(arg)
-                if cand < dist - _DESCENT_SLACK:
+                    dist = acosh(arg)
+                if cand < dist - slack:
                     a, b, c, d = (ca, cb, cc, cd)
+                    det = a * d - b * c
                     arg = carg
                     dist = cand
                     if trans_kind == TRANS_BOUNDARY:
@@ -303,11 +334,10 @@ def surface_orbit(frame, step, letters, trans_kind, trans_quats, trans_state,
                     "reduction did not settle within %d descents at step %d"
                     % (_REDUCE_CAP, i)
                 )
-        if (i + 1) % sample_every == 0:
-            for value in (_tangent_coords(a, b, c, d)
-                          + _trans_coords(trans_kind, t0, t1, t2, t3)):
-                samples[j] = value
-                j += 1
+        sample_in -= 1
+        if not sample_in:
+            sample_in = every
+            j = _put_row(samples, j, a, b, c, d, trans_kind, t0, t1, t2, t3)
     return (samples, (a, b, c, d), (t0, t1, t2, t3))
 
 
@@ -324,6 +354,10 @@ def modular_orbit(frame, step, trans_kind, trans_quats, trans_state,
     t0, t1, t2, t3 = trans_state
     samples = _sample_buffer(steps, sample_every, _row_width(trans_kind))
     j = 0
+    # countdowns to the next renormalisation and sample, as in surface_orbit
+    renorm_in = RENORM_EVERY
+    every = abs(sample_every)
+    sample_in = every
     for i in range(steps):
         a, b, c, d = (
             a * sa + b * sc,
@@ -332,8 +366,11 @@ def modular_orbit(frame, step, trans_kind, trans_quats, trans_state,
             c * sb + d * sd,
         )
         det = a * d - b * c
-        if det - 1.0 > _DET_TOL or 1.0 - det > _DET_TOL or (i + 1) % RENORM_EVERY == 0:
+        renorm_in -= 1
+        if det - 1.0 > _DET_TOL or 1.0 - det > _DET_TOL or not renorm_in:
             a, b, c, d = _renorm(a, b, c, d)
+            if not renorm_in:
+                renorm_in = RENORM_EVERY
         rounds = 0
         while True:
             gamma = c * c + d * d
@@ -378,11 +415,10 @@ def modular_orbit(frame, step, trans_kind, trans_quats, trans_state,
                     "reduction did not settle within %d rounds at step %d"
                     % (_REDUCE_CAP, i)
                 )
-        if (i + 1) % sample_every == 0:
-            for value in (_tangent_coords(a, b, c, d)
-                          + _trans_coords(trans_kind, t0, t1, t2, t3)):
-                samples[j] = value
-                j += 1
+        sample_in -= 1
+        if not sample_in:
+            sample_in = every
+            j = _put_row(samples, j, a, b, c, d, trans_kind, t0, t1, t2, t3)
     return (samples, (a, b, c, d), (t0, t1, t2, t3))
 
 
@@ -400,6 +436,8 @@ def t3a_orbit(state, lam, eigen, sol_step, steps, sample_every):
         raise ValueError("lam must not be negative, got %g" % lam)
     samples = _sample_buffer(steps, sample_every, 3)
     j = 0
+    every = abs(sample_every)
+    sample_in = every
     for i in range(steps):
         scale = lam ** tp
         xp += scale * sx
@@ -422,7 +460,9 @@ def t3a_orbit(state, lam, eigen, sol_step, steps, sample_every):
         if m1 != 0 or m2 != 0:
             xp -= m1 * ap + m2 * cp
             yp -= m1 * bp + m2 * dp
-        if (i + 1) % sample_every == 0:
+        sample_in -= 1
+        if not sample_in:
+            sample_in = every
             samples[j] = x - m1
             samples[j + 1] = y - m2
             samples[j + 2] = tp

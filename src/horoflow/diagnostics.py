@@ -46,6 +46,9 @@ COORD_PERIODS = {
     "pole_azimuth": _TAU,
 }
 
+# Rows coverage bins per pass: its column lists hold this many rows at once.
+BIN_CHUNK_ROWS = 4096
+
 DEFAULT_GAMMA_COUNT = 50
 DEFAULT_GRID_COUNT = 50
 
@@ -113,7 +116,10 @@ def coverage(orbit, binning, axes=None):
 
     The first len(binning.ranges) coordinates of each sample are binned
     unless `axes` picks an explicit coordinate subset.  Samples outside the
-    box are skipped, so the fraction is monotone in orbit length.
+    box are skipped, so the fraction is monotone in orbit length.  The flat
+    sample buffer is binned column by column, BIN_CHUNK_ROWS rows at a
+    time, so the memory it takes beyond the visited cells does not grow
+    with the orbit.
     """
     if binning.total < 1:
         raise ValueError("empty binning")
@@ -127,23 +133,32 @@ def coverage(orbit, binning, axes=None):
         raise ValueError(
             "sample has %d coordinates, axes need %d" % (orbit.width, top + 1)
         )
-    # BinningSpec.indices unrolled over the rows: the same closed box test
-    # and cell arithmetic, with each cell flattened to one integer.
+    # BinningSpec.indices by column, over BIN_CHUNK_ROWS rows at a time:
+    # the same closed box test and cell arithmetic, None for a row outside
+    # the box on that axis.  Only the distinct index tuples are kept; they
+    # are clamped to the closed upper edge and flattened at the end.
     bins = [
         (a, lo, hi, hi - lo, n)
         for a, (lo, hi), n in zip(axes, binning.ranges, binning.counts)
     ]
+    values, w = orbit.values, orbit.width
+    keys = set()
+    for first in range(0, len(orbit), BIN_CHUNK_ROWS):
+        chunk = values[first * w:(first + BIN_CHUNK_ROWS) * w]
+        cols = [
+            [int((v - lo) / span * n) if lo <= v <= hi else None
+             for v in chunk[a::w]]
+            for a, lo, hi, span, n in bins
+        ]
+        keys.update(zip(*cols))
     visited = set()
-    for row in orbit.rows():
+    for key in keys:
+        if None in key:
+            continue
         cell = 0
-        for a, lo, hi, span, n in bins:
-            value = row[a]
-            if not lo <= value <= hi:
-                break
-            k = int((value - lo) / span * n)
+        for k, n in zip(key, binning.counts):
             cell = cell * n + (k if k < n else n - 1)
-        else:
-            visited.add(cell)
+        visited.add(cell)
     total = binning.total
     return DensityReport(
         model=orbit.model,

@@ -10,8 +10,9 @@ An orbit segment is built from the flat array('d') of coordinates the
 kernels return, prefixed by the reduced start as row 0, and the sampling
 interval; it derives each row's time from the flow and builds sample points
 only when `segment.samples` is first read.  Coverage, the CSV writer and
-divergence detection read only the coordinates and times, row by row
-through `segment.rows()`; sample points are for comparisons that need
+divergence detection read only the coordinates and times: coverage and
+the CSV writer by column from `segment.values`, divergence detection row by
+row through `segment.rows()`; sample points are for comparisons that need
 frames.
 Sample points carry quotient coordinates and, for the surface models, a
 reconstructed frame so orbit-aware point comparisons work on them.  Samples

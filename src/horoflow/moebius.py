@@ -12,11 +12,6 @@ number x at theta = 2*atan(x).  Distances on the boundary use the chordal
 metric |2 sin((t1 - t2)/2)|, which is bounded and treats infinity like any
 other point.
 
-The punctured plane R^2 \\ {0} modulo +-1 carries the linear action of the
-same matrices; it is the natural home of the first-column projection used by
-the duality diagnostics.  Points there keep their length (no projective
-normalisation), only the sign is canonicalised.
-
 The canonical sign and determinant rule and the boundary action also exist
 as functions of raw entries, canonical_entries and boundary_angle, which the
 class uses and which hot loops call to get the same bits without building an
@@ -198,17 +193,6 @@ class MoebiusElement:
             boundary_angle(self.a, self.b, self.c, self.d, point.theta)
         )
 
-    def apply_plane(self, point):
-        """Act linearly on a punctured-plane point (column vector, mod sign)."""
-        return PlanePoint(
-            self.a * point.p + self.b * point.q,
-            self.c * point.p + self.d * point.q,
-        )
-
-    def first_column(self):
-        """Image of the first basis vector; the unipotent-invariant projection."""
-        return PlanePoint(self.a, self.c)
-
     def boundary_image_of_infinity(self):
         """Where this element sends the point at infinity."""
         return self.apply_boundary(BoundaryPoint.infinity())
@@ -251,28 +235,6 @@ class BoundaryPoint:
         if self.theta == math.pi:
             return "BoundaryPoint(inf)"
         return "BoundaryPoint(%.9g)" % self.value
-
-
-class PlanePoint:
-    """Nonzero vector of the plane, up to overall sign, length retained."""
-
-    __slots__ = ("p", "q")
-
-    def __init__(self, p, q):
-        p = float(p)
-        q = float(q)
-        if p == 0.0 and q == 0.0:
-            raise ValueError("plane point must be nonzero")
-        if p < -SIGN_TOL or (abs(p) <= SIGN_TOL and q < 0.0):
-            p, q = -p, -q
-        self.p = p
-        self.q = q
-
-    def norm(self):
-        return math.hypot(self.p, self.q)
-
-    def __repr__(self):
-        return "PlanePoint(%.9g, %.9g)" % (self.p, self.q)
 
 
 class HalfPlanePoint:

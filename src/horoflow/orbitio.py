@@ -11,7 +11,7 @@ flow, steps, seed, bins, visited, total, fraction.
 All writes go through a temp file in the target directory followed by an
 atomic rename, so readers never observe a half-written file.  An orbit CSV
 is rendered and written CSV_CHUNK_ROWS rows at a time, so its whole text is
-never held at once.
+never held at once; each chunk's rows take one `%` format call.
 """
 
 from __future__ import annotations
@@ -44,7 +44,12 @@ def _atomic_write(path, chunks):
 def orbit_csv_text(segment, start=0, stop=None):
     """Render rows start..stop-1 of one orbit segment in the CSV layout
     described above; the legend and the header come only with row 0, so
-    the texts of consecutive ranges concatenate to the whole file."""
+    the texts of consecutive ranges concatenate to the whole file.
+
+    The rows are rendered by one format call: the row format repeated once
+    per row, applied to the times and the coordinate columns interleaved
+    into one flat tuple.
+    """
     lines = []
     if start == 0:
         names = segment.coord_names
@@ -56,12 +61,19 @@ def orbit_csv_text(segment, start=0, stop=None):
         ]
         lines.extend("# c%d = %s" % (i + 1, name) for i, name in enumerate(names))
         lines.append("time," + ",".join("c%d" % (i + 1) for i in range(len(names))))
-    row_fmt = ",".join([FLOAT_FMT] * (segment.width + 1))
-    lines.extend(
-        row_fmt % (time, *row)
-        for time, row in zip(segment.times(start, stop), segment.rows(start, stop))
-    )
-    return "\n".join(lines) + "\n" if lines else ""
+    head = "\n".join(lines) + "\n" if lines else ""
+    w = segment.width
+    stop = len(segment) if stop is None else min(stop, len(segment))
+    count = stop - start
+    if count <= 0:
+        return head
+    args = [None] * (count * (w + 1))
+    args[::w + 1] = segment.times(start, stop)
+    chunk = segment.values[start * w:stop * w].tolist()
+    for c in range(w):
+        args[c + 1::w + 1] = chunk[c::w]
+    row_fmt = ",".join([FLOAT_FMT] * (w + 1)) + "\n"
+    return head + (row_fmt * count) % tuple(args)
 
 
 def write_orbit_csv(segment, path):

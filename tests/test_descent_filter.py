@@ -3,8 +3,10 @@ unfiltered descent.
 
 `reference_surface_orbit` is the surface kernel as it was before the
 descent skipped candidates: every letter's candidate is formed and its
-distance taken with acosh.  Like the kernels, it returns its samples as one
-flat array('d').  Both backends must return exactly what it
+distance taken with acosh.  Its rows come from `_tangent_coords` and
+`_trans_coords`, the per-row tuples the kernels built before they wrote
+each row into their buffer in place.  Like the kernels, it returns its
+samples as one flat array('d').  Both backends must return exactly what it
 returns, or raise the same exception with the same message.
 """
 
@@ -20,7 +22,9 @@ from horoflow._kernels import _pure
 from horoflow._kernels._pure import (
     _DESCENT_SLACK,
     _DET_TOL,
+    _HALF_PI,
     _REDUCE_CAP,
+    _TAU,
     RENORM_EVERY,
     TRANS_BOUNDARY,
     TRANS_ROTATION,
@@ -28,8 +32,6 @@ from horoflow._kernels._pure import (
     _letter_table,
     _quat_mul_norm,
     _renorm,
-    _tangent_coords,
-    _trans_coords,
 )
 from horoflow.groups import ROTATIONS3
 from horoflow.models import build_octagon, build_product
@@ -45,6 +47,33 @@ def _dist_to_center(a, b, c, d):
     re = (a * c + b * d) / gamma
     im = 1.0 / gamma
     return math.acosh(1.0 + (re * re + (im - 1.0) * (im - 1.0)) / (2.0 * im))
+
+
+def _tangent_coords(a, b, c, d):
+    gamma = c * c + d * d
+    re = (a * c + b * d) / gamma
+    im = 1.0 / gamma
+    direction = (_HALF_PI - 2.0 * math.atan2(c, d)) % _TAU
+    return (re, im, direction)
+
+
+def _pole_coords(t0, t1, t2, t3):
+    vx = 2.0 * (t0 * t2 + t1 * t3)
+    vy = 2.0 * (t2 * t3 - t0 * t1)
+    vz = 1.0 - 2.0 * t1 * t1 - 2.0 * t2 * t2
+    if vz > 1.0:
+        vz = 1.0
+    elif vz < -1.0:
+        vz = -1.0
+    return (math.acos(vz), math.atan2(vy, vx))
+
+
+def _trans_coords(trans_kind, t0, t1, t2, t3):
+    if trans_kind == TRANS_BOUNDARY:
+        return (t0,)
+    if trans_kind == TRANS_ROTATION:
+        return _pole_coords(t0, t1, t2, t3)
+    return ()
 
 
 def reference_surface_orbit(frame, step, letters, trans_kind, trans_quats,
@@ -317,6 +346,28 @@ def test_inner_bound_follows_the_shortest_letter():
     no_number = LETTERS + [math.nan, 0.0, 0.0, 1.0]
     for letters in (det_off, no_number, []):
         assert math.isnan(_inner_bound(_letter_table(letters)))
+
+
+def test_descent_table_is_built_once_per_letter_doubles(native_or_none):
+    """_pure builds the letter table once per distinct list of letter
+    doubles.  Letters that differ only in the sign of a zero keep their own
+    rows: the winning candidate of this diagonal frame then has a -0.0
+    entry, and its sample's real part is -0.0.  Int letters share the rows
+    of equal doubles, as _native.c reads both."""
+    frame = (0.25, -0.0, -0.0, 4.0)  # i/16, two descents from i
+    step = (1.0, -0.0, -0.0, 1.0)  # keeps the zeros' signs
+    kernels = [_pure] + ([native_or_none] if native_or_none else [])
+    _pure._descent_table.cache_clear()
+    for letters in ([2.0, 0.0, 0.0, 0.5], [2.0, -0.0, -0.0, 0.5],
+                    [2, 0, 0, 0.5], [2.0, -0.0, -0.0, 0.5]):
+        args = (frame, step, letters, 0, None, NO_TRANS, 1, 1)
+        expected = outcome(reference_surface_orbit, args)
+        for kernel in kernels:
+            assert outcome(kernel.surface_orbit, args) == expected
+    assert repr(reference_surface_orbit(*args)[0]) == (
+        "array('d', [-0.0, 1.0, 1.5707963267948966])")
+    info = _pure._descent_table.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
 
 
 def frame_at_threshold():

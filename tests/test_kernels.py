@@ -214,10 +214,13 @@ def test_zero_steps_returns_inputs():
 
 
 @pytest.mark.parametrize("steps, every", [(0, 1), (0, 7), (1, 1), (6, 7),
-                                          (7, 7), (100, 7), (99, 1)])
+                                          (7, 7), (100, 7), (99, 1),
+                                          (10, -3), (5, 7)])
 def test_kernels_return_exact_flat_arrays(native, steps, every):
-    """Each kernel returns one array('d') of (steps // sample_every) rows of
-    its width, sized exactly, on both backends."""
+    """Each kernel returns one array('d') of (steps // |sample_every|) rows
+    of its width, sized exactly, on both backends: a negative interval
+    samples the steps i with (i + 1) % sample_every == 0, as a positive one
+    does."""
     m = build_t3a(((2, 1), (1, 1)))
     eigen = (m.a_prime, m.b_prime, m.c_prime, m.d_prime)
     so3 = build_product(build_octagon(), ROTATIONS3, seed=7)
@@ -246,7 +249,7 @@ def test_kernels_return_exact_flat_arrays(native, steps, every):
         for impl in (_pure, native):
             values = call(impl)[0]
             assert type(values) is array and values.typecode == "d"
-            assert len(values) == steps // every * width
+            assert len(values) == steps // abs(every) * width
             # no room allocated past the last row
             assert sys.getsizeof(values) == empty + 8 * len(values)
             outputs.append(repr(values))

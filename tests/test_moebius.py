@@ -12,7 +12,6 @@ from horoflow.moebius import (
     BoundaryPoint,
     ElementClass,
     MoebiusElement,
-    PlanePoint,
     boundary_angle,
     canonical_entries,
     classify_element,
@@ -281,18 +280,6 @@ def test_boundary_angle_matches_object_action(entries, theta):
     element = MoebiusElement(*entries)
     got = element.apply_boundary(BoundaryPoint(theta)).theta
     assert repr(got) == repr(want)
-
-
-def test_plane_points():
-    v = PlanePoint(-1.0, 2.0)
-    assert v.p > 0.0 and v.q < 0.0  # sign canonicalised
-    assert abs(v.norm() - math.sqrt(5.0)) < 1e-15
-    with pytest.raises(ValueError):
-        PlanePoint(0.0, 0.0)
-    # u(t) stabilizes e1
-    w = MoebiusElement.u(7.0).apply_plane(PlanePoint(1.0, 0.0))
-    assert w.p == 1.0 and w.q == 0.0
-    assert MoebiusElement(2.0, 1.0, 1.0, 1.0).first_column().p == 2.0
 
 
 def test_frame_direction_frozen():

@@ -14,7 +14,7 @@ from functools import partial
 
 import pytest
 
-from horoflow import _kernels, cli, flows
+from horoflow import _kernels, cli, diagnostics, flows
 from horoflow.diagnostics import (
     COORD_PERIODS,
     BinningSpec,
@@ -237,6 +237,55 @@ def test_coverage_matches_binning_indices_on_the_box_edges():
         expected = reference_visited(seg, binning, axes)
         assert expected == 4
         assert coverage(seg, binning, axes=axes).visited == expected
+
+
+def test_coverage_matches_binning_indices_across_chunks():
+    """Rows spanning several binning chunks, each chunk in its own band of
+    the first axis so that every chunk has cells of its own, with
+    out-of-box, NaN and upper-edge rows on both sides of a chunk
+    boundary."""
+    chunk = diagnostics.BIN_CHUNK_ROWS
+    rng = random.Random(11)
+    rows = [((first // chunk) / 4.0 + rng.uniform(0.0, 0.25),
+             rng.uniform(-0.1, 2.1), rng.uniform(0.0, 1.0))
+            for first in range(3 * chunk + 17)]
+    edge = [(0.5, math.nan, 0.5), (-0.01, 1.0, 0.5), (1.0, 2.0, 1.0),
+            (math.nan, 1.0, 0.5), (0.3, 2.0000001, 0.5), (1.0, 0.0, 0.0)]
+    rows[chunk - 3:chunk + 3] = edge
+    values = array("d", [v for row in rows for v in row])
+    seg = OrbitSegment("chunks", HorocycleU(1.0), values, None, len(rows) - 1,
+                       ("x", "y", "z"), 1, partial(QuotientPoint, "chunks"))
+    spec = BinningSpec(((0.0, 1.0), (0.0, 2.0), (0.0, 1.0)), (16, 5, 3))
+    for axes in ((0, 1, 2), (2, 0, 1)):
+        binning = BinningSpec(tuple(spec.ranges[a] for a in axes),
+                              tuple(spec.counts[a] for a in axes))
+        expected = reference_visited(seg, binning, axes)
+        assert expected > 150
+        assert coverage(seg, binning, axes=axes).visited == expected
+
+
+def test_coverage_holds_one_chunk_not_the_columns():
+    """Binning keeps O(BIN_CHUNK_ROWS) memory, not O(rows): whole-orbit
+    column lists of 64 chunks would hold 8 B per row per axis, 4 MiB here."""
+    chunk = diagnostics.BIN_CHUNK_ROWS
+    rows = 64 * chunk
+    values = array("d", [0.1, 0.6, 0.35, 0.85]) * (rows // 2)
+    seg = OrbitSegment("wide", HorocycleU(1.0), values, None, rows - 1,
+                       ("x", "y"), 1, None)
+    spec = BinningSpec(((0.0, 1.0), (0.0, 1.0)), (4, 4))
+    coverage(seg, spec)  # first-call allocations
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        report = coverage(seg, spec)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert report.visited == 2
+    # a chunk's slice, its column slices and its column lists, twice over
+    # while the next chunk replaces the last: about 28 B per coordinate
+    assert peak < 2 * 32 * 2 * chunk
 
 
 def test_fiber_variation_matches_per_sample_loop(case):
