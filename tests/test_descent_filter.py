@@ -6,7 +6,8 @@ descent skipped candidates: every letter's candidate is formed and its
 distance taken with acosh.  Its rows come from `_tangent_coords` and
 `_trans_coords`, the per-row tuples the kernels built before they wrote
 each row into their buffer in place.  Like the kernels, it returns its
-samples as one flat array('d').  Both backends must return exactly what it
+samples as one flat array('d') after a row 0 of zeros, which the kernels
+leave for the caller's start.  Both backends must return exactly what it
 returns, or raise the same exception with the same message.
 """
 
@@ -82,7 +83,8 @@ def reference_surface_orbit(frame, step, letters, trans_kind, trans_quats,
     sa, sb, sc, sd = step
     t0, t1, t2, t3 = trans_state
     n_letters = len(letters) // 4
-    samples = array("d")
+    width = {TRANS_BOUNDARY: 4, TRANS_ROTATION: 5}.get(trans_kind, 3)
+    samples = array("d", [0.0] * width)  # row 0, the caller's
     for i in range(steps):
         # right multiplication by the step element
         a, b, c, d = (
@@ -365,7 +367,7 @@ def test_descent_table_is_built_once_per_letter_doubles(native_or_none):
         for kernel in kernels:
             assert outcome(kernel.surface_orbit, args) == expected
     assert repr(reference_surface_orbit(*args)[0]) == (
-        "array('d', [-0.0, 1.0, 1.5707963267948966])")
+        "array('d', [0.0, 0.0, 0.0, -0.0, 1.0, 1.5707963267948966])")
     info = _pure._descent_table.cache_info()
     assert (info.misses, info.hits) == (2, 2)
 

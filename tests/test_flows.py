@@ -25,6 +25,7 @@ from horoflow.flows import (
 )
 from horoflow.models import (
     build_modular,
+    build_model,
     build_octagon,
     build_product,
     build_t3a,
@@ -93,6 +94,37 @@ def test_borel_step_degenerates_to_neighbors():
     assert surface_step_element(BorelB(0.0, t)).close_to(
         surface_step_element(HorocycleU(t)), 1e-15
     )
+
+
+@pytest.mark.parametrize("name", ["octagon", "octagon_boundary",
+                                  "octagon_so3", "modular", "t3a"])
+@pytest.mark.parametrize("steps, every", [(0, 1), (1, 1), (5, 7), (300, 3)])
+def test_row_zero_is_the_reduced_start_bit_for_bit(name, steps, every):
+    """The kernels leave row 0 zero and integrate_orbit writes the reduced
+    start there in place, so row 0 repeats the start point's coordinates
+    bit for bit.  Each start lies off the fundamental domain, so row 0 is
+    not the point that was passed in."""
+    model = build_model(name, seed=7)
+    start = model.sample_point(random.Random(3))
+    if name == "t3a":
+        x, y, t = start.coords
+        start = QuotientPoint(name, (x + 2.0, y - 3.0, t + 1.0))
+        expected = model.reduce(start.coords)
+        flow = Sol3U(0.037)
+    else:
+        frame = MoebiusElement.geo(10.0).mul(MoebiusElement.u(0.4)).mul(
+            start.frame)
+        if start.transverse is None:
+            start = model.point_from_frame(frame)
+        else:
+            start = model.point_from_state(frame, start.transverse)
+        expected = model.kernel_start(start)[0]
+        flow = HorocycleU(0.07)
+    seg = integrate_orbit(model, start, flow, steps, sample_every=every)
+    row0 = seg.values[:seg.width]
+    assert row0.tobytes() == array("d", expected.coords).tobytes()
+    assert row0.tobytes() != array("d", start.coords).tobytes()
+    assert seg.samples[0][1].coords == expected.coords
 
 
 # -- frozen orbit facts -------------------------------------------------------

@@ -30,8 +30,9 @@ NO_TRANS = (0.0, 0.0, 0.0, 0.0)
 
 
 def rows_of(values, width):
-    """The coordinate tuples of a kernel's flat sample array."""
-    return list(zip(*[iter(values)] * width))
+    """The sample rows of a kernel's flat array, after the zero row 0 that
+    the kernel leaves for the caller's start."""
+    return list(zip(*[iter(values[width:])] * width))
 
 
 def octagon_letters():
@@ -188,7 +189,7 @@ def test_t3a_parity_keeps_zero_signs(native):
     m = build_t3a(((2, 1), (1, 1)))
     eigen = (m.a_prime, m.b_prime, m.c_prime, m.d_prime)
     args = ((0.0, 0.0, 0.0), m.lam, eigen, (0.0, 0.0, 0.01), 50, 1)
-    assert repr(_pure.t3a_orbit(*args)[0][0]) == "-0.0"
+    assert repr(_pure.t3a_orbit(*args)[0][3]) == "-0.0"
     assert_same_bits(native, "t3a_orbit", args)
 
 
@@ -208,19 +209,20 @@ def test_zero_steps_returns_inputs():
         IDENTITY, step, letters, 0, None, NO_TRANS, 0, 1
     )
     assert type(samples) is array and samples.typecode == "d"
-    assert len(samples) == 0
+    assert repr(samples) == "array('d', [0.0, 0.0, 0.0])"
     assert frame == IDENTITY
     assert trans == NO_TRANS
 
 
-@pytest.mark.parametrize("steps, every", [(0, 1), (0, 7), (1, 1), (6, 7),
-                                          (7, 7), (100, 7), (99, 1),
-                                          (10, -3), (5, 7)])
+@pytest.mark.parametrize("steps, every", [(0, 1), (0, 7), (0, 0), (-4, 3),
+                                          (1, 1), (1, 3), (6, 7), (7, 7),
+                                          (100, 7), (99, 1), (10, -3), (5, 7)])
 def test_kernels_return_exact_flat_arrays(native, steps, every):
-    """Each kernel returns one array('d') of (steps // |sample_every|) rows
-    of its width, sized exactly, on both backends: a negative interval
-    samples the steps i with (i + 1) % sample_every == 0, as a positive one
-    does."""
+    """Each kernel returns one array('d') of (steps // |sample_every| + 1)
+    rows of its width, one row when steps <= 0, sized exactly, on both
+    backends.  Row 0 is +0.0, left for the caller's start; a negative
+    interval samples the steps i with (i + 1) % sample_every == 0, as a
+    positive one does."""
     m = build_t3a(((2, 1), (1, 1)))
     eigen = (m.a_prime, m.b_prime, m.c_prime, m.d_prime)
     so3 = build_product(build_octagon(), ROTATIONS3, seed=7)
@@ -244,14 +246,17 @@ def test_kernels_return_exact_flat_arrays(native, steps, every):
                                   (0.037, 0.0, 0.01), steps, every)),
     ]
     empty = sys.getsizeof(array("d"))
+    rows = (steps // abs(every) if steps > 0 else 0) + 1
     for width, call in calls:
         outputs = []
         for impl in (_pure, native):
             values = call(impl)[0]
             assert type(values) is array and values.typecode == "d"
-            assert len(values) == steps // abs(every) * width
+            assert len(values) == rows * width
             # no room allocated past the last row
             assert sys.getsizeof(values) == empty + 8 * len(values)
+            # repr tells the +0.0 the kernel leaves from a -0.0
+            assert [repr(v) for v in values[:width]] == ["0.0"] * width
             outputs.append(repr(values))
         assert outputs[0] == outputs[1]
 
@@ -570,7 +575,7 @@ def test_sample_coordinates_well_formed():
     values, _, _ = _kernels.surface_orbit(
         IDENTITY, step, letters, 0, None, NO_TRANS, 2000, 1
     )
-    assert len(values) == 3 * 2000
+    assert len(values) == 3 * 2001
     for re, im, direction in rows_of(values, 3):
         assert im > 0.0
         assert 0.0 <= direction < 2.0 * math.pi

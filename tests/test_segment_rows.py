@@ -164,8 +164,9 @@ def reference_samples(model, flow, steps, seed, sample_every):
         integrate_orbit(model, start, flow, steps, seed=seed,
                         sample_every=sample_every)
     # reductions run the kernels too, one identity step each; the orbit
-    # comes last
-    raw = list(zip(*[iter(captured[-1])] * len(model.coord_names())))
+    # comes last, its samples after the start row
+    width = len(model.coord_names())
+    raw = list(zip(*[iter(captured[-1][width:])] * width))
     if isinstance(model, TorusBundleModel):
         start_point = model.reduce(start.coords)
         return [(0.0, start_point)] + [
@@ -348,6 +349,25 @@ def test_segment_keeps_eight_bytes_per_coordinate():
     assert len(seg) == 50_001
     assert kept <= 8 * 4 * len(seg) + 4096
     assert seg.width == 4
+
+
+def test_integrate_orbit_holds_its_buffer_once():
+    # The kernel allocates the orbit's one buffer, start row included, and
+    # integrate_orbit writes the start into it in place.  Joining the start
+    # row in front by a copy held two buffers at once.
+    model = build_model("octagon")
+    flow = HorocycleU(0.11)
+    integrate_orbit(model, None, flow, 10, seed=1)  # first-call allocations
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        seg = integrate_orbit(model, None, flow, 50_000, seed=1,
+                              sample_every=1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(seg) == 50_001
+    assert peak < 1.25 * 8 * len(seg.values) + 64 * 1024
 
 
 # -- the density path builds no sample points ---------------------------------

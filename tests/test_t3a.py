@@ -31,6 +31,48 @@ def cat_model():
     return build_t3a(((2, 1), (1, 1)))
 
 
+# The eigenvectors, the half-plane chart and the leafwise deck maps of a
+# model: references for the tests below, which the library does not use.
+
+
+def u_vec(model):
+    return (model.d_prime, -model.b_prime)
+
+
+def v_vec(model):
+    return (model.c_prime, -model.a_prime)
+
+
+def halfplane_from_coords(model, x, y, t):
+    """(x, y, t) -> (z', y') with z' = x' + i lam^t."""
+    xp, yp = model.primed_from_torus(x, y)
+    return (complex(xp, model.lam ** t), yp)
+
+
+def coords_from_halfplane(model, zp, yp):
+    """(z', y') -> (x, y, t); the height of z' carries t."""
+    if zp.imag <= 0.0:
+        raise ValueError("leafwise point must lie in the upper half-plane")
+    t = math.log(zp.imag) / model.log_lam
+    x, y = model.torus_from_primed(zp.real, yp)
+    return (x, y, t)
+
+
+def apply_leafwise_gen(model, k, zy, inverse=False):
+    """Generator k on (z', y') pairs, z' in the upper half-plane."""
+    zp, yp = zy
+    s = -1.0 if inverse else 1.0
+    if k == 0:
+        return (zp + s * model.a_prime, yp + s * model.b_prime)
+    if k == 1:
+        return (zp + s * model.c_prime, yp + s * model.d_prime)
+    if k == 2:
+        if inverse:
+            return (zp / model.lam, yp * model.lam)
+        return (model.lam * zp, yp / model.lam)
+    raise ValueError("generator index out of range")
+
+
 def random_hyperbolic_sl2z(rng, max_trace=50):
     """Random SL(2,Z) with 2 < trace <= max_trace, as positive words in the
     two elementary shear matrices."""
@@ -72,8 +114,8 @@ def test_build_invariants_random_sl2z():
         a_mat = random_hyperbolic_sl2z(rng)
         model = build_t3a(a_mat)
         (a11, a12), (a21, a22) = a_mat
-        ux, uy = model.u_vec
-        vx, vy = model.v_vec
+        ux, uy = u_vec(model)
+        vx, vy = v_vec(model)
         assert abs(a11 * ux + a12 * uy - model.lam * ux) < 1e-12 * model.lam
         assert abs(a21 * ux + a22 * uy - model.lam * uy) < 1e-12 * model.lam
         assert abs(a11 * vx + a12 * vy - vx / model.lam) < 1e-12
@@ -161,9 +203,9 @@ def test_reduce_primed_matches_torus_reduction():
 
 def test_halfplane_chart_basics():
     model = cat_model()
-    zp, yp = model.halfplane_from_coords(0.0, 0.0, 0.0)
+    zp, yp = halfplane_from_coords(model, 0.0, 0.0, 0.0)
     assert zp == complex(0.0, 1.0) and yp == 0.0
-    _, _, t = model.coords_from_halfplane(complex(0.3, model.lam), 0.2)
+    _, _, t = coords_from_halfplane(model, complex(0.3, model.lam), 0.2)
     assert abs(t - 1.0) < 1e-12
 
 
@@ -175,8 +217,8 @@ def test_halfplane_chart_basics():
 )
 def test_halfplane_chart_roundtrip(x, y, t):
     model = cat_model()
-    zp, yp = model.halfplane_from_coords(x, y, t)
-    rx, ry, rt = model.coords_from_halfplane(zp, yp)
+    zp, yp = halfplane_from_coords(model, x, y, t)
+    rx, ry, rt = coords_from_halfplane(model, zp, yp)
     assert abs(rx - x) < 1e-9 and abs(ry - y) < 1e-9 and abs(rt - t) < 1e-9
 
 
@@ -195,8 +237,9 @@ def test_presentations_agree_through_charts():
             via_primed = model.torus_from_primed(pxp, pyp) + (pt,)
             assert max(abs(a - b) for a, b in zip(direct, via_primed)) < 1e-9
 
-            zy = model.halfplane_from_coords(*p)
-            via_leaf = model.coords_from_halfplane(*model.apply_leafwise_gen(k, zy))
+            zy = halfplane_from_coords(model, *p)
+            via_leaf = coords_from_halfplane(
+                model, *apply_leafwise_gen(model, k, zy))
             assert max(abs(a - b) for a, b in zip(direct, via_leaf)) < 1e-9
 
 
