@@ -32,17 +32,10 @@ from __future__ import annotations
 import argparse
 import sys
 
+# Every command loads these modules anyway.  `acceptance`, `diagnostics`,
+# `flows` and `orbitio` are imported inside the functions that use them, so a
+# command pays only for the modules it needs.
 from horoflow import models
-from horoflow.acceptance import run_suite
-from horoflow.diagnostics import BinningSpec, coverage
-from horoflow.flows import (
-    BorelB,
-    DualBoundaryIterate,
-    GeodesicD,
-    HorocycleU,
-    Sol3U,
-    integrate_orbit,
-)
 from horoflow.groups import (
     BOUNDARY_CIRCLE,
     GeneratedGroup,
@@ -50,9 +43,7 @@ from horoflow.groups import (
     detect_semi_parabolic,
 )
 from horoflow.models import MODEL_NAMES
-from horoflow.models.base import QuotientPoint
 from horoflow.moebius import BoundaryPoint, MoebiusElement
-from horoflow.orbitio import read_orbit_csv, write_density_json, write_orbit_csv
 
 FLOW_NAMES = ("u", "geo", "b", "sol3u", "dual")
 
@@ -147,6 +138,14 @@ def build_model(name, a_text, seed):
 
 
 def build_flow(args):
+    from horoflow.flows import (
+        BorelB,
+        DualBoundaryIterate,
+        GeodesicD,
+        HorocycleU,
+        Sol3U,
+    )
+
     kind = _require(args, "flow")
     if kind in ("u", "geo", "sol3u"):
         dt = args.dt if args.dt is not None else DEFAULT_DT[kind]
@@ -170,6 +169,8 @@ def build_flow(args):
 
 def origin_point(model, flow):
     """Deterministic start used when no seed is given."""
+    from horoflow.flows import DualBoundaryIterate
+
     if isinstance(flow, DualBoundaryIterate):
         return (BoundaryPoint.from_real(1.0), 1.0)
     name = getattr(model, "name", "")
@@ -184,6 +185,8 @@ def origin_point(model, flow):
 
 
 def _integrate(args):
+    from horoflow.flows import integrate_orbit
+
     model = build_model(_require(args, "model"), args.A, args.seed)
     flow = build_flow(args)
     steps = _require(args, "steps")
@@ -192,7 +195,7 @@ def _integrate(args):
         segment = integrate_orbit(
             model, start, flow, steps,
             seed=args.seed,
-            sample_every=args.sample_every or 1,
+            sample_every=1 if args.sample_every is None else args.sample_every,
         )
     except (ValueError, ArithmeticError) as exc:
         raise RunError(str(exc)) from None
@@ -206,6 +209,8 @@ def _integrate(args):
 
 
 def cmd_flow(args):
+    from horoflow.orbitio import write_orbit_csv
+
     out = _require(args, "out")
     _, segment = _integrate(args)
     write_orbit_csv(segment, out)
@@ -224,6 +229,9 @@ def _default_ranges(model, flow, count):
 
 
 def cmd_density(args):
+    from horoflow.diagnostics import BinningSpec, coverage
+    from horoflow.orbitio import write_density_json
+
     out = _require(args, "out")
     bins_text = _require(args, "bins")
     try:
@@ -326,6 +334,8 @@ def cmd_classify(args):
 
 
 def cmd_check(args):
+    from horoflow.acceptance import run_suite
+
     try:
         results = run_suite(args.suite, report=print)
     except KeyError as exc:
@@ -403,6 +413,8 @@ def render_scatter_svg(xs, ys, xlabel, ylabel, title):
 
 
 def cmd_plot(args):
+    from horoflow.orbitio import _atomic_write, read_orbit_csv
+
     infile = _require(args, "infile")
     out = _require(args, "out")
     try:
@@ -424,8 +436,6 @@ def cmd_plot(args):
     svg = render_scatter_svg(
         xs, ys, legend.get(xcol, xcol), legend.get(ycol, ycol), title.strip(" /")
     )
-    from horoflow.orbitio import _atomic_write
-
     _atomic_write(out, (svg,))
     print("wrote %s (%d points)" % (out, len(xs)))
     return 0

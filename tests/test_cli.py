@@ -240,6 +240,26 @@ def test_config_unknown_key(tmp_path, capsys):
     assert "warp_factor" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["flow", "density"])
+@pytest.mark.parametrize("from_config", [False, True])
+def test_sample_every_zero_is_refused(tmp_path, capsys, command, from_config):
+    # 0 is a value given, not a missing option: it must fail as -3 does
+    # instead of falling back to sampling every step.
+    argv = [command, "--model", "octagon", "--flow", "u", "--steps", 10,
+            "--out", tmp_path / "out"]
+    if command == "density":
+        argv += ["--bins", "4 4"]
+    if from_config:
+        config = tmp_path / "run.conf"
+        config.write_text("sample-every = 0\n")
+        argv += ["--config", config]
+    else:
+        argv += ["--sample-every", 0]
+    assert run(argv) == 1
+    assert "sample_every must be a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # -- plot ----------------------------------------------------------------------
 
 
