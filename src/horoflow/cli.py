@@ -34,7 +34,8 @@ import sys
 
 # Every command loads these modules anyway.  `acceptance`, `diagnostics`,
 # `flows` and `orbitio` are imported inside the functions that use them, so a
-# command pays only for the modules it needs.
+# command pays only for the modules it needs: `flow` skips the first two and
+# `classify` all four.
 from horoflow import models
 from horoflow.groups import (
     BOUNDARY_CIRCLE,

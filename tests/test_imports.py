@@ -81,6 +81,14 @@ def test_density_run_leaves_out_acceptance(tmp_path):
     assert (tmp_path / "density.json").exists()
 
 
+def test_classify_run_leaves_out_the_command_modules(tmp_path):
+    (tmp_path / "modular.gens").write_text("T u 1\nS rot 1.5707963267948966\n")
+    loaded = loaded_after(
+        RUN_CLI, "classify", "--generators", "modular.gens", cwd=tmp_path)
+    assert "groups" in loaded
+    assert not loaded & {"acceptance", "diagnostics", "flows", "orbitio"}
+
+
 # -- lazy exports --------------------------------------------------------------
 
 
