@@ -30,12 +30,18 @@ from horoflow.flows import (
     GeodesicD,
     HorocycleU,
     Sol3U,
+    detect_divergence,
     integrate_orbit,
     keylemma_converge,
 )
 from horoflow.groups import BOUNDARY_CIRCLE, word_ball
 from horoflow.models import build_modular, build_octagon, build_product, build_t3a
-from horoflow.models.t3a import b_affine_params, sol3_b_embed, sol3_mul
+from horoflow.models.t3a import (
+    b_affine_params,
+    mat_mul_int,
+    sol3_b_embed,
+    sol3_mul,
+)
 from horoflow.moebius import BoundaryPoint, MoebiusElement, steer_to_diagonal
 
 SUITE_SEED = 20260818
@@ -228,13 +234,11 @@ def noncompact_contrast():
     origin = model.point_from_frame(MoebiusElement.identity())
     useg = integrate_orbit(model, origin, HorocycleU(0.01), 100)
     periodic = model.points_close(useg.samples[100][1], useg.samples[0][1], 1e-9)
-    gseg = integrate_orbit(model, origin, GeodesicD(0.01), 600)
-    peak = max(row[1] for t, row in zip(gseg.times(), gseg.rows())
-               if t <= 6.0 + 1e-12)
+    escape = detect_divergence(model, origin, GeodesicD(0.01), 600, 100.0)
     elapsed = time.perf_counter() - start
     return CriterionResult(
-        7, "noncompact_contrast", periodic and peak > 100.0, elapsed, 1.0,
-        {"periodic": periodic, "peak_height": peak},
+        7, "noncompact_contrast", periodic and escape["diverged"], elapsed, 1.0,
+        {"periodic": periodic, "peak_height": escape["max_escape"]},
     )
 
 
@@ -332,17 +336,7 @@ def _random_anosov_matrix(rng, max_trace):
     while True:
         m = ((1, 0), (0, 1))
         for _ in range(rng.randrange(2, 9)):
-            step = lower if rng.random() < 0.5 else upper
-            m = (
-                (
-                    m[0][0] * step[0][0] + m[0][1] * step[1][0],
-                    m[0][0] * step[0][1] + m[0][1] * step[1][1],
-                ),
-                (
-                    m[1][0] * step[0][0] + m[1][1] * step[1][0],
-                    m[1][0] * step[0][1] + m[1][1] * step[1][1],
-                ),
-            )
+            m = mat_mul_int(m, lower if rng.random() < 0.5 else upper)
         trace = m[0][0] + m[1][1]
         if 2 < trace <= max_trace:
             return m

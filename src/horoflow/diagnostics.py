@@ -80,20 +80,6 @@ class BinningSpec:
             cells *= n
         return cells
 
-    def indices(self, values):
-        """Cell index tuple for one value per axis, or None if out of the box.
-
-        Values on the closed upper edge are folded into the last cell so the
-        box is closed, not half-open, at its far corner.
-        """
-        out = []
-        for value, (lo, hi), n in zip(values, self.ranges, self.counts):
-            if not lo <= value <= hi:
-                return None
-            k = int((value - lo) / (hi - lo) * n)
-            out.append(min(k, n - 1))
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class DensityReport:
@@ -133,10 +119,11 @@ def coverage(orbit, binning, axes=None):
         raise ValueError(
             "sample has %d coordinates, axes need %d" % (orbit.width, top + 1)
         )
-    # BinningSpec.indices by column, over BIN_CHUNK_ROWS rows at a time:
-    # the same closed box test and cell arithmetic, None for a row outside
-    # the box on that axis.  Only the distinct index tuples are kept; they
-    # are clamped to the closed upper edge and flattened at the end.
+    # Each axis is binned by column, over BIN_CHUNK_ROWS rows at a time: a
+    # value in the closed range [lo, hi] falls in cell int((v - lo) / span
+    # * n), a value outside it gives None.  Only the distinct index tuples
+    # are kept; they are clamped to the closed upper edge, so the box is
+    # closed at its far corner, and flattened at the end.
     bins = [
         (a, lo, hi, hi - lo, n)
         for a, (lo, hi), n in zip(axes, binning.ranges, binning.counts)

@@ -3,7 +3,8 @@
 Descriptor names: `t3a` (integer matrix via the A parameter), `octagon`,
 `octagon_so3` (seeded rotation holonomy), `octagon_boundary` (diagonal
 boundary holonomy), `modular`.  `OctagonModel` and `ModularModel` share
-`SurfaceModel`; a product model crosses one with a transverse factor.
+`SurfaceModel`; a product model crosses one with the boundary circle or
+with rotations, the two transverse factors the orbit kernels carry.
 Every reduction that does not settle raises ValueError.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from horoflow.groups import BOUNDARY_CIRCLE, ROTATIONS3
 from horoflow.models.base import QuotientPoint, SurfaceModel
-from horoflow.models.modular import ModularModel, build_modular, modular_reduce
+from horoflow.models.modular import ModularModel, build_modular
 from horoflow.models.octagon import OctagonModel, build_octagon
 from horoflow.models.product import (
     ProductModel,
@@ -24,7 +25,6 @@ from horoflow.models.t3a import (
     TorusBundleModel,
     b_affine_params,
     build_t3a,
-    check_irrational_slope,
     sol3_b_embed,
     sol3_mul,
 )
@@ -71,9 +71,7 @@ __all__ = [
     "build_octagon",
     "build_product",
     "build_t3a",
-    "check_irrational_slope",
     "minimal_set_distance",
-    "modular_reduce",
     "random_unit_quaternion",
     "seeded_rotation_holonomy",
     "sol3_b_embed",

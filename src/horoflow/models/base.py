@@ -40,7 +40,7 @@ class SurfaceModel:
 
     A subclass supplies `name`, the reduction letters (`letter`,
     `letter_count`, `independent_generators`), `kernel_orbit`,
-    `reduce_frame`, `in_domain` and `coverage_box`.
+    `reduce_frame` and `coverage_box`.
     """
 
     def group(self):

@@ -9,8 +9,7 @@ below by the unit circle.
 Frames are reduced in Python: the modular kernel differs in the last bits,
 as its inversion has an exact 0 where S = rot(pi/2) has cos(pi/2) = 6.1e-17,
 and it tests |z|^2 < 1 - 1e-12 where the descent tests |z| < 1 - 1e-12.
-reduce_frame is the one Python descent; reduce_point runs it on a frame
-over the point.
+reduce_frame is the model's one Python descent.
 """
 
 from __future__ import annotations
@@ -18,8 +17,8 @@ from __future__ import annotations
 import math
 
 from horoflow import _kernels
-from horoflow.models.base import NO_TRANSVERSE, QuotientPoint, SurfaceModel
-from horoflow.moebius import HalfPlanePoint, MoebiusElement
+from horoflow.models.base import NO_TRANSVERSE, SurfaceModel
+from horoflow.moebius import MoebiusElement
 
 REDUCE_CAP = 10_000
 _BOUNDARY_SLACK = 1e-12
@@ -53,21 +52,6 @@ class ModularModel(SurfaceModel):
 
     # -- reduction ---------------------------------------------------------
 
-    def reduce_point(self, z):
-        """Reduce a half-plane point into the fundamental domain.
-
-        Reduces the frame u(x) geo(sqrt(y)) over z = x + iy with
-        reduce_frame and returns the point that frame carries i to.
-        """
-        if isinstance(z, HalfPlanePoint):
-            z = z.as_complex()
-        z = complex(z)
-        if z.imag <= 0.0:
-            raise ValueError("point must lie in the open upper half-plane")
-        frame = MoebiusElement.u(z.real).mul(MoebiusElement.geo(math.sqrt(z.imag)))
-        w = self.reduce_frame(frame).apply(1.0j)
-        return QuotientPoint(self.name, (w.real, w.imag))
-
     def kernel_orbit(self, frame, step, steps, sample_every,
                      trans_state=NO_TRANSVERSE, trans_kind=_kernels.TRANS_NONE,
                      trans_quats=None):
@@ -94,10 +78,6 @@ class ModularModel(SurfaceModel):
             "modular frame reduction did not settle within %d steps" % REDUCE_CAP
         )
 
-    def in_domain(self, z, slack=_BOUNDARY_SLACK):
-        z = complex(z)
-        return abs(z.real) <= 0.5 + slack and abs(z) >= 1.0 - slack
-
     def coverage_box(self):
         """Window over the finite-area part of the domain.
 
@@ -110,8 +90,3 @@ class ModularModel(SurfaceModel):
 
 def build_modular():
     return ModularModel()
-
-
-def modular_reduce(z):
-    """Reduce a half-plane point into the standard fundamental domain."""
-    return ModularModel().reduce_point(z)

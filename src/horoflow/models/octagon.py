@@ -20,7 +20,7 @@ import math
 
 from horoflow import _kernels
 from horoflow.models.base import IDENTITY_STEP, NO_TRANSVERSE, SurfaceModel
-from horoflow.moebius import MoebiusElement, hyp_dist
+from horoflow.moebius import MoebiusElement
 
 SIDE_PAIRINGS = 8
 _HALF_LENGTH_COSH = 1.0 + math.sqrt(2.0)  # cot(pi/8)
@@ -144,14 +144,6 @@ class OctagonModel(SurfaceModel):
         """
         _, frame, _ = self.kernel_orbit(f.entries, IDENTITY_STEP, 1, 1)
         return MoebiusElement(*frame)
-
-    def in_domain(self, z, slack=1e-12):
-        """Dirichlet-domain membership for a half-plane point (complex)."""
-        d0 = hyp_dist(z, 1.0j)
-        for g in self.generators:
-            if d0 > hyp_dist(z, g.apply(1.0j)) + slack:
-                return False
-        return True
 
     def coverage_box(self):
         """Bounding box of the inscribed disk of the Dirichlet domain.

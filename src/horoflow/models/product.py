@@ -3,8 +3,8 @@
 A product model carries the base surface group action to pairs: a reduction
 step that left-multiplies the frame by a generator simultaneously moves the
 transverse coordinate by that generator's holonomy image.  Pairs are reduced
-by one identity step of the base model's orbit kernel, which carries no
-transverse, the boundary circle under the diagonal holonomy, or rotations.
+by one identity step of the base model's orbit kernel, which carries the
+boundary circle under the diagonal holonomy, or rotations.
 A product over the modular base thus reduces through the modular kernel,
 which may differ from `ModularModel.reduce` in the last bits.
 Two stock holonomies matter here:
@@ -26,19 +26,13 @@ import math
 import random
 
 from horoflow import _kernels
-from horoflow.groups import (
-    BOUNDARY_CIRCLE,
-    ROTATIONS3,
-    TRIVIAL,
-    quat_normalize,
-)
-from horoflow.models.base import IDENTITY_STEP, NO_TRANSVERSE, QuotientPoint
+from horoflow.groups import BOUNDARY_CIRCLE, ROTATIONS3, quat_normalize
+from horoflow.models.base import IDENTITY_STEP, QuotientPoint
 from horoflow.models.t3a import TorusBundleModel
 from horoflow.moebius import BoundaryPoint, MoebiusElement
 
 # transverse space -> (kernel kind, pack into the kernel's state, unpack)
 _PACKING = {
-    TRIVIAL: (_kernels.TRANS_NONE, lambda y: NO_TRANSVERSE, lambda t: None),
     BOUNDARY_CIRCLE: (
         _kernels.TRANS_BOUNDARY,
         lambda y: (y.theta, 0.0, 0.0, 0.0),
@@ -81,9 +75,6 @@ class ProductModel:
         j, inverted = self.base.letter_generator(k)
         image = self.holonomy[j]
         return self.space.inverse(image) if inverted else image
-
-    def letter_transverse(self, k):
-        return self._letter_images[k]
 
     def diagonal(self):
         return self.space is BOUNDARY_CIRCLE and all(
@@ -145,11 +136,7 @@ class ProductModel:
     def sample_transverse(self, rng):
         if self.space is BOUNDARY_CIRCLE:
             return BoundaryPoint(rng.uniform(-math.pi, math.pi))
-        if self.space is ROTATIONS3:
-            return random_unit_quaternion(rng)
-        if self.space is TRIVIAL:
-            return None
-        raise ValueError("no transverse sampler for %s" % self.space.name)
+        return random_unit_quaternion(rng)
 
     def coord_names(self):
         return self.base.coord_names() + self.space.coord_names()
@@ -162,10 +149,8 @@ class ProductModel:
         (polar, azimuth) for rotations, the angle for the boundary circle."""
         if self.space is ROTATIONS3:
             fiber = ((0.0, math.pi), (0.0, 2.0 * math.pi))
-        elif self.space is BOUNDARY_CIRCLE:
-            fiber = ((-math.pi, math.pi),)
         else:
-            fiber = ()
+            fiber = ((-math.pi, math.pi),)
         return self.base.default_ranges(flow) + fiber
 
     # -- the invariant graph of the diagonal model ---------------------------
@@ -215,13 +200,9 @@ def build_product(base, space, holonomy=None, seed=None, name=None):
     """Assemble a product model.
 
     Pass `holonomy` for explicit images of the independent generators, or
-    `seed` for the seeded rotation assignment.  Two factors come with a
-    default: the trivial factor, and the boundary factor, which uses the
-    diagonal holonomy.
+    `seed` for the seeded rotation assignment.  The boundary factor comes
+    with a default, the diagonal holonomy.
     """
-    if space is TRIVIAL:
-        images = [None] * len(base.independent_generators())
-        return ProductModel(base, space, images, name or base.name)
     if holonomy is not None:
         return ProductModel(base, space, holonomy, name or base.name + "_product")
     if space is BOUNDARY_CIRCLE:

@@ -37,7 +37,8 @@ from horoflow.moebius import MoebiusElement
 MAX_MONODROMY_POWER = 64
 
 
-def _mat_mul_int(m, n):
+def mat_mul_int(m, n):
+    """Exact product of two 2x2 integer matrices."""
     return (
         (m[0][0] * n[0][0] + m[0][1] * n[1][0], m[0][0] * n[0][1] + m[0][1] * n[1][1]),
         (m[1][0] * n[0][0] + m[1][1] * n[1][0], m[1][0] * n[0][1] + m[1][1] * n[1][1]),
@@ -55,8 +56,8 @@ def _mat_pow_int(mat, n):
     base = mat
     while n:
         if n & 1:
-            out = _mat_mul_int(out, base)
-        base = _mat_mul_int(base, base)
+            out = mat_mul_int(out, base)
+        base = mat_mul_int(base, base)
         n >>= 1
     return out
 
@@ -97,24 +98,6 @@ def b_affine_params(m):
     return (a * a, a * b)
 
 
-def check_irrational_slope(a_mat, n_max):
-    """Finite certificate that no eigenline contains an integer vector.
-
-    True iff no integer vector w != 0 with entries in [-n_max, n_max]
-    satisfies Aw = w or Aw = -w.
-    """
-    (a11, a12), (a21, a22) = a_mat
-    for w1 in range(-n_max, n_max + 1):
-        for w2 in range(-n_max, n_max + 1):
-            if w1 == 0 and w2 == 0:
-                continue
-            img1 = a11 * w1 + a12 * w2
-            img2 = a21 * w1 + a22 * w2
-            if (img1 == w1 and img2 == w2) or (img1 == -w1 and img2 == -w2):
-                return False
-    return True
-
-
 @dataclass
 class TorusBundleModel:
     a_mat: tuple
@@ -135,12 +118,6 @@ class TorusBundleModel:
         return (
             self.a_prime * x + self.c_prime * y,
             self.b_prime * x + self.d_prime * y,
-        )
-
-    def torus_from_primed(self, xp, yp):
-        return (
-            -self.d_prime * xp + self.c_prime * yp,
-            self.b_prime * xp - self.a_prime * yp,
         )
 
     # -- deck transformations in both presentations ----------------------------
@@ -199,33 +176,6 @@ class TorusBundleModel:
         if t >= 1.0:  # only from floating roundoff at the seam
             t -= 1.0
         return QuotientPoint(self.name, (x, y, t))
-
-    def reduce_primed(self, xp, yp, tp):
-        """Reduce an eigenframe state; returns (state, point).
-
-        Used by the orbit kernels: the monodromy acts diagonally here, so
-        undoing it is two scalings, and the lattice part is subtracted via
-        the shift images of e1 and e2.
-        """
-        n = math.floor(tp)
-        if abs(n) > MAX_MONODROMY_POWER:
-            raise ValueError(
-                "suspension coordinate drifted %d levels, beyond the guard (%d)"
-                % (n, MAX_MONODROMY_POWER)
-            )
-        if n != 0:
-            scale = self.lam ** n
-            xp /= scale
-            yp *= scale
-            tp -= n
-        x, y = self.torus_from_primed(xp, yp)
-        m1 = math.floor(x)
-        m2 = math.floor(y)
-        if m1 != 0 or m2 != 0:
-            xp -= m1 * self.a_prime + m2 * self.c_prime
-            yp -= m1 * self.b_prime + m2 * self.d_prime
-        point = QuotientPoint(self.name, (x - m1, y - m2, tp))
-        return ((xp, yp, tp), point)
 
     def state_from_point(self, point):
         x, y, t = point.coords

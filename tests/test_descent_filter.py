@@ -144,11 +144,7 @@ def reference_surface_orbit(frame, step, letters, trans_kind, trans_quats,
 
 OCTAGON = build_octagon()
 LETTERS = [v for g in OCTAGON.generators for v in g.entries]
-QUATS = [
-    v
-    for k in range(OCTAGON.letter_count())
-    for v in build_product(OCTAGON, ROTATIONS3, seed=7).letter_transverse(k)
-]
+QUATS = list(build_product(OCTAGON, ROTATIONS3, seed=7).trans_quats)
 UNIT_QUAT = [1.0, 0.0, 0.0, 0.0]
 
 

@@ -70,13 +70,15 @@ def test_binning_validation():
 def test_binning_indices():
     spec = BinningSpec(((0.0, 1.0), (-2.0, 2.0)), (4, 8))
     assert spec.total == 32
-    assert spec.indices((0.1, -1.9)) == (0, 0)
-    assert spec.indices((0.0, -2.0)) == (0, 0)
+
+    def visited(*rows):
+        return coverage(segment_of(list(rows)), spec).visited
+
+    assert visited((0.1, -1.9), (0.0, -2.0)) == 1
     # the far corner folds into the last cell instead of falling out
-    assert spec.indices((1.0, 2.0)) == (3, 7)
-    assert spec.indices((0.99, 1.99)) == (3, 7)
-    assert spec.indices((1.01, 0.0)) is None
-    assert spec.indices((0.5, -2.5)) is None
+    assert visited((1.0, 2.0), (0.99, 1.99)) == 1
+    assert visited((0.1, -1.9), (1.0, 2.0)) == 2
+    assert visited((1.01, 0.0), (0.5, -2.5)) == 0
 
 
 # -- coverage -----------------------------------------------------------------

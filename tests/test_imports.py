@@ -1,9 +1,11 @@
-"""What each entry point imports, and the package's lazily resolved exports.
+"""What each entry point imports, the package's lazily resolved exports, and
+that every definition in the package has a caller outside the tests.
 
 The import checks run in fresh interpreters, where no other test can have
 loaded a module first.  They read `sys.modules` only and time nothing.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -15,7 +17,9 @@ import pytest
 
 import horoflow
 
-PACKAGE_ROOT = str(Path(horoflow.__file__).resolve().parent.parent)
+PACKAGE_DIR = Path(horoflow.__file__).resolve().parent
+PACKAGE_ROOT = str(PACKAGE_DIR.parent)
+PERFBENCH_DIR = PACKAGE_DIR.parent.parent / "perfbench"
 
 # Prints, as the last line of stdout, the horoflow submodules loaded so far.
 REPORT_MODULES = (
@@ -149,3 +153,49 @@ def test_check_honours_replaced_criteria_under_runpy():
     assert lines[0].startswith("criterion  2 stub")
     assert "FAIL" in lines[0]
     assert lines[-1] == "exit 1"
+
+
+# -- no test-only code in the package -----------------------------------------
+
+
+def _definitions_and_loads(tree):
+    """The non-dunder defs and classes of a module, as (name, line) pairs, and
+    the names it loads as a Name or an Attribute outside the definitions of
+    the same name."""
+    defined, loaded = [], set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                defined.append((node.name, node.lineno))
+            enclosing = enclosing | {node.name}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in enclosing:
+                loaded.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if node.attr not in enclosing:
+                loaded.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return defined, loaded
+
+
+def test_every_package_definition_is_reachable_outside_the_tests():
+    # A name counts as reached when the package or the benchmark harness
+    # loads it, or when the package exports it; a string naming it does not.
+    sources = sorted(PACKAGE_DIR.rglob("*.py"))
+    harness = [path for path in sorted(PERFBENCH_DIR.glob("*.py"))
+               if path.name != "test_perfbench.py"]
+    assert harness, "perfbench/ not found next to the package"
+    defined, loaded = [], set(horoflow._HOME_OF)
+    for path in sources + harness:
+        names, loads = _definitions_and_loads(ast.parse(path.read_text()))
+        loaded |= loads
+        if path in sources:
+            defined += [(path.relative_to(PACKAGE_DIR), line, name)
+                        for name, line in names]
+    unreached = ["%s:%d %s" % entry for entry in defined
+                 if entry[2] not in loaded]
+    assert not unreached, "only tests reach: " + ", ".join(unreached)

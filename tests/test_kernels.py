@@ -13,9 +13,7 @@ from horoflow import _kernels
 from horoflow._kernels import _pure
 from horoflow.groups import BOUNDARY_CIRCLE, ROTATIONS3
 from horoflow.models import build_modular, build_octagon, build_product, build_t3a
-from horoflow.models.base import QuotientPoint
 from horoflow.models.product import random_unit_quaternion
-from horoflow.models.t3a import sol3_mul
 from horoflow.moebius import (
     BoundaryPoint,
     HalfPlanePoint,
@@ -42,10 +40,18 @@ def octagon_letters():
     return flat
 
 
+def letter_transverse(model, k):
+    """The holonomy image of a product's letter k, built from the images of
+    the independent generators: the reference for the packed trans_quats."""
+    j, inverted = model.base.letter_generator(k)
+    image = model.holonomy[j]
+    return model.space.inverse(image) if inverted else image
+
+
 def rotation_quats(model):
     flat = []
     for k in range(model.base.letter_count()):
-        flat.extend(model.letter_transverse(k))
+        flat.extend(letter_transverse(model, k))
     return flat
 
 
@@ -75,7 +81,7 @@ def reference_fold(model, f, y):
     by each applied letter's holonomy image through the group's own action."""
     f, steps = reference_descent(model.base, f)
     for k in steps:
-        y = model.space.act(model.letter_transverse(k), y)
+        y = model.space.act(letter_transverse(model, k), y)
     return f, y
 
 
@@ -86,8 +92,8 @@ def assert_quats_close(p, q):
 
 def modular_quats(model):
     flat = []
-    flat.extend(model.letter_transverse(0))  # the shift
-    flat.extend(model.letter_transverse(2))  # the inversion
+    flat.extend(letter_transverse(model, 0))  # the shift
+    flat.extend(letter_transverse(model, 2))  # the inversion
     return flat
 
 
@@ -312,21 +318,6 @@ def test_modular_kernel_matches_model_reduction():
         f = mod.reduce_frame(f)
     final = mod.point_from_frame(MoebiusElement(*kframe))
     assert mod.points_close(final, mod.point_from_frame(f), 1e-8)
-
-
-def test_t3a_kernel_matches_model_reduction():
-    m = build_t3a(((2, 1), (1, 1)))
-    eigen = (m.a_prime, m.b_prime, m.c_prime, m.d_prime)
-    sol_step = (0.037, 0.0, 0.0)
-    x0, y0 = m.primed_from_torus(0.2, 0.7)
-    values, _ = _kernels.t3a_orbit((x0, y0, 0.35), m.lam, eigen, sol_step, 400, 1)
-    samples = rows_of(values, 3)
-    state = (x0, y0, 0.35)
-    for i in range(400):
-        state = sol3_mul(state, sol_step, m.lam)
-        state, point = m.reduce_primed(*state)
-        got = QuotientPoint("t3a", samples[i])
-        assert m.points_close(got, point, 1e-8), i
 
 
 def test_boundary_transverse_tracks_frame_image():

@@ -109,10 +109,25 @@ def reference_csv_text(segment):
     return "\n".join(lines) + "\n"
 
 
+def reference_cell(binning, values):
+    """Cell index tuple for one value per axis, or None if out of the box.
+
+    Values on the closed upper edge are folded into the last cell so the
+    box is closed, not half-open, at its far corner.
+    """
+    out = []
+    for value, (lo, hi), n in zip(values, binning.ranges, binning.counts):
+        if not lo <= value <= hi:
+            return None
+        k = int((value - lo) / (hi - lo) * n)
+        out.append(min(k, n - 1))
+    return tuple(out)
+
+
 def reference_visited(segment, binning, axes):
     visited = set()
     for _, point in segment.samples:
-        cell = binning.indices([point.coords[a] for a in axes])
+        cell = reference_cell(binning, [point.coords[a] for a in axes])
         if cell is not None:
             visited.add(cell)
     return len(visited)

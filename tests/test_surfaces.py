@@ -21,7 +21,6 @@ from horoflow.models import (
     build_octagon,
     build_product,
     minimal_set_distance,
-    modular_reduce,
 )
 from horoflow.models.octagon import INNER_RADIUS, RELATOR_WORD
 from horoflow.moebius import BoundaryPoint, MoebiusElement, hyp_dist
@@ -45,6 +44,29 @@ def octagon_ball(radius):
     from horoflow.groups import word_ball
 
     return [pe.m for _, pe in word_ball(group, radius).elements]
+
+
+# Fundamental-domain membership and the point reduction of the two surfaces:
+# references for the tests below, which the library does not use.
+
+
+def in_octagon_domain(model, z, slack=1e-12):
+    """Dirichlet-domain membership of a half-plane point: no side pairing
+    carries i closer to z than `slack`."""
+    d0 = hyp_dist(z, 1.0j)
+    return all(d0 <= hyp_dist(z, g.apply(1.0j)) + slack for g in model.generators)
+
+
+def in_modular_domain(z, slack=1e-12):
+    """Membership of the strip |Re z| <= 1/2 outside the unit circle."""
+    return abs(z.real) <= 0.5 + slack and abs(z) >= 1.0 - slack
+
+
+def reduce_point(model, z):
+    """The reduced point over z = x + iy: where the reduced frame of
+    u(x) geo(sqrt(y)) carries i."""
+    frame = MoebiusElement.u(z.real).mul(MoebiusElement.geo(math.sqrt(z.imag)))
+    return model.reduce_frame(frame).apply(1.0j)
 
 
 # -- octagon construction ------------------------------------------------------
@@ -135,7 +157,7 @@ def test_octagon_reduce_invariant_and_idempotent():
     for _ in range(60):
         f = random_frame(rng)
         base = model.reduce(f)
-        assert model.in_domain(base.frame.apply(1.0j), slack=1e-9)
+        assert in_octagon_domain(model, base.frame.apply(1.0j), slack=1e-9)
         again = model.reduce(base.frame)
         assert model.points_close(base, again, 1e-9)
         gamma = gammas[rng.randrange(len(gammas))]
@@ -145,9 +167,9 @@ def test_octagon_reduce_invariant_and_idempotent():
 
 def test_octagon_in_domain():
     model = build_octagon()
-    assert model.in_domain(1.0j)
-    assert model.in_domain(complex(0.2, 1.3))
-    assert not model.in_domain(complex(0.0, 40.0))
+    assert in_octagon_domain(model, 1.0j)
+    assert in_octagon_domain(model, complex(0.2, 1.3))
+    assert not in_octagon_domain(model, complex(0.0, 40.0))
 
 
 def test_octagon_coverage_box_frozen():
@@ -163,16 +185,17 @@ def test_octagon_coverage_box_frozen():
 
 
 def test_modular_reduce_point_frozen():
+    model = build_modular()
     # 2 + 2i translates straight down to 2i
-    p = modular_reduce(complex(2.0, 2.0))
-    assert abs(p.coords[0]) < 1e-12 and abs(p.coords[1] - 2.0) < 1e-12
+    w = reduce_point(model, complex(2.0, 2.0))
+    assert abs(w.real) < 1e-12 and abs(w.imag - 2.0) < 1e-12
     # i is already reduced
-    p = modular_reduce(1.0j)
-    assert abs(p.coords[0]) < 1e-12 and abs(p.coords[1] - 1.0) < 1e-12
+    w = reduce_point(model, 1.0j)
+    assert abs(w.real) < 1e-12 and abs(w.imag - 1.0) < 1e-12
     # 0.4 + 0.9i needs one inversion: -1/z = (-0.4 + 0.9i) / 0.97
-    p = modular_reduce(complex(0.4, 0.9))
-    assert abs(p.coords[0] - (-0.4 / 0.97)) < 1e-9
-    assert abs(p.coords[1] - (0.9 / 0.97)) < 1e-9
+    w = reduce_point(model, complex(0.4, 0.9))
+    assert abs(w.real - (-0.4 / 0.97)) < 1e-9
+    assert abs(w.imag - (0.9 / 0.97)) < 1e-9
 
 
 def test_modular_reduce_postconditions():
@@ -180,15 +203,15 @@ def test_modular_reduce_postconditions():
     rng = random.Random(13)
     for _ in range(300):
         z = complex(rng.uniform(-8, 8), math.exp(rng.uniform(-3, 2)))
-        p = model.reduce_point(z)
-        re, im = p.coords
+        w = reduce_point(model, z)
+        re, im = w.real, w.imag
         assert abs(re) <= 0.5 + 1e-12
         assert math.hypot(re, im) >= 1.0 - 1e-12
 
 
 def reference_reduce_point(z):
-    """The modular point descent reduce_point ran before it reduced a frame:
-    shift into |Re z| <= 1/2, invert while inside the unit circle."""
+    """The modular descent on the point alone: shift into |Re z| <= 1/2,
+    invert while inside the unit circle."""
     for _ in range(10_000):
         m = math.floor(z.real + 0.5)
         if m != 0:
@@ -206,7 +229,8 @@ def test_modular_reduce_point_matches_point_descent():
     for _ in range(1000):
         z = complex(rng.uniform(-8, 8), math.exp(rng.uniform(-3, 2)))
         expected = reference_reduce_point(z)
-        re, im = model.reduce_point(z).coords
+        w = reduce_point(model, z)
+        re, im = w.real, w.imag
         assert abs(re - expected.real) <= 1e-12
         assert abs(im - expected.imag) <= 1e-12
 
@@ -218,7 +242,7 @@ def test_modular_frame_reduction_invariant():
     for _ in range(60):
         f = random_frame(rng)
         base = model.reduce(f)
-        assert model.in_domain(base.frame.apply(1.0j), slack=1e-9)
+        assert in_modular_domain(base.frame.apply(1.0j), slack=1e-9)
         again = model.reduce(base.frame)
         assert model.points_close(base, again, 1e-9)
         gamma = letters[rng.randrange(3)].mul(letters[rng.randrange(3)])
@@ -240,12 +264,9 @@ def test_modular_reduction_cap_raises_value_error(monkeypatch):
     assert abs(frame.apply(1.0j) - z) < 1e-12
     model = build_modular()
     monkeypatch.setattr("horoflow.models.modular.REDUCE_CAP", 2)
-    assert abs(model.reduce_point(z).coords[1] - 2.0) < 1e-12
-    assert model.in_domain(model.reduce_frame(frame).apply(1.0j))
+    w = model.reduce_frame(frame).apply(1.0j)
+    assert abs(w.imag - 2.0) < 1e-12 and in_modular_domain(w)
     monkeypatch.setattr("horoflow.models.modular.REDUCE_CAP", 1)
-    with pytest.raises(ValueError,
-                       match="modular frame reduction did not settle within 1 steps"):
-        model.reduce_point(z)
     with pytest.raises(ValueError,
                        match="modular frame reduction did not settle within 1 steps"):
         model.reduce_frame(frame)
@@ -314,8 +335,8 @@ def test_seeded_rotation_holonomy_kills_relator():
     model = build_model("octagon_so3", seed=7)
     out = ROTATIONS3.identity()
     for idx, expo in RELATOR_WORD:
-        img = model.letter_transverse(idx if expo > 0 else idx + 4)
-        out = quat_mul(out, img)
+        img = model.holonomy[idx]
+        out = quat_mul(out, img if expo > 0 else ROTATIONS3.inverse(img))
     assert ROTATIONS3.is_identity(out, 1e-12)
     for img in model.holonomy:
         assert abs(sum(c * c for c in img) - 1.0) < 1e-12
@@ -343,6 +364,10 @@ def test_product_refuses_a_holonomy_the_kernel_cannot_carry():
         build_product(base, BOUNDARY_CIRCLE, holonomy=swapped)
     with pytest.raises(ValueError, match="no orbit kernel"):
         build_product(base, REAL_AFFINE, holonomy=[REAL_AFFINE.identity()] * 4)
+    with pytest.raises(ValueError, match="no orbit kernel"):
+        build_product(base, TRIVIAL, holonomy=[None] * 4)
+    with pytest.raises(ValueError, match="no default holonomy"):
+        build_product(base, TRIVIAL)
 
 
 def test_modular_base_product_reduces_through_its_kernel():
@@ -355,21 +380,11 @@ def test_modular_base_product_reduces_through_its_kernel():
     rotations = build_product(build_modular(), ROTATIONS3, seed=5)
     reduced, moved = rotations.reduce_state(f, ROTATIONS3.identity())
     expected = ROTATIONS3.identity()
+    t_inverse = ROTATIONS3.inverse(rotations.holonomy[0])
     for _ in range(3):
-        expected = ROTATIONS3.act(rotations.letter_transverse(1), expected)
+        expected = ROTATIONS3.act(t_inverse, expected)
     assert reduced.is_identity(1e-12)
     assert ROTATIONS3.point_dist(moved, expected) < 1e-12
-
-
-def test_trivial_product_matches_base():
-    base = build_octagon()
-    model = build_product(base, TRIVIAL)
-    rng = random.Random(3)
-    f = random_frame(rng)
-    reduced, y = model.reduce_state(f, None)
-    base_reduced = base.reduce_frame(f)
-    assert reduced.close_to(base_reduced, 1e-12)
-    assert y is None
 
 
 def test_t3a_minimal_set_distance():

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horoflow.models import build_model, build_t3a, check_irrational_slope
+from horoflow import _kernels
+from horoflow.models import build_model, build_t3a
+from horoflow.models.base import QuotientPoint
 from horoflow.models.t3a import (
     MAX_MONODROMY_POWER,
     b_affine_params,
+    mat_mul_int,
     sol3_b_embed,
     sol3_mul,
 )
@@ -31,8 +34,9 @@ def cat_model():
     return build_t3a(((2, 1), (1, 1)))
 
 
-# The eigenvectors, the half-plane chart and the leafwise deck maps of a
-# model: references for the tests below, which the library does not use.
+# The eigenvectors, the charts, the leafwise deck maps and the eigenframe
+# reduction of a model: references for the tests below, which the library
+# does not use.
 
 
 def u_vec(model):
@@ -41,6 +45,14 @@ def u_vec(model):
 
 def v_vec(model):
     return (model.c_prime, -model.a_prime)
+
+
+def torus_from_primed(model, xp, yp):
+    """The inverse of model.primed_from_torus."""
+    return (
+        -model.d_prime * xp + model.c_prime * yp,
+        model.b_prime * xp - model.a_prime * yp,
+    )
 
 
 def halfplane_from_coords(model, x, y, t):
@@ -54,7 +66,7 @@ def coords_from_halfplane(model, zp, yp):
     if zp.imag <= 0.0:
         raise ValueError("leafwise point must lie in the upper half-plane")
     t = math.log(zp.imag) / model.log_lam
-    x, y = model.torus_from_primed(zp.real, yp)
+    x, y = torus_from_primed(model, zp.real, yp)
     return (x, y, t)
 
 
@@ -73,6 +85,34 @@ def apply_leafwise_gen(model, k, zy, inverse=False):
     raise ValueError("generator index out of range")
 
 
+def reduce_primed(model, xp, yp, tp):
+    """Reduce an eigenframe state; returns (state, point).
+
+    The t3a kernel's reference: the monodromy acts diagonally here, so
+    undoing it is two scalings, and the lattice part is subtracted via the
+    shift images of e1 and e2.
+    """
+    n = math.floor(tp)
+    if abs(n) > MAX_MONODROMY_POWER:
+        raise ValueError(
+            "suspension coordinate drifted %d levels, beyond the guard (%d)"
+            % (n, MAX_MONODROMY_POWER)
+        )
+    if n != 0:
+        scale = model.lam ** n
+        xp /= scale
+        yp *= scale
+        tp -= n
+    x, y = torus_from_primed(model, xp, yp)
+    m1 = math.floor(x)
+    m2 = math.floor(y)
+    if m1 != 0 or m2 != 0:
+        xp -= m1 * model.a_prime + m2 * model.c_prime
+        yp -= m1 * model.b_prime + m2 * model.d_prime
+    point = QuotientPoint(model.name, (x - m1, y - m2, tp))
+    return ((xp, yp, tp), point)
+
+
 def random_hyperbolic_sl2z(rng, max_trace=50):
     """Random SL(2,Z) with 2 < trace <= max_trace, as positive words in the
     two elementary shear matrices."""
@@ -81,16 +121,7 @@ def random_hyperbolic_sl2z(rng, max_trace=50):
         for _ in range(rng.randint(2, 6)):
             k = rng.randint(1, 3)
             shear = ((1, k), (0, 1)) if rng.random() < 0.5 else ((1, 0), (k, 1))
-            m = (
-                (
-                    m[0][0] * shear[0][0] + m[0][1] * shear[1][0],
-                    m[0][0] * shear[0][1] + m[0][1] * shear[1][1],
-                ),
-                (
-                    m[1][0] * shear[0][0] + m[1][1] * shear[1][0],
-                    m[1][0] * shear[0][1] + m[1][1] * shear[1][1],
-                ),
-            )
+            m = mat_mul_int(m, shear)
         tr = m[0][0] + m[1][1]
         if 2 < tr <= max_trace:
             return m
@@ -133,12 +164,6 @@ def test_build_rejections():
         build_t3a(((2, 1), (1, 2)))  # det 3
     with pytest.raises(ValueError):
         build_t3a(((0, -1), (1, 0)))  # trace 0
-
-
-def test_irrational_slope_certificates():
-    assert check_irrational_slope(((2, 1), (1, 1)), 50)
-    assert not check_irrational_slope(((1, 1), (0, 1)), 5)  # w = (1, 0)
-    assert check_irrational_slope(((3, 2), (1, 1)), 50)
 
 
 # -- reduction ---------------------------------------------------------------
@@ -194,8 +219,24 @@ def test_reduce_primed_matches_torus_reduction():
         for _ in range(rng.randint(1, 4)):
             k = rng.randint(0, 2)
             state = model.apply_primed_gen(k, state)
-        _, point = model.reduce_primed(*state)
+        _, point = reduce_primed(model, *state)
         assert model.points_close(point, model.reduce(p), 1e-8)
+
+
+def test_t3a_kernel_matches_model_reduction():
+    m = build_t3a(((2, 1), (1, 1)))
+    eigen = (m.a_prime, m.b_prime, m.c_prime, m.d_prime)
+    sol_step = (0.037, 0.0, 0.0)
+    x0, y0 = m.primed_from_torus(0.2, 0.7)
+    values, _ = _kernels.t3a_orbit((x0, y0, 0.35), m.lam, eigen, sol_step, 400, 1)
+    # the sample rows follow the zero row the kernel leaves for the start
+    samples = list(zip(*[iter(values[3:])] * 3))
+    state = (x0, y0, 0.35)
+    for i in range(400):
+        state = sol3_mul(state, sol_step, m.lam)
+        state, point = reduce_primed(m, *state)
+        got = QuotientPoint("t3a", samples[i])
+        assert m.points_close(got, point, 1e-8), i
 
 
 # -- coordinate systems --------------------------------------------------------
@@ -234,7 +275,7 @@ def test_presentations_agree_through_charts():
 
             xp, yp = model.primed_from_torus(p[0], p[1])
             pxp, pyp, pt = model.apply_primed_gen(k, (xp, yp, p[2]))
-            via_primed = model.torus_from_primed(pxp, pyp) + (pt,)
+            via_primed = torus_from_primed(model, pxp, pyp) + (pt,)
             assert max(abs(a - b) for a, b in zip(direct, via_primed)) < 1e-9
 
             zy = halfplane_from_coords(model, *p)
