@@ -11,13 +11,11 @@ one verdict line per criterion), the command line (`horoflow check all`),
 or directly via run_suite.
 """
 
-from __future__ import annotations
-
 import math
 import random
 import time
-from dataclasses import dataclass, field
 
+from horoflow._record import Record
 from horoflow.diagnostics import (
     BinningSpec,
     borel_grid,
@@ -49,14 +47,16 @@ SUITE_SEED = 20260818
 _TAU = 2.0 * math.pi
 
 
-@dataclass
-class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    elapsed: float
-    budget: float
-    details: dict = field(default_factory=dict)
+class CriterionResult(Record):
+    _fields = ("number", "name", "passed", "elapsed", "budget", "details")
+
+    def __init__(self, number, name, passed, elapsed, budget, details=None):
+        self.number = number
+        self.name = name
+        self.passed = passed
+        self.elapsed = elapsed
+        self.budget = budget
+        self.details = {} if details is None else details
 
     @property
     def in_budget(self):

@@ -19,14 +19,12 @@ between samples.  Circle-valued coordinates are binned by their angle, so
 the point at infinity of the boundary circle sits in an ordinary cell.
 """
 
-from __future__ import annotations
-
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import repeat
 
+from horoflow._record import FrozenRecord
 from horoflow.flows import OrbitSegment, flow_label
 from horoflow.groups import word_ball
 from horoflow.moebius import (
@@ -64,26 +62,23 @@ DEFAULT_GAMMA_COUNT = 50
 DEFAULT_GRID_COUNT = 50
 
 
-@dataclass(frozen=True)
-class BinningSpec:
+class BinningSpec(FrozenRecord):
     """Uniform grid over a box: one (low, high) range and cell count per axis."""
 
-    ranges: tuple
-    counts: tuple
+    _fields = ("ranges", "counts")
 
-    def __post_init__(self):
-        if not self.ranges:
+    def __init__(self, ranges, counts):
+        if not ranges:
             raise ValueError("binning needs at least one axis")
-        if len(self.ranges) != len(self.counts):
-            raise ValueError(
-                "%d ranges but %d counts" % (len(self.ranges), len(self.counts))
-            )
-        for (lo, hi), n in zip(self.ranges, self.counts):
+        if len(ranges) != len(counts):
+            raise ValueError("%d ranges but %d counts" % (len(ranges), len(counts)))
+        for (lo, hi), n in zip(ranges, counts):
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi
                     and math.isfinite(hi - lo)):
                 raise ValueError("bad range (%r, %r)" % (lo, hi))
             if not isinstance(n, int) or n < 1:
                 raise ValueError("cell counts must be positive integers")
+        self._store(ranges, counts)
 
     @property
     def total(self):
@@ -93,20 +88,16 @@ class BinningSpec:
         return cells
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(FrozenRecord):
     """Grid coverage of one orbit segment, with enough provenance to rerun it."""
 
-    model: str
-    flow: str
-    steps: int
-    seed: object
-    ranges: tuple
-    bins: tuple
-    visited: int
-    total: int
-    fraction: float
-    samples: int
+    _fields = ("model", "flow", "steps", "seed", "ranges", "bins", "visited",
+               "total", "fraction", "samples")
+
+    def __init__(self, model, flow, steps, seed, ranges, bins, visited, total,
+                 fraction, samples):
+        self._store(model, flow, steps, seed, ranges, bins, visited, total,
+                    fraction, samples)
 
 
 def _cell_edges(lo, hi, n):

@@ -30,11 +30,11 @@ boundary iteration counts integer time.
 import math
 import random
 from array import array
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 
 from horoflow import _kernels
+from horoflow._record import FrozenRecord
 from horoflow.models import (
     ModularModel,
     ProductModel,
@@ -69,63 +69,61 @@ def _require_step(value, name):
     return float(value)
 
 
-@dataclass(frozen=True)
-class HorocycleU:
+class HorocycleU(FrozenRecord):
     """Right translation by the unipotent upper-triangular one-parameter group."""
 
-    time_step: float
+    _fields = ("time_step",)
 
-    def __post_init__(self):
-        if _require_step(self.time_step, "time_step") == 0.0:
+    def __init__(self, time_step):
+        if _require_step(time_step, "time_step") == 0.0:
             raise ValueError("time_step must be nonzero")
+        self._store(time_step)
 
 
-@dataclass(frozen=True)
-class GeodesicD:
+class GeodesicD(FrozenRecord):
     """Right translation by the diagonal group; time t multiplies by geo(e^(t/2))."""
 
-    time_step: float
+    _fields = ("time_step",)
 
-    def __post_init__(self):
-        if _require_step(self.time_step, "time_step") == 0.0:
+    def __init__(self, time_step):
+        if _require_step(time_step, "time_step") == 0.0:
             raise ValueError("time_step must be nonzero")
+        self._store(time_step)
 
 
-@dataclass(frozen=True)
-class BorelB:
+class BorelB(FrozenRecord):
     """Right translation by the full upper-triangular group.
 
     One step scales the leafwise plane by e^alpha_step and translates it by
     beta_step; either component may vanish, not both.
     """
 
-    alpha_step: float
-    beta_step: float
+    _fields = ("alpha_step", "beta_step")
 
-    def __post_init__(self):
-        a = _require_step(self.alpha_step, "alpha_step")
-        b = _require_step(self.beta_step, "beta_step")
+    def __init__(self, alpha_step, beta_step):
+        a = _require_step(alpha_step, "alpha_step")
+        b = _require_step(beta_step, "beta_step")
         if a == 0.0 and b == 0.0:
             raise ValueError("alpha_step and beta_step cannot both be zero")
+        self._store(alpha_step, beta_step)
 
 
-@dataclass(frozen=True)
-class Sol3U:
+class Sol3U(FrozenRecord):
     """Intrinsic solvable-group translation along the horizontal eigenline.
 
     Torus bundle only: one step right-multiplies the section coordinates by
     the embedded affine element with scale 1 and translation beta_step.
     """
 
-    beta_step: float
+    _fields = ("beta_step",)
 
-    def __post_init__(self):
-        if _require_step(self.beta_step, "beta_step") == 0.0:
+    def __init__(self, beta_step):
+        if _require_step(beta_step, "beta_step") == 0.0:
             raise ValueError("beta_step must be nonzero")
+        self._store(beta_step)
 
 
-@dataclass(frozen=True)
-class DualBoundaryIterate:
+class DualBoundaryIterate(FrozenRecord):
     """Discrete iteration of the monodromy on the compactified dual boundary.
 
     Torus bundle only: one step maps (xi, y') to (lam * xi, y' / lam) with

@@ -13,12 +13,10 @@ density admit no finite numerical certificate, so the decision procedure is a
 documented heuristic over a finite ball.
 """
 
-from __future__ import annotations
-
 import enum
 import math
-from dataclasses import dataclass
 
+from horoflow._record import Record
 from horoflow.moebius import (
     BoundaryPoint,
     ElementClass,
@@ -349,10 +347,12 @@ class GeneratedGroup:
         return out
 
 
-@dataclass
-class WordBall:
-    radius: int
-    elements: list  # of (word tuple, ProductElement), identity first
+class WordBall(Record):
+    _fields = ("radius", "elements")
+
+    def __init__(self, radius, elements):
+        self.radius = radius
+        self.elements = elements  # of (word tuple, ProductElement), identity first
 
     def __len__(self):
         return len(self.elements)
@@ -421,12 +421,14 @@ class ProjectionClass(enum.Enum):
     DENSE_CANDIDATE = "DenseCandidate"
 
 
-@dataclass
-class ProjectionReport:
-    label: ProjectionClass
-    gap: float | None = None
-    boundary_point: BoundaryPoint | None = None
-    interior_point: complex | None = None
+class ProjectionReport(Record):
+    _fields = ("label", "gap", "boundary_point", "interior_point")
+
+    def __init__(self, label, gap=None, boundary_point=None, interior_point=None):
+        self.label = label
+        self.gap = gap
+        self.boundary_point = boundary_point
+        self.interior_point = interior_point
 
     def describe(self):
         if self.label is ProjectionClass.DISCRETE_CANDIDATE:

@@ -1,10 +1,8 @@
 """Shared plumbing for the concrete quotient models."""
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 
+from horoflow._record import Record
 from horoflow.groups import GeneratedGroup
 from horoflow.moebius import MoebiusElement, frame_to_tangent
 
@@ -15,8 +13,7 @@ IDENTITY_STEP = (1.0, 0.0, 0.0, 1.0)
 NO_TRANSVERSE = (0.0, 0.0, 0.0, 0.0)
 
 
-@dataclass
-class QuotientPoint:
+class QuotientPoint(Record):
     """A point of a quotient model in canonical coordinates.
 
     For the torus bundle the coordinates are (x, y, t) in [0,1)^3 and the
@@ -26,10 +23,13 @@ class QuotientPoint:
     holds the flat float coordinates used for CSV emission.
     """
 
-    model: str
-    coords: tuple
-    frame: MoebiusElement | None = None
-    transverse: object = None
+    _fields = ("model", "coords", "frame", "transverse")
+
+    def __init__(self, model, coords, frame=None, transverse=None):
+        self.model = model
+        self.coords = coords
+        self.frame = frame
+        self.transverse = transverse
 
     def __iter__(self):
         return iter(self.coords)

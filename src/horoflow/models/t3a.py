@@ -25,11 +25,9 @@ equal 1.  With that convention (x, y) = -x'u + y'v; the minus sign on the
 u term is forced by the shift images above together with det(u|v) = 1.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, field
 
+from horoflow._record import Record
 from horoflow.groups import REAL_AFFINE, GeneratedGroup, ProductElement
 from horoflow.models.base import QuotientPoint
 from horoflow.moebius import MoebiusElement
@@ -98,19 +96,20 @@ def b_affine_params(m):
     return (a * a, a * b)
 
 
-@dataclass
-class TorusBundleModel:
-    a_mat: tuple
-    lam: float
-    a_prime: float
-    b_prime: float
-    c_prime: float
-    d_prime: float
-    name: str = "t3a"
-    log_lam: float = field(init=False)
+class TorusBundleModel(Record):
+    _fields = ("a_mat", "lam", "a_prime", "b_prime", "c_prime", "d_prime",
+               "name", "log_lam")
 
-    def __post_init__(self):
-        self.log_lam = math.log(self.lam)
+    def __init__(self, a_mat, lam, a_prime, b_prime, c_prime, d_prime,
+                 name="t3a"):
+        self.a_mat = a_mat
+        self.lam = lam
+        self.a_prime = a_prime
+        self.b_prime = b_prime
+        self.c_prime = c_prime
+        self.d_prime = d_prime
+        self.name = name
+        self.log_lam = math.log(lam)
 
     # -- coordinate changes ---------------------------------------------------
 

@@ -8,32 +8,63 @@ produce byte-identical files and parsing recovers the exact doubles.
 Density reports serialize to a flat JSON object with sorted keys: model,
 flow, steps, seed, bins, visited, total, fraction.
 
-All writes go through a temp file in the target directory followed by an
-atomic rename, so readers never observe a half-written file.  An orbit CSV
-is rendered and written CSV_CHUNK_ROWS rows at a time, so its whole text is
-never held at once; each chunk's rows take one `%` format call.
+A new file, or one that replaces a regular file, is written to a temp file
+in the target directory and renamed over the path, so readers never observe
+a half-written file.  Any other existing target, such as a device like
+/dev/null or a FIFO, is opened and written in place: a rename would replace
+the node itself.  An orbit CSV is rendered and written CSV_CHUNK_ROWS rows
+at a time, so its whole text is never held at once; each chunk's rows take
+one `%` format call.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import tempfile
+import stat
 
 from horoflow.flows import flow_label
 
 FLOAT_FMT = "%.17g"
 CSV_CHUNK_ROWS = 2048
+# Names tried for a temp file before giving up, as tempfile.TMP_MAX.
+TEMP_NAME_ATTEMPTS = 10000
+
+
+def _create_temp(directory):
+    """A new empty file in `directory`, open for writing, and its path.
+
+    It is created with mode 0o666 less the umask, as open() creates a file.
+    """
+    for attempt in range(TEMP_NAME_ATTEMPTS):
+        tmp = os.path.join(directory, ".horoflow-%d-%d.part" % (os.getpid(), attempt))
+        try:
+            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+        except FileExistsError:
+            continue
+    raise FileExistsError("no free temp file name in %s" % directory)
 
 
 def _atomic_write(path, chunks):
-    """Write an iterable of text chunks to path through a temp file."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".horoflow-", suffix=".part")
+    """Write an iterable of text chunks to path.
+
+    A regular file is replaced by a temp file that takes its mode; a path
+    that does not exist gets the mode open() would give it.  Any other
+    existing target is written in place.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(chunks)
+        return
+    fd, tmp = _create_temp(os.path.dirname(os.path.abspath(path)))
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            for chunk in chunks:
-                handle.write(chunk)
+            if mode is not None:
+                os.fchmod(handle.fileno(), stat.S_IMODE(mode))
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -131,6 +162,8 @@ def read_orbit_csv(path):
 
 
 def density_json_text(report):
+    import json  # here, so that a flow run does not load it
+
     payload = {
         "model": report.model,
         "flow": report.flow,

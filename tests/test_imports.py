@@ -2,7 +2,9 @@
 that every definition in the package has a caller outside the tests.
 
 The import checks run in fresh interpreters, where no other test can have
-loaded a module first.  They read `sys.modules` only and time nothing.
+loaded a module first.  They read `sys.modules` only and time nothing.  A
+check on the standard library subtracts what a bare interpreter loads, so a
+host's `site` hook cannot decide it.
 """
 
 import ast
@@ -16,17 +18,23 @@ from pathlib import Path
 import pytest
 
 import horoflow
+from horoflow.models import MODEL_NAMES
 
 PACKAGE_DIR = Path(horoflow.__file__).resolve().parent
 PACKAGE_ROOT = str(PACKAGE_DIR.parent)
 PERFBENCH_DIR = PACKAGE_DIR.parent.parent / "perfbench"
 
-# Prints, as the last line of stdout, the horoflow submodules loaded so far.
+# Prints, as the last line of stdout, every module loaded so far, listed
+# before the report itself imports json.
 REPORT_MODULES = (
-    "import json, sys\n"
-    "print(json.dumps(sorted(m for m in sys.modules\n"
-    "                        if m.startswith('horoflow.'))))\n"
+    "import sys\n"
+    "_loaded = sorted(sys.modules)\n"
+    "import json\n"
+    "print(json.dumps(_loaded))\n"
 )
+
+# What `dataclasses` imports at its top and no command needs.
+DATACLASS_MODULES = {"dataclasses", "inspect"}
 
 
 def run_child(code, *argv, cwd=None):
@@ -42,9 +50,32 @@ def run_child(code, *argv, cwd=None):
     return proc.stdout
 
 
-def loaded_after(code, *argv, cwd=None):
+def modules_after(code, *argv, cwd=None):
     lines = run_child(code + REPORT_MODULES, *argv, cwd=cwd).splitlines()
-    return {name.split(".", 1)[1] for name in json.loads(lines[-1])}
+    return set(json.loads(lines[-1]))
+
+
+def loaded_after(code, *argv, cwd=None):
+    """The horoflow submodules loaded after `code` runs."""
+    return {name.split(".", 1)[1]
+            for name in modules_after(code, *argv, cwd=cwd)
+            if name.startswith("horoflow.")}
+
+
+@pytest.fixture(scope="module")
+def bare_modules():
+    """The modules a fresh interpreter holds before any code runs."""
+    return modules_after("")
+
+
+def setup_probe_code():
+    """The benchmark's set-up probe, read from perfbench/run.py."""
+    tree = ast.parse((PERFBENCH_DIR / "run.py").read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["SETUP_PROBE"]):
+            return ast.literal_eval(node.value)
+    raise AssertionError("no SETUP_PROBE in perfbench/run.py")
 
 
 # -- import boundary -----------------------------------------------------------
@@ -67,12 +98,30 @@ RUN_CLI = (
 )
 
 
-def test_flow_run_leaves_out_acceptance_and_diagnostics(tmp_path):
-    loaded = loaded_after(
-        RUN_CLI, "flow", "--model", "octagon", "--flow", "u", "--steps", 10,
-        "--out", "orbit.csv", cwd=tmp_path)
-    assert {"flows", "orbitio"} <= loaded
-    assert not loaded & {"acceptance", "diagnostics"}
+# Every subcommand, run from a directory that holds the files it reads.
+COMMANDS = {
+    "flow": ("flow", "--model", "octagon", "--flow", "u", "--steps", 10,
+             "--out", "orbit.csv"),
+    "density": ("density", "--model", "octagon", "--flow", "u", "--steps", 10,
+                "--bins", "4 4", "--out", "density.json"),
+    "check": ("check", "steering"),
+    "classify": ("classify", "--generators", "modular.gens"),
+    "plot": ("plot", "--in", "input.csv", "--out", "plot.svg"),
+}
+
+
+def command_modules(command, tmp_path, bare_modules):
+    """The modules a CLI command loads beyond a bare interpreter's."""
+    (tmp_path / "modular.gens").write_text("T u 1\nS rot 1.5707963267948966\n")
+    (tmp_path / "input.csv").write_text("time,c1,c2\n0,0,0\n1,1,2\n")
+    return modules_after(RUN_CLI, *COMMANDS[command], cwd=tmp_path) - bare_modules
+
+
+def test_flow_run_leaves_out_acceptance_and_diagnostics(tmp_path, bare_modules):
+    # nor json, which only the density writer uses
+    loaded = command_modules("flow", tmp_path, bare_modules)
+    assert {"horoflow.flows", "horoflow.orbitio"} <= loaded
+    assert not loaded & {"horoflow.acceptance", "horoflow.diagnostics", "json"}
     assert (tmp_path / "orbit.csv").exists()
 
 
@@ -83,6 +132,19 @@ def test_density_run_leaves_out_acceptance(tmp_path):
     assert {"diagnostics", "flows", "orbitio"} <= loaded
     assert "acceptance" not in loaded
     assert (tmp_path / "density.json").exists()
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_commands_leave_out_dataclasses(command, tmp_path, bare_modules):
+    loaded = command_modules(command, tmp_path, bare_modules)
+    assert "horoflow.cli" in loaded
+    assert not loaded & DATACLASS_MODULES
+
+
+def test_setup_probe_leaves_out_dataclasses(bare_modules):
+    loaded = modules_after(setup_probe_code(), 1, *MODEL_NAMES) - bare_modules
+    assert {"horoflow.cli", "horoflow.models.t3a"} <= loaded
+    assert not loaded & DATACLASS_MODULES
 
 
 def test_classify_run_leaves_out_the_command_modules(tmp_path):

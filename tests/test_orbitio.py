@@ -4,6 +4,8 @@ import json
 import math
 import os
 import random
+import stat
+import threading
 import tracemalloc
 from array import array
 from functools import partial
@@ -115,6 +117,60 @@ def test_csv_write_is_atomic(segment, tmp_path):
     write_orbit_csv(segment, str(target))  # overwrite in place
     leftovers = [p for p in os.listdir(tmp_path) if p != "orbit.csv"]
     assert leftovers == []
+
+
+@pytest.fixture
+def umask_027():
+    old = os.umask(0o027)
+    yield
+    os.umask(old)
+
+
+def file_mode(path):
+    return stat.S_IMODE(os.stat(path).st_mode)
+
+
+def test_new_output_gets_the_mode_open_gives(segment, tmp_path, umask_027):
+    with open(tmp_path / "plain.txt", "w", encoding="utf-8"):
+        pass
+    write_orbit_csv(segment, str(tmp_path / "orbit.csv"))
+    assert file_mode(tmp_path / "orbit.csv") == file_mode(tmp_path / "plain.txt")
+    assert file_mode(tmp_path / "orbit.csv") == 0o640
+
+
+def test_replaced_output_keeps_its_mode(segment, tmp_path, umask_027):
+    target = tmp_path / "orbit.csv"
+    target.write_text("old\n")
+    target.chmod(0o604)
+    write_orbit_csv(segment, str(target))
+    assert file_mode(target) == 0o604
+    assert target.read_text() == orbit_csv_text(segment)
+    assert os.listdir(tmp_path) == ["orbit.csv"]
+
+
+@pytest.mark.parametrize("kind", ["csv", "json"])
+def test_fifo_target_is_written_in_place(kind, segment, tmp_path):
+    # A rename would put a regular file where the FIFO was, as it once did
+    # to a /dev/null given as --out; the reader must get the text through
+    # the FIFO, which must stay a FIFO.
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()),
+                              daemon=True)
+    reader.start()
+    if kind == "csv":
+        write_orbit_csv(segment, str(fifo))
+        expected = orbit_csv_text(segment)
+    else:
+        report = coverage(segment, BinningSpec(((-1.0, 1.0), (0.0, 2.0)), (4, 4)))
+        write_density_json(report, str(fifo))
+        expected = density_json_text(report)
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert received == [expected]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["out.fifo"]
 
 
 def test_csv_rejects_malformed_rows(tmp_path):
