@@ -30,9 +30,7 @@ _HOMES = {
         "HorocycleU",
         "OrbitSegment",
         "Sol3U",
-        "boundary_grid",
         "integrate_orbit",
-        "keylemma_converge",
     ),
     "groups": (
         "GeneratedGroup",
@@ -41,6 +39,7 @@ _HOMES = {
         "detect_semi_parabolic",
         "word_ball",
     ),
+    "keylemma": ("boundary_grid", "keylemma_converge"),
     "models": (
         "ModularModel",
         "OctagonModel",

@@ -2,24 +2,28 @@
 
 The compiled backend is picked up when the extension module built from
 _native.c is importable; setting HOROFLOW_PURE=1 in the environment forces
-the pure-Python backend.  Both expose the same three functions with the same
-floating point behavior, so the choice only affects speed.  Each returns its
-samples as one flat array('d') of exactly (steps // |sample_every| + 1)
-rows, one row when steps <= 0, with the final state beside it.  Row 0 is
-left +0.0 for the caller, which writes the reduced start there in place;
-the samples follow it.  The orbit's buffer is thus allocated once and never
-copied: the 200k-row octagon density child of the dense-octagon benchmark
-peaks at 21.6 MiB of RSS, where joining the start row in front by a copy
-took 25.8 MiB.
+the pure-Python backend, which is imported only then or as the fallback.
+Both expose the same three functions with the same floating point
+behavior, so the choice only affects speed.  Each returns its samples as
+one flat array('d') of exactly (steps // |sample_every| + 1) rows, one row
+when steps <= 0, with the final state beside it.  Row 0 is left +0.0 for
+the caller, which writes the reduced start there in place; the samples
+follow it.  A last argument, first_step, only shifts the step index an
+error names, so that an orbit integrated in consecutive calls
+(flows.orbit_chunks) fails with the message of one whole-run call.
 """
 
 import os
 
-from horoflow._kernels import _pure
-from horoflow._kernels._pure import TRANS_BOUNDARY, TRANS_NONE, TRANS_ROTATION
+# Renormalisation interval and transverse kinds, shared with _native.c.
+RENORM_EVERY = 64
+TRANS_NONE = 0
+TRANS_BOUNDARY = 1
+TRANS_ROTATION = 2
 
 if os.environ.get("HOROFLOW_PURE") == "1":
-    _impl = _pure
+    from horoflow._kernels import _pure as _impl
+
     BACKEND = "pure"
 else:
     try:
@@ -27,7 +31,8 @@ else:
 
         BACKEND = "native"
     except ImportError:
-        _impl = _pure
+        from horoflow._kernels import _pure as _impl
+
         BACKEND = "pure"
 
 surface_orbit = _impl.surface_orbit
@@ -36,6 +41,7 @@ t3a_orbit = _impl.t3a_orbit
 
 __all__ = [
     "BACKEND",
+    "RENORM_EVERY",
     "TRANS_BOUNDARY",
     "TRANS_NONE",
     "TRANS_ROTATION",

@@ -6,14 +6,16 @@
    other.  Loop bookkeeping may differ: here each step tests
    (i + 1) % RENORM_EVERY and (i + 1) % sample_every, recomputes the
    determinant in every descent round and builds the letters' quick forms
-   per call, where _pure.py counts down, reuses the post-step determinant
-   and caches its letter table.  Each kernel returns one array('d') of
-   exactly (steps / |sample_every| + 1) rows, one row when steps <= 0,
+   per call and takes t3a's lam ** t' every step, where _pure.py counts
+   down, reuses the post-step determinant, caches its letter table and
+   takes lam ** t' only when t' moves.  Each kernel returns one array('d')
+   of exactly (steps / |sample_every| + 1) rows, one row when steps <= 0,
    allocated once: row 0 is left +0.0 for the caller, which writes the
-   start there in place, and the samples follow it, as in _pure.py.  No
-   copy of the orbit is made, so a 200k-row octagon density run peaks at
-   21.6 MiB of RSS instead of 25.8.  Building needs only a C99 compiler
-   and the CPython headers: `python setup.py build_ext --inplace`. */
+   start there in place, and the samples follow it, as in _pure.py.  The
+   optional last argument first_step is added to the step index of every
+   "at step" error, so that a run split into calls fails as a whole-run
+   call does.  Building needs only a C99 compiler and the CPython headers:
+   `python setup.py build_ext --inplace`. */
 
 /* A fused multiply-add rounds once where Python's separate float operations
    round twice, so contraction would break bit parity.  The pragma comes
@@ -321,16 +323,16 @@ static PyObject *surface_orbit(PyObject *self, PyObject *args,
 {
     static char *names[] = {"frame", "step", "letters", "trans_kind",
                             "trans_quats", "trans_state", "steps",
-                            "sample_every", NULL};
+                            "sample_every", "first_step", NULL};
     double m[4], s[4], t[4];
     PyObject *letters, *trans_quats, *samples = NULL, *result = NULL;
     Py_buffer view = {0};
     int kind;
-    long steps, every;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "(dddd)(dddd)OiO(dddd)ll",
+    long steps, every, first = 0;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "(dddd)(dddd)OiO(dddd)ll|l",
             names, &m[0], &m[1], &m[2], &m[3], &s[0], &s[1], &s[2], &s[3],
             &letters, &kind, &trans_quats, &t[0], &t[1], &t[2], &t[3],
-            &steps, &every) || check_every(steps, every))
+            &steps, &every, &first) || check_every(steps, every))
         return NULL;
     Py_ssize_t n_letters = PySequence_Size(letters);
     if (n_letters < 0)
@@ -418,7 +420,7 @@ static PyObject *surface_orbit(PyObject *self, PyObject *args,
             if (++descend > REDUCE_CAP) {
                 PyErr_Format(PyExc_ValueError,
                     "reduction did not settle within %d descents at step %ld",
-                    REDUCE_CAP, i);
+                    REDUCE_CAP, first + i);
                 goto done;
             }
         }
@@ -441,15 +443,17 @@ static PyObject *modular_orbit(PyObject *self, PyObject *args,
                                PyObject *kwargs)
 {
     static char *names[] = {"frame", "step", "trans_kind", "trans_quats",
-                            "trans_state", "steps", "sample_every", NULL};
+                            "trans_state", "steps", "sample_every",
+                            "first_step", NULL};
     double m[4], s[4], t[4], quats[8];
     PyObject *trans_quats, *samples, *result = NULL;
     Py_buffer view = {0};
     int kind;
-    long steps, every;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "(dddd)(dddd)iO(dddd)ll",
+    long steps, every, first = 0;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "(dddd)(dddd)iO(dddd)ll|l",
             names, &m[0], &m[1], &m[2], &m[3], &s[0], &s[1], &s[2], &s[3],
-            &kind, &trans_quats, &t[0], &t[1], &t[2], &t[3], &steps, &every)
+            &kind, &trans_quats, &t[0], &t[1], &t[2], &t[3], &steps, &every,
+            &first)
             || check_every(steps, every)
             || (kind == TRANS_ROTATION && read_doubles(trans_quats, quats, 8))
             || (samples = sample_buffer(steps, every, row_width(kind),
@@ -498,7 +502,7 @@ static PyObject *modular_orbit(PyObject *self, PyObject *args,
             if (++rounds > REDUCE_CAP) {
                 PyErr_Format(PyExc_ValueError,
                     "reduction did not settle within %d rounds at step %ld",
-                    REDUCE_CAP, i);
+                    REDUCE_CAP, first + i);
                 goto done;
             }
         }
@@ -519,14 +523,14 @@ done:
 static PyObject *t3a_orbit(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *names[] = {"state", "lam", "eigen", "sol_step", "steps",
-                            "sample_every", NULL};
+                            "sample_every", "first_step", NULL};
     double p[3], lam, e[4], s[3];
     PyObject *samples, *result = NULL;
     Py_buffer view = {0};
-    long steps, every;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "(ddd)d(dddd)(ddd)ll",
+    long steps, every, first = 0;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "(ddd)d(dddd)(ddd)ll|l",
             names, &p[0], &p[1], &p[2], &lam, &e[0], &e[1], &e[2], &e[3],
-            &s[0], &s[1], &s[2], &steps, &every))
+            &s[0], &s[1], &s[2], &steps, &every, &first))
         return NULL;
     if (lam < 0.0) {
         value_error_g("lam must not be negative, got %s", lam);
@@ -553,7 +557,7 @@ static PyObject *t3a_orbit(PyObject *self, PyObject *args, PyObject *kwargs)
                 if (levels != NULL) {
                     PyErr_Format(PyExc_ValueError,
                         "suspension coordinate drifted %S levels at step %ld",
-                        levels, i);
+                        levels, first + i);
                     Py_DECREF(levels);
                 }
                 goto done;

@@ -7,9 +7,11 @@ may differ: here the renormalisation and sampling steps are counted down,
 the step product assigns its entries in pairs without building a tuple,
 the first descent round reuses the post-step determinant, the loop writes
 each sample row into the buffer itself (a rotated pole through _put_pole),
-and the letter table is built once per distinct letter list, where
-_native.c tests (i + 1) modulo each interval, recomputes the determinant
-every round, writes rows through put_sample and builds its table per call.
+the letter table is built once per distinct letter list, and t3a_orbit
+takes lam ** t' only when t' has moved, where _native.c tests (i + 1)
+modulo each interval, recomputes the determinant every round, writes rows
+through put_sample, builds its table per call and takes lam ** t' every
+step.
 The boundary action of a letter on the circle is moebius.boundary_angle,
 whose C twin is _native.c's boundary_apply.
 
@@ -26,13 +28,15 @@ State conventions shared by both backends:
   (steps // |sample_every| + 1) * width doubles, width of them when
   steps <= 0, allocated once before the loop.  Row 0 is left +0.0 for the
   caller, which writes the reduced start there in place; the samples
-  follow from index width.  The orbit thus lives in one buffer that is
-  never copied: the 200k-row density child of the dense-octagon benchmark
-  peaks at 21.6 MiB, where joining the start row in front by a copy took
-  25.8 MiB.
+  follow from index width.  A call's buffer is thus allocated once and
+  never copied.
 
 All reduction loops raise ValueError carrying the step index on a cap or
-guard violation.
+guard violation: first_step + i, where first_step (default 0) counts the
+steps an earlier call of the same run made.  A run split into calls of a
+multiple of RENORM_EVERY steps each, each a multiple of sample_every,
+thus gives the samples, the final state and the errors of one whole-run
+call, since both countdowns restart in phase at every call.
 
 The surface descent tries every letter L on the frame g and keeps the first
 candidate L g closer to i.  Most candidates are farther out, and a quick
@@ -63,9 +67,9 @@ import math
 from array import array
 from functools import lru_cache
 
+from horoflow._kernels import RENORM_EVERY, TRANS_BOUNDARY, TRANS_ROTATION
 from horoflow.moebius import boundary_angle
 
-RENORM_EVERY = 64
 _DET_TOL = 1e-12
 _DESCENT_SLACK = 1e-12
 _REDUCE_CAP = 10_000
@@ -75,10 +79,6 @@ _QUICK_MARGIN = 1e-6
 _INNER_MARGIN = 1e-4
 _HALF_PI = 0.5 * math.pi
 _TAU = 2.0 * math.pi
-
-TRANS_NONE = 0
-TRANS_BOUNDARY = 1
-TRANS_ROTATION = 2
 
 
 def _renorm(a, b, c, d):
@@ -209,7 +209,7 @@ def _sample_buffer(steps, sample_every, width):
 
 
 def surface_orbit(frame, step, letters, trans_kind, trans_quats, trans_state,
-                  steps, sample_every):
+                  steps, sample_every, first_step=0):
     """Iterate a right action on a cocompact surface quotient.
 
     frame: starting (a, b, c, d); step: the per-step right factor;
@@ -217,7 +217,8 @@ def surface_orbit(frame, step, letters, trans_kind, trans_quats, trans_state,
     trans_quats: flat (4 per letter) holonomy quaternions when
     trans_kind == TRANS_ROTATION.  Emits one coordinate sample every
     `sample_every` steps after a zero row 0; returns (samples, final frame,
-    final transverse).
+    final transverse).  first_step is added to the step index an error
+    names, so a run split into calls names the step a whole call would.
     """
     a, b, c, d = frame
     sa, sb, sc, sd = step
@@ -327,7 +328,7 @@ def surface_orbit(frame, step, letters, trans_kind, trans_quats, trans_state,
             if descend > _REDUCE_CAP:
                 raise ValueError(
                     "reduction did not settle within %d descents at step %d"
-                    % (_REDUCE_CAP, i)
+                    % (_REDUCE_CAP, first_step + i)
                 )
         sample_in -= 1
         if not sample_in:
@@ -345,7 +346,7 @@ def surface_orbit(frame, step, letters, trans_kind, trans_quats, trans_state,
 
 
 def modular_orbit(frame, step, trans_kind, trans_quats, trans_state,
-                  steps, sample_every):
+                  steps, sample_every, first_step=0):
     """Iterate a right action on the modular surface.
 
     The reduction alternates the integer horizontal shift with the
@@ -414,7 +415,7 @@ def modular_orbit(frame, step, trans_kind, trans_quats, trans_state,
             if rounds > _REDUCE_CAP:
                 raise ValueError(
                     "reduction did not settle within %d rounds at step %d"
-                    % (_REDUCE_CAP, i)
+                    % (_REDUCE_CAP, first_step + i)
                 )
         sample_in -= 1
         if not sample_in:
@@ -431,7 +432,7 @@ def modular_orbit(frame, step, trans_kind, trans_quats, trans_state,
     return (samples, (a, b, c, d), (t0, t1, t2, t3))
 
 
-def t3a_orbit(state, lam, eigen, sol_step, steps, sample_every):
+def t3a_orbit(state, lam, eigen, sol_step, steps, sample_every, first_step=0):
     """Iterate a right solvable-group translation on the torus bundle.
 
     state: (x', y', t') in the eigenframe; eigen: (a', b', c', d');
@@ -447,21 +448,30 @@ def t3a_orbit(state, lam, eigen, sol_step, steps, sample_every):
     j = 3  # row 0 is the caller's
     every = abs(sample_every)
     sample_in = every
+    # lam ** tp, taken again only once tp has moved: after a step with a
+    # truthy st (nonzero or NaN) and after a level shift.  tp += st runs
+    # every step all the same, so a -0.0 start still turns into +0.0.
+    scale = None
     for i in range(steps):
-        scale = lam ** tp
+        if scale is None:
+            scale = lam ** tp
         xp += scale * sx
         yp += sy / scale
         tp += st
+        if st:
+            scale = None
         n = math.floor(tp)
         if n != 0:
             if n > 64 or n < -64:
                 raise ValueError(
-                    "suspension coordinate drifted %d levels at step %d" % (n, i)
+                    "suspension coordinate drifted %d levels at step %d"
+                    % (n, first_step + i)
                 )
             down = lam ** n
             xp /= down
             yp *= down
             tp -= n
+            scale = None
         x = -dp * xp + cp * yp
         y = bp * xp - ap * yp
         m1 = math.floor(x)

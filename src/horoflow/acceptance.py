@@ -30,9 +30,10 @@ from horoflow.flows import (
     Sol3U,
     detect_divergence,
     integrate_orbit,
-    keylemma_converge,
+    orbit_chunks,
 )
 from horoflow.groups import BOUNDARY_CIRCLE, word_ball
+from horoflow.keylemma import keylemma_converge
 from horoflow.models import build_modular, build_octagon, build_product, build_t3a
 from horoflow.models.t3a import (
     b_affine_params,
@@ -247,10 +248,10 @@ def compact_surface_density():
     start = time.perf_counter()
     model = build_octagon()
     origin = model.point_from_frame(MoebiusElement.identity())
-    seg = integrate_orbit(model, origin, HorocycleU(0.11), 200_000)
+    chunks = orbit_chunks(model, origin, HorocycleU(0.11), 200_000)
     xbox, ybox = model.coverage_box()
     spec = BinningSpec((xbox, ybox, (0.0, _TAU)), (10, 10, 8))
-    report = coverage(seg, spec)
+    report = coverage(chunks, spec)
     elapsed = time.perf_counter() - start
     return CriterionResult(
         8, "compact_surface_density", report.fraction >= 0.9, elapsed, 60.0,

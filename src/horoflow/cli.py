@@ -186,24 +186,35 @@ def origin_point(model, flow):
 
 
 def _integrate(args):
-    from horoflow.flows import integrate_orbit
+    """The model and the orbit's chunks, which run the kernel as they are
+    read; a failure of the run, before or while the chunks come, is a
+    RunError."""
+    from horoflow.flows import orbit_chunks
 
     model = build_model(_require(args, "model"), args.A, args.seed)
     flow = build_flow(args)
     steps = _require(args, "steps")
     start = None if args.seed is not None else origin_point(model, flow)
     try:
-        segment = integrate_orbit(
+        chunks = orbit_chunks(
             model, start, flow, steps,
             seed=args.seed,
             sample_every=1 if args.sample_every is None else args.sample_every,
         )
     except (ValueError, ArithmeticError) as exc:
         raise RunError(str(exc)) from None
-    if steps == 0:
-        # zero steps means "emit the format, integrate nothing"
-        segment.values = segment.values[:0]
-    return model, segment
+    return model, flow, _run(chunks, steps)
+
+
+def _run(chunks, steps):
+    try:
+        for chunk in chunks:
+            if steps == 0:
+                # zero steps means "emit the format, integrate nothing"
+                chunk.values = chunk.values[:0]
+            yield chunk
+    except (ValueError, ArithmeticError) as exc:
+        raise RunError(str(exc)) from None
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -213,9 +224,10 @@ def cmd_flow(args):
     from horoflow.orbitio import write_orbit_csv
 
     out = _require(args, "out")
-    _, segment = _integrate(args)
-    write_orbit_csv(segment, out)
-    print("wrote %s (%d samples)" % (out, len(segment)))
+    _, _, chunks = _integrate(args)
+    write_orbit_csv(chunks, out)
+    samples = args.steps // (args.sample_every or 1) + 1 if args.steps else 0
+    print("wrote %s (%d samples)" % (out, samples))
     return 0
 
 
@@ -241,8 +253,7 @@ def cmd_density(args):
         raise UsageError("--bins must be whitespace-separated integers") from None
     if not counts:
         raise UsageError("--bins must name at least one axis")
-    model, segment = _integrate(args)
-    flow = segment.flow
+    model, flow, chunks = _integrate(args)
     if args.box is not None:
         try:
             edges = tuple(float(p) for p in args.box.split())
@@ -257,7 +268,7 @@ def cmd_density(args):
         ranges = _default_ranges(model, flow, len(counts))
     try:
         spec = BinningSpec(ranges, counts)
-        report = coverage(segment, spec)
+        report = coverage(chunks, spec)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     write_density_json(report, out)

@@ -146,12 +146,14 @@ def _cell_edges(lo, hi, n):
 def coverage(orbit, binning, axes=None):
     """Fraction of grid cells visited by the orbit's samples.
 
-    The first len(binning.ranges) coordinates of each sample are binned
-    unless `axes` picks an explicit coordinate subset.  A value v in the
-    closed range [lo, hi] of an axis with n cells falls in cell
-    min(int((v - lo) / span * n), n - 1), span = hi - lo; samples outside
-    the box, NaN included, are skipped, so the fraction is monotone in orbit
-    length.
+    `orbit` is an OrbitSegment or the chunks of a stream
+    (flows.orbit_chunks), read once in order; the visited cells carry over
+    from chunk to chunk.  The first len(binning.ranges) coordinates of each
+    sample are binned unless `axes` picks an explicit coordinate subset.  A
+    value v in the closed range [lo, hi] of an axis with n cells falls in
+    cell min(int((v - lo) / span * n), n - 1), span = hi - lo; samples
+    outside the box, NaN included, are skipped, so the fraction is monotone
+    in orbit length.
 
     On [lo, hi] that cell is a non-decreasing function of v: IEEE
     subtraction, and division or multiplication by a positive number, round
@@ -166,7 +168,7 @@ def coverage(orbit, binning, axes=None):
     no bytecode per value.  It costs about log2(n) float comparisons per
     value, though, more than the formula from some 40 to 100 cells on, so
     a larger axis is binned by the formula itself, whose memory does not
-    grow with n.  The flat sample buffer is binned column by column,
+    grow with n.  Each flat sample buffer is binned column by column,
     BIN_CHUNK_ROWS rows at a time, so the memory it takes beyond the edges
     and the visited cells does not grow with the orbit.
     """
@@ -178,27 +180,34 @@ def coverage(orbit, binning, axes=None):
     elif len(axes) != k:
         raise ValueError("%d axes for %d binning ranges" % (len(axes), k))
     top = max(axes)
-    if len(orbit) and top >= orbit.width:
-        raise ValueError(
-            "sample has %d coordinates, axes need %d" % (orbit.width, top + 1)
-        )
     bins = [
         (a, lo, hi, hi - lo, n,
          _cell_edges(lo, hi, n) if n <= EDGE_MAX_CELLS else None)
         for a, (lo, hi), n in zip(axes, binning.ranges, binning.counts)
     ]
-    values, w = orbit.values, orbit.width
     # Only the distinct index tuples are kept, and flattened at the end.
     keys = set()
-    for first in range(0, len(orbit), BIN_CHUNK_ROWS):
-        chunk = values[first * w:(first + BIN_CHUNK_ROWS) * w]
-        keys.update(zip(*[
-            map(bisect_right, repeat(edges), chunk[a::w])
-            if edges is not None else
-            [int((v - lo) / span * n) if lo <= v <= hi else None
-             for v in chunk[a::w]]
-            for a, lo, hi, span, n, edges in bins
-        ]))
+    first = None
+    samples = 0
+    for segment in (orbit,) if isinstance(orbit, OrbitSegment) else orbit:
+        if first is None:
+            first = segment
+        rows, w = len(segment), segment.width
+        if rows and top >= w:
+            raise ValueError(
+                "sample has %d coordinates, axes need %d" % (w, top + 1)
+            )
+        samples += rows
+        values = segment.values
+        for start in range(0, rows, BIN_CHUNK_ROWS):
+            chunk = values[start * w:(start + BIN_CHUNK_ROWS) * w]
+            keys.update(zip(*[
+                map(bisect_right, repeat(edges), chunk[a::w])
+                if edges is not None else
+                [int((v - lo) / span * n) if lo <= v <= hi else None
+                 for v in chunk[a::w]]
+                for a, lo, hi, span, n, edges in bins
+            ]))
     # An edge index i is cell i - 1 if 0 < i <= n and outside the box
     # otherwise.  A formula index is None outside the closed range and n on
     # its upper edge, which is clamped into cell n - 1.
@@ -220,16 +229,16 @@ def coverage(orbit, binning, axes=None):
             visited.add(cell)
     total = binning.total
     return DensityReport(
-        model=orbit.model,
-        flow=flow_label(orbit.flow),
-        steps=orbit.steps,
-        seed=orbit.seed,
+        model=first.model,
+        flow=flow_label(first.flow),
+        steps=first.steps,
+        seed=first.seed,
         ranges=binning.ranges,
         bins=binning.counts,
         visited=len(visited),
         total=total,
         fraction=len(visited) / total,
-        samples=len(orbit),
+        samples=samples,
     )
 
 

@@ -11,8 +11,12 @@ kernel returns and the sampling interval.  The kernel leaves row 0 zero and
 writes its samples after it; the integrator writes the reduced start into
 row 0 in place, a same-length slice assignment, so the orbit is allocated
 once and never copied, and a run's coordinates are held once at their peak.
-The segment derives each row's time from the flow and builds sample points
-only when `segment.samples` is first read.  Coverage, the CSV writer and
+A run need not be held whole: orbit_chunks calls the kernel for CHUNK_ROWS
+samples at a time and yields each call's rows as a segment of their own,
+which coverage and the CSV writer read as they come, so the CLI's `flow`
+and `density` hold one chunk at a time.  The segment derives each row's
+time from the flow and builds sample points only when `segment.samples`
+is first read.  Coverage, the CSV writer and
 divergence detection read only the coordinates and times: coverage and
 the CSV writer by column from `segment.values`, divergence detection row by
 row through `segment.rows()`; sample points are for comparisons that need
@@ -53,11 +57,13 @@ from horoflow.moebius import (
 
 MAX_STEPS = 10 ** 8
 # Samples one run may keep: each row is 8 B per coordinate, 24 to 40 B, so
-# the coordinates of one run stay below 400 MB.  The kernel allocates that
-# buffer once, start row included, and nothing copies it: a 200k-row
-# octagon density run peaks at 21.6 MiB of RSS, 4.6 MiB of it the buffer,
-# where joining the start row in front by a copy took 25.8 MiB.
+# the coordinates of one integrate_orbit buffer stay below 400 MB.  The cap
+# holds for streamed runs too, such as the CLI's, though they keep one
+# chunk at a time.
 MAX_SAMPLES = 10 ** 7
+# Sample rows per kernel call of orbit_chunks: 64 * 32, a multiple of the
+# kernels' renormalisation interval.
+CHUNK_ROWS = 2048
 
 DUAL_MODEL_ID = "t3a_dual"
 DUAL_COORD_NAMES = ("xi_theta", "y_prime")
@@ -187,31 +193,28 @@ def sol_step_increment(flow, log_lam):
 
 
 class OrbitSegment:
-    """A sampled orbit: flat coordinate rows with provenance fields.
+    """A sampled orbit, or one chunk of it: flat coordinate rows with
+    provenance fields.
 
     `values` holds each sample's coordinates, row after row, `width =
-    len(coord_names)` of them per row; row 0 is the reduced start.  Row j
-    is sampled at time (flow_time_step(flow) * sample_every) * j, row 0 at
-    0.0.  `point(row)` builds the QuotientPoint of one row when `samples`,
-    the (time, point) pairs, is first read; `start`, if given, is the point
-    of row 0 itself.
+    len(coord_names)` of them per row.  Its row j is orbit row offset + j;
+    a whole orbit and the first chunk of a stream have offset 0, and their
+    row 0 is the reduced start.  Orbit row k is sampled at time
+    (flow_time_step(flow) * sample_every) * k, row 0 at 0.0.  `steps` is
+    the whole run's.  `point(row)` builds the QuotientPoint of one row when
+    `samples`, the (time, point) pairs, is first read; `start`, if given,
+    is the point of row 0 itself.  integrate_orbit sets `resume`, which
+    continues the run.
     """
 
     def __init__(self, model, flow, values, seed, steps, coord_names,
-                 sample_every, point, start=None):
+                 sample_every, point, start=None, offset=0):
         width = len(coord_names)
         if width < 1 or len(values) % width:
             raise ValueError("%d values do not fill rows of %d coordinates"
                              % (len(values), width))
-        time_step = flow_time_step(flow) * sample_every
-        # time_step * j never falls as j grows, and two times can only meet
-        # once they overflow to inf, so the first and the last pair of
-        # times stand for all of them.
-        last = len(values) // width - 1
-        if (last >= 1 and time_step <= 0.0) or (
-            last >= 2 and time_step * last <= time_step * (last - 1)
-        ):
-            raise ValueError("sample times must increase strictly")
+        self._time_step = _sample_time_step(
+            flow, sample_every, offset + len(values) // width - 1)
         self.model = model
         self.flow = flow
         self.values = values
@@ -219,7 +222,7 @@ class OrbitSegment:
         self.seed = seed
         self.steps = steps
         self.coord_names = coord_names
-        self._time_step = time_step
+        self.offset = offset
         self._point = point
         self._start = start
         self._samples = None
@@ -233,7 +236,8 @@ class OrbitSegment:
 
     def times(self, start=0, stop=None):
         """An iterator over the sample times of rows start..stop-1."""
-        stop = len(self) if stop is None else stop
+        stop = self.offset + (len(self) if stop is None else stop)
+        start += self.offset
         later = map(self._time_step.__mul__, range(max(start, 1), stop))
         return chain((0.0,), later) if start == 0 < stop else later
 
@@ -250,6 +254,21 @@ class OrbitSegment:
 
     def __len__(self):
         return len(self.values) // self.width
+
+
+def _sample_time_step(flow, sample_every, last):
+    """The time between samples of a run whose last row is `last`.
+
+    time_step * k never falls as k grows, and two times can only meet once
+    they overflow to inf, so the first and the last pair of times stand
+    for all of them.
+    """
+    time_step = flow_time_step(flow) * sample_every
+    if (last >= 1 and time_step <= 0.0) or (
+        last >= 2 and time_step * last <= time_step * (last - 1)
+    ):
+        raise ValueError("sample times must increase strictly")
+    return time_step
 
 
 def _validate_counts(steps, sample_every):
@@ -274,41 +293,6 @@ def _surface_point(name, coords, boundary=False):
     return QuotientPoint(name, tuple(coords), frame=frame, transverse=transverse)
 
 
-def _integrate_surface(model, start, flow, steps, seed, sample_every, rng):
-    if start is None:
-        start = model.sample_point(rng)
-    start_point, trans_state = model.kernel_start(start)
-    values, _, _ = model.kernel_orbit(
-        start_point.frame.entries, surface_step_element(flow).entries, steps,
-        sample_every, trans_state,
-    )
-    names = model.coord_names()
-    values[:len(names)] = array("d", start_point.coords)
-    point = partial(_surface_point, model.name,
-                    boundary=isinstance(start_point.transverse, BoundaryPoint))
-    return OrbitSegment(
-        model.name, flow, values, seed, steps, names, sample_every, point,
-        start_point,
-    )
-
-
-def _integrate_torus_bundle(model, start, flow, steps, seed, sample_every, rng):
-    if start is None:
-        start = model.sample_point(rng)
-    start_point = model.reduce(start.coords)
-    state = model.state_from_point(start_point)
-    sol = sol_step_increment(flow, model.log_lam)
-    eigen = (model.a_prime, model.b_prime, model.c_prime, model.d_prime)
-    values, _ = _kernels.t3a_orbit(state, model.lam, eigen, sol, steps,
-                                   sample_every)
-    names = model.coord_names()
-    values[:len(names)] = array("d", start_point.coords)
-    return OrbitSegment(
-        model.name, flow, values, seed, steps, names, sample_every,
-        partial(QuotientPoint, model.name), start_point,
-    )
-
-
 def dual_boundary_state(start):
     """Normalize a dual-boundary start to a (BoundaryPoint, y') pair."""
     if isinstance(start, QuotientPoint):
@@ -320,61 +304,150 @@ def dual_boundary_state(start):
     return xi, float(y_prime)
 
 
-def _integrate_dual_boundary(model, start, flow, steps, seed, sample_every, rng):
+def _dual_setup(model, start, rng):
     if start is None:
         start = (BoundaryPoint(rng.uniform(-math.pi, math.pi)), rng.uniform(-1.0, 1.0))
     xi, y_prime = dual_boundary_state(start)
     a, b, c, d = MoebiusElement.geo(math.sqrt(model.lam)).entries
-    theta = xi.theta
-    # sized exactly, as the kernels size theirs
-    values = array("d", [0.0]) * (2 * (steps // sample_every + 1))
-    values[0] = theta
-    values[1] = y_prime
-    j = 2
-    for n in range(1, steps + 1):
-        theta = boundary_angle(a, b, c, d, theta)
-        y_prime /= model.lam
-        if n % sample_every == 0:
-            values[j] = theta
-            values[j + 1] = y_prime
-            j += 2
-    # Sample j sits at step n = sample_every * j, and the float time
-    # 1.0 * sample_every * j is exactly n.
-    return OrbitSegment(
-        DUAL_MODEL_ID, flow, values, seed, steps, DUAL_COORD_NAMES,
-        sample_every, partial(QuotientPoint, DUAL_MODEL_ID),
-    )
+    lam = model.lam
+
+    def kernel(state, steps, sample_every, first_step):
+        # A kernel in Python, with the kernels' buffer and call pattern;
+        # no error here names a step, so first_step goes unused.  Sample j
+        # sits at step n = sample_every * j, and the float time
+        # 1.0 * sample_every * j is exactly n.
+        theta, y_prime = state
+        values = array("d", [0.0]) * (2 * (steps // sample_every + 1))
+        j = 2
+        for n in range(1, steps + 1):
+            theta = boundary_angle(a, b, c, d, theta)
+            y_prime /= lam
+            if n % sample_every == 0:
+                values[j] = theta
+                values[j + 1] = y_prime
+                j += 2
+        return values, (theta, y_prime)
+
+    head = (xi.theta, y_prime)
+    return (kernel, head, head, None, partial(QuotientPoint, DUAL_MODEL_ID),
+            DUAL_MODEL_ID, DUAL_COORD_NAMES)
 
 
-def integrate_orbit(model, start, flow, steps, seed=None, sample_every=1):
+def _orbit_setup(model, start, flow, rng):
+    """(kernel, state, start row, start point, point builder, model name,
+    coordinate names) of one run.  kernel(state, steps, sample_every,
+    first_step) returns a buffer whose row 0 is left zero and the final
+    state."""
+    if isinstance(model, TorusBundleModel):
+        if isinstance(flow, DualBoundaryIterate):
+            return _dual_setup(model, start, rng)
+        if start is None:
+            start = model.sample_point(rng)
+        start = model.reduce(start.coords)
+        sol = sol_step_increment(flow, model.log_lam)
+        eigen = (model.a_prime, model.b_prime, model.c_prime, model.d_prime)
+
+        def kernel(state, steps, sample_every, first_step):
+            return _kernels.t3a_orbit(state, model.lam, eigen, sol, steps,
+                                      sample_every, first_step)
+
+        return (kernel, model.state_from_point(start), start.coords, start,
+                partial(QuotientPoint, model.name), model.name,
+                model.coord_names())
+    if isinstance(flow, (Sol3U, DualBoundaryIterate)):
+        raise ValueError(
+            "flow %s is only defined on the torus bundle" % flow_label(flow)
+        )
+    if not isinstance(model, (SurfaceModel, ProductModel)):
+        raise TypeError("no integrator for model %r" % (model,))
+    if start is None:
+        start = model.sample_point(rng)
+    start, trans_state = model.kernel_start(start)
+    step = surface_step_element(flow).entries
+
+    def kernel(state, steps, sample_every, first_step):
+        values, frame, trans = model.kernel_orbit(
+            state[0], step, steps, sample_every, state[1],
+            first_step=first_step)
+        return values, (frame, trans)
+
+    point = partial(_surface_point, model.name,
+                    boundary=isinstance(start.transverse, BoundaryPoint))
+    return (kernel, (start.frame.entries, trans_state), start.coords, start,
+            point, model.name, model.coord_names())
+
+
+def _begin(model, start, flow, steps, seed, sample_every):
+    """Check a run's arguments, draw and reduce its start, and return the
+    `resume` of its first integrate_orbit call."""
+    if not isinstance(flow, FLOW_KINDS):
+        raise TypeError("unknown flow kind: %r" % (flow,))
+    _validate_counts(steps, sample_every)
+    kernel, state, head, first, point, name, names = _orbit_setup(
+        model, start, flow, random.Random(seed))
+    _sample_time_step(flow, sample_every, steps // sample_every)
+    make = partial(OrbitSegment, name, flow, seed=seed, steps=steps,
+                   coord_names=names, sample_every=sample_every, point=point)
+    return kernel, state, 0, array("d", head), first, make
+
+
+def orbit_chunks(model, start, flow, steps, seed=None, sample_every=1):
+    """integrate_orbit's orbit as consecutive OrbitSegment chunks.
+
+    Each chunk comes from one kernel call of CHUNK_ROWS * sample_every
+    steps, the last call taking the rest, so no buffer outgrows one chunk.
+    The first chunk starts with the reduced start row, and each chunk's
+    `offset` is the orbit row of its first row.  Since CHUNK_ROWS is a
+    multiple of RENORM_EVERY, each kernel call starts its renormalisation
+    and sample countdowns in phase with one whole-run call: the chunks join
+    to integrate_orbit's rows bit for bit, and a kernel error names the
+    step the whole-run call names.  The arguments are checked, and the
+    start drawn and reduced, before this returns; the kernel runs as the
+    chunks are read.
+    """
+    run = _begin(model, start, flow, steps, seed, sample_every)
+    return _chunks(model, flow, steps, seed, sample_every,
+                   CHUNK_ROWS * sample_every, run)
+
+
+def _chunks(model, flow, steps, seed, sample_every, per_call, run):
+    # Each chunk is an integrate_orbit call, so perfbench's tracer, which
+    # wraps integrate_orbit, finds every kernel call of a stream inside one.
+    for done in range(0, max(steps, 1), per_call):
+        chunk = integrate_orbit(model, None, flow, min(per_call, steps - done),
+                                seed, sample_every, resume=run)
+        run = chunk.resume
+        yield chunk
+
+
+def integrate_orbit(model, start, flow, steps, seed=None, sample_every=1,
+                    resume=None):
     """Iterate the right action, reducing every step; returns the sampled orbit.
 
     start is a reduced or reducible quotient point of the model, or None to
     draw one from the model's sampler with the given seed; the dual boundary
     iteration instead takes a (boundary point, y') pair.  The segment always
-    includes the reduced start at time zero.  Every reduction that does not
-    settle raises ValueError: a kernel's names the step index, the modular
-    start reduction's names its cap.
+    includes the reduced start at time zero.  The run is one kernel call,
+    whose buffer the segment keeps, start row written in place.  Every
+    reduction that does not settle raises ValueError: a kernel's names the
+    step index, the modular start reduction's names its cap.
+
+    The segment's `resume` lets the run go on: given as `resume`, the
+    kernel makes `steps` more steps from where that segment's run stopped,
+    start and seed are not read, and the segment holds the new samples
+    only.  orbit_chunks streams a run this way.
     """
-    if not isinstance(flow, FLOW_KINDS):
-        raise TypeError("unknown flow kind: %r" % (flow,))
-    _validate_counts(steps, sample_every)
-    rng = random.Random(seed)
-    if isinstance(model, TorusBundleModel):
-        if isinstance(flow, DualBoundaryIterate):
-            return _integrate_dual_boundary(
-                model, start, flow, steps, seed, sample_every, rng
-            )
-        return _integrate_torus_bundle(
-            model, start, flow, steps, seed, sample_every, rng
-        )
-    if isinstance(flow, (Sol3U, DualBoundaryIterate)):
-        raise ValueError(
-            "flow %s is only defined on the torus bundle" % flow_label(flow)
-        )
-    if isinstance(model, (SurfaceModel, ProductModel)):
-        return _integrate_surface(model, start, flow, steps, seed, sample_every, rng)
-    raise TypeError("no integrator for model %r" % (model,))
+    if resume is None:
+        resume = _begin(model, start, flow, steps, seed, sample_every)
+    kernel, state, done, head, first, make = resume
+    values, state = kernel(state, steps, sample_every, done)
+    if done:  # the kernel's zero row 0 is no orbit row
+        segment = make(values[len(head):], offset=done // sample_every + 1)
+    else:
+        values[:len(head)] = head
+        segment = make(values, start=first)
+    segment.resume = (kernel, state, done + steps, head, first, make)
+    return segment
 
 
 # -- divergence detection -----------------------------------------------------
@@ -425,150 +498,3 @@ def detect_divergence(model, start, flow, horizon, threshold, seed=None):
         "first_passage": first_passage,
         "max_escape": peak,
     }
-
-
-# -- boundary limit experiments ----------------------------------------------
-
-ESTIMATE_FLOOR = 100_000
-EXCLUSION_RADIUS = 0.01
-_BOUNDARY_GAP = 1e-6
-
-
-def boundary_grid(count=64):
-    """Evenly spaced boundary sample points ending at the point at infinity."""
-    if count < 1:
-        raise ValueError("count must be positive")
-    return tuple(
-        BoundaryPoint(-math.pi + 2.0 * math.pi * j / count)
-        for j in range(1, count + 1)
-    )
-
-
-def _disk_coords(z):
-    # The disk chart (z - i)/(z + i); boundary angle phi maps to theta = phi - pi.
-    w = (z - 1j) / (z + 1j)
-    return w
-
-
-def _limit_on_boundary(maps, z0, budget, tol):
-    """Boundary limit of f_n(z0) by a Cauchy test in the disk chart."""
-    prev = _disk_coords(complex(z0))
-    used = 0
-    for n, f in enumerate(maps, start=1):
-        if n > budget:
-            break
-        w = _disk_coords(f.apply(complex(z0)))
-        used = n
-        if abs(w - prev) < tol:
-            if abs(w) < 1.0 - _BOUNDARY_GAP:
-                raise ValueError(
-                    "orbit of the base point settled inside the plane; "
-                    "no boundary limit (elliptic or identity behavior)"
-                )
-            return BoundaryPoint(math.atan2(w.imag, w.real) - math.pi), used
-        prev = w
-    raise ValueError(
-        "no boundary limit within %d iterations (tol %g)" % (used, tol)
-    )
-
-
-def _powers(g):
-    f = g
-    while True:
-        yield f
-        f = f.mul(g)
-
-
-def keylemma_converge(
-    generator,
-    z0=1j,
-    grid=None,
-    n_max=200,
-    tol=1e-9,
-    exclusion=EXCLUSION_RADIUS,
-    pass_tol=None,
-):
-    """Measure boundary convergence of an expanding sequence of group elements.
-
-    generator is a single element (the sequence is its powers) or an explicit
-    sequence of elements.  The two boundary limits are estimated from the
-    orbit of z0 and its orbit under the inverses; every grid point at chordal
-    distance at least `exclusion` from the repelling limit is then pushed
-    through the n_max-th map and compared against the attracting limit.
-
-    Returns a report dict with the limits, the final max residual with the
-    grid point attaining it, and the per-iteration residual history; when
-    pass_tol is given, also the first iteration at which each tracked grid
-    point came within pass_tol of the attracting limit.
-
-    Raises ValueError when either boundary limit fails to materialize within
-    the iteration budget, as happens for elliptic or identity input.
-    """
-    if grid is None:
-        grid = boundary_grid()
-    explicit = not isinstance(generator, MoebiusElement)
-    if explicit:
-        seq = tuple(generator)
-        if not seq:
-            raise ValueError("empty map sequence")
-        n_max = min(n_max, len(seq))
-        budget = len(seq)
-        forward = iter(seq)
-        backward = (f.inv() for f in seq)
-    else:
-        budget = max(n_max, ESTIMATE_FLOOR)
-        forward = _powers(generator)
-        backward = _powers(generator.inv())
-    xi_plus, plus_steps = _limit_on_boundary(forward, z0, budget, tol)
-    xi_minus, minus_steps = _limit_on_boundary(backward, z0, budget, tol)
-
-    tracked = [xi for xi in grid if xi.chordal(xi_minus) >= exclusion]
-    # The grid moves as raw angles, one boundary_angle per point and power,
-    # and the residual is BoundaryPoint.chordal against xi_plus, written out.
-    # boundary_angle stays a call: a flow run without cached bytecode
-    # compiles flows.py, and writing it out here raised its peak memory.
-    start = [xi.theta for xi in tracked]
-    current = start
-    plus = xi_plus.theta
-    history = []
-    first_passage = [None] * len(tracked)
-    passage_tol = -math.inf if pass_tol is None else pass_tol
-    sin = math.sin
-    if not explicit:
-        a, b, c, d = generator.entries
-    for n in range(1, n_max + 1):
-        if explicit:
-            a, b, c, d = seq[n - 1].entries
-            current = start
-        moved = []
-        worst = 0.0
-        for idx, t in enumerate(current):
-            t = boundary_angle(a, b, c, d, t)
-            moved.append(t)
-            residual = abs(2.0 * sin(0.5 * (t - plus)))
-            if residual > worst:
-                worst = residual
-            if residual < passage_tol and first_passage[idx] is None:
-                first_passage[idx] = n
-        current = moved
-        history.append(worst)
-    max_residual = 0.0
-    worst_xi = None
-    for start_xi, t in zip(tracked, current):
-        residual = abs(2.0 * math.sin(0.5 * (t - plus)))
-        if residual >= max_residual:
-            max_residual = residual
-            worst_xi = start_xi
-    report = {
-        "xi_plus": xi_plus,
-        "xi_minus": xi_minus,
-        "max_residual": max_residual,
-        "worst_xi": worst_xi,
-        "residual_history": tuple(history),
-        "plus_steps": plus_steps,
-        "minus_steps": minus_steps,
-        "tracked_grid": tuple(tracked),
-    }
-    if pass_tol is not None:
-        report["first_passage"] = tuple(first_passage)
-    return report

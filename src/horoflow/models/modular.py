@@ -54,11 +54,11 @@ class ModularModel(SurfaceModel):
 
     def kernel_orbit(self, frame, step, steps, sample_every,
                      trans_state=NO_TRANSVERSE, trans_kind=_kernels.TRANS_NONE,
-                     trans_quats=None):
+                     trans_quats=None, first_step=0):
         """The modular kernel; see _pure.modular_orbit."""
         return _kernels.modular_orbit(
             frame, step, trans_kind, trans_quats, trans_state, steps,
-            sample_every,
+            sample_every, first_step,
         )
 
     def reduce_frame(self, f):

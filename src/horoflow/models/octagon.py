@@ -128,11 +128,11 @@ class OctagonModel(SurfaceModel):
 
     def kernel_orbit(self, frame, step, steps, sample_every,
                      trans_state=NO_TRANSVERSE, trans_kind=_kernels.TRANS_NONE,
-                     trans_quats=None):
+                     trans_quats=None, first_step=0):
         """The surface kernel over the side pairings; see _pure.surface_orbit."""
         return _kernels.surface_orbit(
             frame, step, self.letters, trans_kind, trans_quats, trans_state,
-            steps, sample_every,
+            steps, sample_every, first_step,
         )
 
     def reduce_frame(self, f):

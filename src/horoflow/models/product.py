@@ -84,11 +84,12 @@ class ProductModel:
 
     # -- reduction of (frame, transverse) pairs ------------------------------
 
-    def kernel_orbit(self, frame, step, steps, sample_every, trans_state):
+    def kernel_orbit(self, frame, step, steps, sample_every, trans_state,
+                     first_step=0):
         """The base model's kernel, moving the packed transverse state."""
         return self.base.kernel_orbit(
             frame, step, steps, sample_every, trans_state, self.trans_kind,
-            self.trans_quats,
+            self.trans_quats, first_step,
         )
 
     def reduce_state(self, f, y):

@@ -12,9 +12,12 @@ A new file, or one that replaces a regular file, is written to a temp file
 in the target directory and renamed over the path, so readers never observe
 a half-written file.  Any other existing target, such as a device like
 /dev/null or a FIFO, is opened and written in place: a rename would replace
-the node itself.  An orbit CSV is rendered and written CSV_CHUNK_ROWS rows
-at a time, so its whole text is never held at once; each chunk's rows take
-one `%` format call.
+the node itself.  If the writing fails, as when a streamed orbit's kernel
+raises part way, a temp file is removed and the path is left as it was,
+while a device or FIFO target has already received the text written
+before the failure.  An orbit CSV is rendered and written CSV_CHUNK_ROWS
+rows at a time, so its whole text is never held at once; each chunk's rows
+take one `%` format call.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import os
 import stat
 
-from horoflow.flows import flow_label
+from horoflow.flows import OrbitSegment, flow_label
 
 FLOAT_FMT = "%.17g"
 CSV_CHUNK_ROWS = 2048
@@ -74,15 +77,16 @@ def _atomic_write(path, chunks):
 
 def orbit_csv_text(segment, start=0, stop=None):
     """Render rows start..stop-1 of one orbit segment in the CSV layout
-    described above; the legend and the header come only with row 0, so
-    the texts of consecutive ranges concatenate to the whole file.
+    described above; the legend and the header come only with orbit row 0,
+    so the texts of consecutive ranges, and of consecutive chunks of a
+    stream (flows.orbit_chunks), concatenate to the whole file.
 
     The rows are rendered by one format call: the row format repeated once
     per row, applied to the times and the coordinate columns interleaved
     into one flat tuple.
     """
     lines = []
-    if start == 0:
+    if segment.offset + start == 0:
         names = segment.coord_names
         lines += [
             "# model = %s" % segment.model,
@@ -107,14 +111,16 @@ def orbit_csv_text(segment, start=0, stop=None):
     return head + (row_fmt * count) % tuple(args)
 
 
-def write_orbit_csv(segment, path):
-    rows = len(segment)
-    # one chunk even for no rows, which carries the legend and header
-    chunks = (
-        orbit_csv_text(segment, start, min(start + CSV_CHUNK_ROWS, rows))
-        for start in range(0, max(rows, 1), CSV_CHUNK_ROWS)
+def write_orbit_csv(orbit, path):
+    """Write an OrbitSegment, or the chunks of a stream in order, as CSV."""
+    segments = (orbit,) if isinstance(orbit, OrbitSegment) else orbit
+    # one text even for no rows, which carries the legend and header
+    texts = (
+        orbit_csv_text(segment, start, min(start + CSV_CHUNK_ROWS, len(segment)))
+        for segment in segments
+        for start in range(0, max(len(segment), 1), CSV_CHUNK_ROWS)
     )
-    _atomic_write(path, chunks)
+    _atomic_write(path, texts)
     return path
 
 

@@ -7,7 +7,7 @@ from functools import partial
 
 import pytest
 
-from horoflow import _kernels, acceptance, flows
+from horoflow import _kernels, acceptance, keylemma
 from horoflow.flows import (
     BorelB,
     DualBoundaryIterate,
@@ -15,12 +15,10 @@ from horoflow.flows import (
     HorocycleU,
     OrbitSegment,
     Sol3U,
-    boundary_grid,
     detect_divergence,
     flow_label,
     flow_time_step,
     integrate_orbit,
-    keylemma_converge,
     surface_step_element,
 )
 from horoflow.models import (
@@ -32,6 +30,7 @@ from horoflow.models import (
 )
 from horoflow.models.base import QuotientPoint
 from horoflow.groups import BOUNDARY_CIRCLE
+from horoflow.keylemma import boundary_grid, keylemma_converge
 from horoflow.moebius import BoundaryPoint, MoebiusElement, hyp_dist
 
 
@@ -410,11 +409,11 @@ def reference_keylemma_converge(generator, n_max, exclusion, pass_tol):
         forward = iter(seq)
         backward = (f.inv() for f in seq)
     else:
-        budget = max(n_max, flows.ESTIMATE_FLOOR)
-        forward = flows._powers(generator)
-        backward = flows._powers(generator.inv())
-    xi_plus, plus_steps = flows._limit_on_boundary(forward, 1j, budget, 1e-9)
-    xi_minus, minus_steps = flows._limit_on_boundary(backward, 1j, budget, 1e-9)
+        budget = max(n_max, keylemma.ESTIMATE_FLOOR)
+        forward = keylemma._powers(generator)
+        backward = keylemma._powers(generator.inv())
+    xi_plus, plus_steps = keylemma._limit_on_boundary(forward, 1j, budget, 1e-9)
+    xi_minus, minus_steps = keylemma._limit_on_boundary(backward, 1j, budget, 1e-9)
     tracked = [xi for xi in grid if xi.chordal(xi_minus) >= exclusion]
     current = list(tracked)
     history = []

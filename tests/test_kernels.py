@@ -3,11 +3,14 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horoflow import _kernels
 from horoflow._kernels import _pure
@@ -117,6 +120,19 @@ def test_env_override_forces_pure():
         check=True,
     )
     assert out.stdout.strip() == "pure"
+
+
+def test_pure_backend_is_imported_only_as_the_fallback():
+    code = ("import sys; from horoflow import _kernels; "
+            "print(_kernels.BACKEND, 'horoflow._kernels._pure' in sys.modules)")
+    for pure in ("", "1"):
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, HOROFLOW_PURE=pure), check=True,
+        ).stdout.split()
+        assert out in (["native", "False"], ["pure", "True"])
+        if pure:
+            assert out[0] == "pure"
 
 
 # -- pure vs compiled parity -------------------------------------------------
@@ -571,3 +587,105 @@ def test_sample_coordinates_well_formed():
         assert im > 0.0
         assert 0.0 <= direction < 2.0 * math.pi
         assert math.isfinite(re)
+
+
+# -- first_step: runs split into calls ---------------------------------------
+
+
+def split_cases():
+    """(kernel, arguments before steps, row width, positions of the state
+    arguments) for every kernel and transverse kind.  The torus-bundle
+    cases include a drift past 64 levels at step 0 and at step 63."""
+    letters = octagon_letters()
+    so3 = rotation_quats(build_product(build_octagon(), ROTATIONS3, seed=7))
+    mquats = modular_quats(build_product(build_modular(), ROTATIONS3, seed=7))
+    m = build_t3a(((2, 1), (1, 1)))
+    eigen = (m.a_prime, m.b_prime, m.c_prime, m.d_prime)
+    unit = (1.0, 0.0, 0.0, 0.0)
+    frame = MoebiusElement.geo(1.3).mul(MoebiusElement.rot(0.4)).entries
+    cases = []
+    for step in (MoebiusElement.u(0.07).entries, MoebiusElement.geo(1.05).entries):
+        for kind, quats, tstate in ((0, None, NO_TRANS),
+                                    (1, None, (0.3, 0.0, 0.0, 0.0)),
+                                    (2, so3, unit)):
+            cases.append(("surface_orbit",
+                          (frame, step, letters, kind, quats, tstate),
+                          3 + kind, (0, 5)))
+        for kind, quats, tstate in ((0, None, NO_TRANS),
+                                    (1, None, (-0.4, 0.0, 0.0, 0.0)),
+                                    (2, mquats, unit)):
+            cases.append(("modular_orbit", (frame, step, kind, quats, tstate),
+                          3 + kind, (0, 4)))
+    for state, sol in (((0.2, 0.7, 0.35), (0.037, 0.0, 0.0)),
+                       ((0.2, 0.7, 0.35), (0.0, 0.0, 0.01)),
+                       ((0.0, 0.0, 0.0), (0.0, 0.0, 64.0 + 2.0 ** -6)),
+                       ((0.0, 0.0, 0.0), (0.0, 0.0, 200.0))):
+        cases.append(("t3a_orbit", (state, m.lam, eigen, sol), 3, (0,)))
+    return cases
+
+
+SPLIT_CASES = split_cases()
+
+
+def split_outcome(impl, case, steps, every, per_call, first=0):
+    """The rows after row 0, and the final state, of the run split into
+    calls of per_call steps that carry the state, the first call told that
+    `first` steps came before; or the (type, message) of its error."""
+    kernel, args, width, state_at = case
+    args = list(args)
+    rows = []
+    try:
+        for done in range(0, max(steps, 1), per_call):
+            out = getattr(impl, kernel)(*args, min(per_call, steps - done),
+                                        every, first + done)
+            rows.extend(out[0][width:])
+            for position, value in zip(state_at, out[1:]):
+                args[position] = value
+    except Exception as exc:
+        return type(exc), str(exc)
+    return repr(rows), repr(out[1:])
+
+
+def later_steps(message, first):
+    return re.sub(r"at step (\d+)",
+                  lambda m: "at step %d" % (int(m.group(1)) + first), message)
+
+
+@st.composite
+def split_runs(draw):
+    case = draw(st.sampled_from(SPLIT_CASES))
+    every = draw(st.integers(1, 9))
+    steps = draw(st.integers(0, 700))
+    per_call = 64 * every * draw(st.integers(1, 3))
+    first = draw(st.integers(0, 2 ** 40))
+    return case, steps, every, per_call, first
+
+
+def assert_split_runs_match(impl, native, run):
+    """Split calls give the whole call's rows, final state and error, on
+    `impl` and on `native` alike; first_step moves only the step an error
+    names."""
+    case, steps, every, per_call, first = run
+    whole = split_outcome(impl, case, steps, every, max(steps, 1))
+    assert split_outcome(impl, case, steps, every, per_call) == whole
+    shifted = split_outcome(impl, case, steps, every, per_call, first)
+    if isinstance(whole[0], type):
+        whole = (whole[0], later_steps(whole[1], first))
+    assert shifted == whole
+    if native is not None:
+        assert split_outcome(native, case, steps, every, per_call, first) == whole
+
+
+@settings(max_examples=60, deadline=None)
+@given(split_runs())
+def test_pure_split_runs_match_the_whole_run(run):
+    assert_split_runs_match(_pure, None, run)
+
+
+def test_native_split_runs_match_the_pure_whole_run(native):
+    @settings(max_examples=60, deadline=None)
+    @given(split_runs())
+    def check(run):
+        assert_split_runs_match(_pure, native, run)
+
+    check()
