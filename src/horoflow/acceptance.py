@@ -8,19 +8,26 @@ fallback stays within budget everywhere but with less headroom).
 
 The suite is runnable three ways: pytest (tests/test_acceptance.py prints
 one verdict line per criterion), the command line (`horoflow check all`),
-or directly via run_suite.
+or directly via run_suite.  run_suite shares a suite's criteria between
+its own process and forked workers, one process per usable CPU: each
+criterion's elapsed time is measured in the process that ran it, and the
+budgets still assume one core per criterion.
 """
 
 import math
+import os
+import pickle
 import random
+import select
+import sys
 import time
 
 from horoflow._record import Record
 from horoflow.diagnostics import (
     BinningSpec,
+    FiberWatch,
     borel_grid,
     coverage,
-    fiber_variation,
     minimal_set_residual,
 )
 from horoflow.flows import (
@@ -149,9 +156,11 @@ def toroidal_fiber_density():
     """3: the unipotent flow keeps the suspension time and fills its torus."""
     start = time.perf_counter()
     model = build_t3a(((2, 1), (1, 1)))
-    seg = integrate_orbit(model, None, Sol3U(0.037), 100_000, seed=SUITE_SEED)
-    variation = fiber_variation(seg, "t")
-    report = coverage(seg, BinningSpec(((0.0, 1.0), (0.0, 1.0)), (50, 50)))
+    chunks = orbit_chunks(model, None, Sol3U(0.037), 100_000, seed=SUITE_SEED)
+    fiber = FiberWatch("t")
+    report = coverage(fiber.passing(chunks),
+                      BinningSpec(((0.0, 1.0), (0.0, 1.0)), (50, 50)))
+    variation = fiber.worst
     elapsed = time.perf_counter() - start
     return CriterionResult(
         3, "toroidal_fiber_density",
@@ -421,15 +430,185 @@ SUITES = {
 }
 
 
+class UnknownSuite(KeyError):
+    """A suite name that SUITES lacks, raised before any criterion runs."""
+
+
 def run_suite(name="all", report=print):
-    """Run one named suite; returns the results, emitting a line per criterion."""
+    """Run one named suite; returns the results, emitting a line per criterion.
+
+    The criteria are pulled one at a time from one queue, a pipe holding
+    the suite's numbers in order, by this process and by min(len(suite),
+    usable CPUs) - 1 forked workers; with one usable CPU, or without fork,
+    this process pulls them all.  A worker sends each result, or the
+    exception its criterion raised, back through its own pipe.  The lines
+    are reported and the results returned in suite order.  A criterion's
+    exception is raised after the lines of the criteria before it, and no
+    criterion starts once this process has seen one fail; a worker that
+    dies leaves its criterion without a result, which raises a RuntimeError
+    naming it.  Every worker is reaped before this returns or raises.
+    """
     if name not in SUITES:
-        raise KeyError("unknown suite %r; choose from %s"
-                       % (name, ", ".join(sorted(SUITES))))
-    results = []
-    for number in SUITES[name]:
-        result = ALL_CRITERIA[number - 1]()
-        results.append(result)
+        raise UnknownSuite("unknown suite %r; choose from %s"
+                           % (name, ", ".join(sorted(SUITES))))
+    suite = SUITES[name]
+    queue, feed = os.pipe()
+    try:
+        os.write(feed, bytes(suite))
+    finally:
+        os.close(feed)
+    outcomes = {}
+    shown = 0
+    workers = []
+    try:
+        _start_workers(queue, min(len(suite), _usable_cpus()) - 1, workers)
+        while not any(isinstance(o, BaseException) for o in outcomes.values()):
+            pulled = os.read(queue, 1)
+            if not pulled:
+                break
+            outcomes[pulled[0]] = _outcome(pulled[0])
+            _collect(workers, outcomes, wait=False)
+            shown = _report_ready(suite, outcomes, shown, report)
+    finally:
+        # Empty the queue, so that no criterion starts after this; those
+        # running finish first.  One read takes all a pipe holds.
+        drained = set(os.read(queue, len(suite)))
+        os.close(queue)
+        try:
+            _collect(workers, outcomes, wait=True)
+        finally:
+            statuses = [worker.reap() for worker in workers]
+    shown = _report_ready(suite, outcomes, shown, report)
+    if shown < len(suite):
+        lost = [n for n in suite if n not in outcomes and n not in drained]
+        raise RuntimeError(
+            "no result for criteria %s (worker exit statuses %s)"
+            % (", ".join(map(str, lost)),
+               ", ".join(str(s) for s in statuses if s))
+        )
+    return [outcomes[n] for n in suite]
+
+
+def _usable_cpus():
+    """The CPUs this process may run on; one where it cannot fork."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _outcome(number):
+    """The criterion's result, or the exception it raised."""
+    try:
+        return ALL_CRITERIA[number - 1]()
+    except Exception as exc:
+        return exc
+
+
+def _report_ready(suite, outcomes, shown, report):
+    """Report the results from suite position `shown` on, up to the first
+    one not in yet; returns that position.  A criterion's exception is
+    raised when its turn comes."""
+    while shown < len(suite) and suite[shown] in outcomes:
+        outcome = outcomes[suite[shown]]
+        if isinstance(outcome, BaseException):
+            raise outcome
         if report is not None:
-            report(result.verdict_line())
-    return results
+            report(outcome.verdict_line())
+        shown += 1
+    return shown
+
+
+def _start_workers(queue, count, workers):
+    """Fork up to `count` workers on the queue, each added to `workers` as
+    it starts; a fork that fails starts no more of them."""
+    if count > 0:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    parent = os.getpid()
+    for _ in range(count):
+        read, write = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            break
+        if pid == 0:
+            try:
+                os.close(read)
+                for worker in workers:
+                    os.close(worker.fd)
+                _work(queue, write, parent)
+            finally:
+                os._exit(1)
+        os.close(write)
+        workers.append(_Worker(pid, read))
+
+
+def _work(queue, out, parent):
+    """A worker's loop: pull, run and send back criteria until the queue is
+    empty, a criterion fails or the parent is gone.  It leaves only through
+    os._exit, so it never returns into the caller's stack."""
+    while os.getppid() == parent:
+        pulled = os.read(queue, 1)
+        if not pulled:
+            break
+        number = pulled[0]
+        outcome = _outcome(number)
+        data = pickle.dumps((number, outcome))
+        data = len(data).to_bytes(4, "big") + data
+        while data:
+            data = data[os.write(out, data):]
+        if isinstance(outcome, BaseException):
+            break
+    os._exit(0)
+
+
+class _Worker:
+    """A forked worker as the parent sees it: its pid, the pipe it sends
+    results through, and what has come through but not yet whole."""
+
+    def __init__(self, pid, fd):
+        self.pid = pid
+        self.fd = fd
+        self.pending = b""
+
+    def receive(self, outcomes):
+        """Read once from the pipe into `outcomes`; closes it at its end."""
+        data = os.read(self.fd, 1 << 16)
+        if not data:
+            os.close(self.fd)
+            self.fd = None
+            return
+        self.pending += data
+        while len(self.pending) >= 4:
+            size = 4 + int.from_bytes(self.pending[:4], "big")
+            if len(self.pending) < size:
+                break
+            number, outcome = pickle.loads(self.pending[4:size])
+            outcomes[number] = outcome
+            self.pending = self.pending[size:]
+
+    def reap(self):
+        """Close the pipe, so a worker still sending stops, and wait for
+        the worker; returns its exit code, or minus the signal that ended
+        it."""
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
+        return os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+
+
+def _collect(workers, outcomes, wait):
+    """Read what the workers have sent into `outcomes`: what is there now,
+    or with `wait` everything until each worker has closed its pipe."""
+    while True:
+        fds = [worker.fd for worker in workers if worker.fd is not None]
+        if not fds:
+            return
+        ready = select.select(fds, [], [], None if wait else 0)[0]
+        if not ready:
+            return
+        for worker in workers:
+            if worker.fd in ready:
+                worker.receive(outcomes)

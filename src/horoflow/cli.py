@@ -346,11 +346,11 @@ def cmd_classify(args):
 
 
 def cmd_check(args):
-    from horoflow.acceptance import run_suite
+    from horoflow.acceptance import UnknownSuite, run_suite
 
     try:
         results = run_suite(args.suite, report=print)
-    except KeyError as exc:
+    except UnknownSuite as exc:
         raise UsageError(str(exc.args[0])) from None
     return 0 if all(r.passed and r.in_budget for r in results) else 1
 

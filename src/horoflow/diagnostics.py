@@ -245,28 +245,57 @@ def coverage(orbit, binning, axes=None):
 def fiber_variation(orbit, coordinate):
     """Largest distance of one coordinate from its initial value.
 
-    `coordinate` is an index into the sample coordinates, or one of the
-    names the orbit carries in coord_names.  Circle-valued coordinates are
-    measured by circular distance, everything else by plain distance.
+    `orbit` is an OrbitSegment or the chunks of a stream
+    (flows.orbit_chunks), read once in order.  `coordinate` is an index
+    into the sample coordinates, or one of the names the orbit carries in
+    coord_names.  Circle-valued coordinates are measured by circular
+    distance, everything else by plain distance.
     """
-    names = tuple(orbit.coord_names)
-    if isinstance(coordinate, str):
-        if coordinate not in names:
-            raise ValueError(
-                "no coordinate %r in %r" % (coordinate, names)
-            )
-        index = names.index(coordinate)
-    else:
-        index = coordinate
-    if not len(orbit):
-        return 0.0
-    width = orbit.width
-    if not -width <= index < width:
-        raise IndexError("no coordinate %d in rows of %d" % (index, width))
-    column = orbit.values[index % width::width]
-    first = column[0]
-    period = COORD_PERIODS.get(names[index])
-    worst = 0.0
+    watch = FiberWatch(coordinate)
+    for _ in watch.passing(orbit):
+        pass
+    return watch.worst
+
+
+class FiberWatch:
+    """fiber_variation measured on chunks as they pass to another reader.
+
+    `passing(orbit)` yields the segments of `orbit`, an OrbitSegment or the
+    chunks of a stream, unchanged and in order, measuring each on its way,
+    so that a reader such as coverage can take the same single pass.  Once
+    they are all read, `worst` is fiber_variation(orbit, coordinate).
+    """
+
+    def __init__(self, coordinate):
+        self.coordinate = coordinate
+        self.worst = 0.0
+
+    def passing(self, orbit):
+        index, first, period = self.coordinate, None, None
+        for segment in (orbit,) if isinstance(orbit, OrbitSegment) else orbit:
+            if isinstance(index, str):
+                names = tuple(segment.coord_names)
+                if index not in names:
+                    raise ValueError("no coordinate %r in %r" % (index, names))
+                index = names.index(index)
+            if len(segment):
+                width = segment.width
+                if first is None:
+                    if not -width <= index < width:
+                        raise IndexError(
+                            "no coordinate %d in rows of %d" % (index, width)
+                        )
+                    first = segment.values[index % width]
+                    period = COORD_PERIODS.get(segment.coord_names[index])
+                self.worst = _column_gap(
+                    segment.values[index % width::width], first, period,
+                    self.worst,
+                )
+            yield segment
+
+
+def _column_gap(column, first, period, worst):
+    """The larger of `worst` and each value's distance from `first`."""
     if period is None:
         for value in column:
             gap = abs(value - first)

@@ -1,12 +1,20 @@
-"""The ten acceptance criteria, one test each, with a printed verdict line.
+"""The ten acceptance criteria, one test each, with a printed verdict line,
+and the suite runner that shares them among forked workers.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
 lines; each test asserts both the measured quantity and the time budget.
 """
 
+import os
+import re
+import select
+import signal
+import time
+
 import pytest
 
 from horoflow import acceptance
+from horoflow.acceptance import CriterionResult
 
 
 def _run(criterion):
@@ -123,3 +131,176 @@ def test_suite_runner_subsets():
     results = acceptance.run_suite("t3a", report=None)
     assert [r.number for r in results] == [3, 4]
     assert all(r.passed for r in results)
+
+
+# -- the runner: one queue, forked workers ------------------------------------
+
+
+def stub_criteria(behave):
+    """Ten stub criteria; stub n returns behave(n, in_test_process), or the
+    result for n if that is None."""
+    here = os.getpid()
+
+    def stub(n):
+        def run():
+            outcome = behave(n, os.getpid() == here)
+            if outcome is None:
+                outcome = CriterionResult(n, "stub_%d" % n, n % 3 != 0, 0.0,
+                                          1.0, {"square": n * n})
+            return outcome
+        return run
+
+    return tuple(stub(n) for n in range(1, 11))
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets how many CPUs the runner finds usable."""
+    def use(count):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(count)))
+    return use
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def run_lines(name="all"):
+    lines = []
+    results = acceptance.run_suite(name, report=lines.append)
+    return results, lines
+
+
+def test_runner_keeps_suite_order_across_workers(monkeypatch, cpus, tmp_path):
+    # later criteria end sooner, so the workers finish out of suite order
+    log = tmp_path / "pids"
+
+    def behave(n, _):
+        with open(log, "a") as out:
+            out.write("%d\n" % os.getpid())
+        time.sleep(0.02 * (10 - n))
+
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", stub_criteria(behave))
+    cpus(3)
+    results, lines = run_lines()
+    assert len(set(log.read_text().split())) == 3  # two workers took some
+    assert no_child_left()
+    cpus(1)
+    in_process, in_process_lines = run_lines()
+    assert len(set(log.read_text().split())) == 3
+    assert [r.number for r in results] == list(range(1, 11))
+    assert results == in_process
+    assert lines == in_process_lines == [r.verdict_line() for r in results]
+    assert [r.number for r in run_lines("t3a")[0]] == [3, 4]
+
+
+def test_one_usable_cpu_forks_no_worker(monkeypatch, cpus):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA",
+                        stub_criteria(lambda n, in_test_process: None))
+    cpus(1)
+    results, lines = run_lines()
+    assert len(results) == len(lines) == 10
+
+
+@pytest.mark.parametrize("where", ["parent", "worker"])
+def test_a_criterion_error_reaches_the_caller(monkeypatch, cpus, tmp_path,
+                                              where):
+    # every criterion raises in one kind of process and takes a while in the
+    # other, so the first criterion that kind of process pulls raises
+    log = tmp_path / "started"
+
+    def behave(n, in_parent):
+        with open(log, "a") as out:
+            out.write("%s\n" % in_parent)
+        if in_parent == (where == "parent"):
+            raise KeyError("criterion %d went wrong" % n)
+        time.sleep(0.05)
+
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", stub_criteria(behave))
+    cpus(2)
+    lines = []
+    with pytest.raises(KeyError, match=r"criterion (\d+) went wrong") as info:
+        acceptance.run_suite("all", report=lines.append)
+    failed = int(re.search(r"criterion (\d+)", str(info.value)).group(1))
+    assert [line.split()[1] for line in lines] == [
+        str(n) for n in range(1, failed)]
+    assert no_child_left()
+    # The failing process starts no criterion after its failure.  A failing
+    # parent empties the queue at once, so its worker starts at most two:
+    # the one it is on and one it may pull just before the queue empties.
+    started = log.read_text().split()
+    assert started.count(str(where == "parent")) == 1
+    if where == "parent":
+        assert started.count("False") <= 2
+
+
+def test_a_dead_worker_names_the_criteria_left_without_result(
+    monkeypatch, cpus
+):
+    def behave(n, in_parent):
+        if not in_parent:
+            os._exit(3)
+        time.sleep(0.05)
+
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", stub_criteria(behave))
+    cpus(2)
+    lines = []
+    with pytest.raises(RuntimeError) as info:
+        acceptance.run_suite("all", report=lines.append)
+    message = re.fullmatch(
+        r"no result for criteria (\d+) \(worker exit statuses 3\)",
+        str(info.value))
+    assert message, str(info.value)
+    lost = int(message.group(1))
+    assert [line.split()[1] for line in lines] == [
+        str(n) for n in range(1, lost)]
+    assert no_child_left()
+
+
+def test_a_worker_stops_when_its_parent_is_killed(monkeypatch, cpus, tmp_path):
+    # Each criterion logs its start and takes 0.2 s.  The suite runs in a
+    # child of the test, killed once two criteria have started; its worker,
+    # which holds `write` open until it exits, may finish the criterion it
+    # is in but starts none past the one it may have pulled as the kill came.
+    log = tmp_path / "started"
+
+    def behave(n, _):
+        with open(log, "a") as out:
+            out.write("%d %d\n" % (n, os.getpid()))
+        time.sleep(0.2)
+
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", stub_criteria(behave))
+    cpus(2)
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read)
+            acceptance.run_suite("all", report=None)
+        finally:
+            os._exit(0)
+    os.close(write)
+    try:
+        deadline = time.monotonic() + 10.0
+        while len(log.read_text().splitlines() if log.exists() else ()) < 2:
+            assert time.monotonic() < deadline, "the criteria did not start"
+            time.sleep(0.01)
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    started = len(log.read_text().splitlines())
+    try:
+        assert select.select([read], [], [], 10.0)[0], "the worker lives on"
+        assert os.read(read, 1) == b""
+    finally:
+        os.close(read)
+    lines = log.read_text().splitlines()
+    assert len({line.split()[1] for line in lines}) == 2
+    assert started <= len(lines) <= started + 1 < 10

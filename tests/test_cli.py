@@ -16,7 +16,7 @@ from xml.etree import ElementTree
 import pytest
 
 import horoflow
-from horoflow import _kernels, cli, models
+from horoflow import _kernels, acceptance, cli, models
 from horoflow._kernels import _pure
 from horoflow.cli import main
 from horoflow.flows import DualBoundaryIterate, GeodesicD, HorocycleU, Sol3U
@@ -391,6 +391,16 @@ def test_check_named_suites_pass(capsys):
 def test_check_unknown_suite(capsys):
     assert run(["check", "nonsense"]) == 2
     assert "nonsense" in capsys.readouterr().err
+
+
+def test_check_passes_a_criterions_key_error_on(monkeypatch):
+    # only an unknown suite name is a usage error
+    def stub():
+        raise KeyError("inside the criterion")
+
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", (stub,) * 10)
+    with pytest.raises(KeyError, match="inside the criterion"):
+        main(["check", "steering"])
 
 
 # -- entry point ---------------------------------------------------------------

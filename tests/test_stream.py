@@ -15,7 +15,12 @@ import pytest
 
 from horoflow import _kernels, cli, flows
 from horoflow._kernels import _pure
-from horoflow.diagnostics import BinningSpec, coverage
+from horoflow.diagnostics import (
+    BinningSpec,
+    FiberWatch,
+    coverage,
+    fiber_variation,
+)
 from horoflow.flows import (
     CHUNK_ROWS,
     DualBoundaryIterate,
@@ -109,6 +114,31 @@ def test_chunks_join_to_the_whole_run_bit_for_bit(
         assert repr(chunks[0].samples[0]) == repr(whole.samples[0])
         assert [repr(p.coords) for _, p in chunks[-1].samples] == [
             repr(p.coords) for _, p in whole.samples[chunks[-1].offset:]]
+
+
+@pytest.mark.parametrize(
+    "case", ["surface-rotation", "modular-none", "t3a-sol3u"])
+def test_fiber_variation_of_a_stream_is_the_whole_runs(small_chunks, case):
+    model, flow = CASES[case]()
+    whole = integrate_orbit(model, None, flow, 1000, seed=SEED)
+    for index in range(-1, whole.width):
+        chunks = orbit_chunks(model, None, flow, 1000, seed=SEED)
+        assert repr(fiber_variation(chunks, index)) == repr(
+            fiber_variation(whole, index))
+
+
+def test_fiber_watch_and_coverage_share_one_pass(small_chunks):
+    # the geodesic moves the suspension time t, which the watch measures
+    # while coverage bins the torus coordinates of the same chunks
+    model, flow = build_t3a(((2, 1), (1, 1))), GeodesicD(0.01)
+    spec = BinningSpec(((0.0, 1.0), (0.0, 1.0)), (8, 8))
+    whole = integrate_orbit(model, None, flow, 1000, seed=SEED)
+    watch = FiberWatch("t")
+    report = coverage(watch.passing(
+        orbit_chunks(model, None, flow, 1000, seed=SEED)), spec)
+    assert report == coverage(whole, spec)
+    assert watch.worst > 0.0
+    assert repr(watch.worst) == repr(fiber_variation(whole, "t"))
 
 
 def test_orbit_chunks_checks_its_arguments_before_the_kernel_runs(monkeypatch):
@@ -257,3 +287,21 @@ def test_streamed_density_holds_no_whole_orbit(tmp_path):
         tracemalloc.stop()
     assert peak < 1 << 20
     assert re.search(r'"total": 800,', (tmp_path / "d.json").read_text())
+
+
+def test_criterion_3_streams_its_orbit():
+    # 100k rows of 3 doubles are 2.3 MiB, and the whole-run criterion
+    # peaked at 3.2 MB here; streamed, the 50x50 cells it visits weigh most.
+    from horoflow.acceptance import toroidal_fiber_density
+
+    toroidal_fiber_density()  # imports, first calls
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = toroidal_fiber_density()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert result.details == {"t_variation": 0.0, "fraction": 1.0}
