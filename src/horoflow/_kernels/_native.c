@@ -467,6 +467,11 @@ static PyObject *modular_orbit(PyObject *self, PyObject *args,
         for (;;) {
             double gamma = m[2] * m[2] + m[3] * m[3];
             double re, im, shift;
+            if (gamma == 0.0) {
+                PyErr_Format(PyExc_ValueError,
+                    "frame escaped into the cusp at step %ld", first + i);
+                goto done;
+            }
             if (py_div(m[0] * m[2] + m[1] * m[3], gamma, &re)
                     || py_div(1.0, gamma, &im)
                     || py_floor(re + 0.5, &shift))

@@ -351,7 +351,9 @@ def modular_orbit(frame, step, trans_kind, trans_quats, trans_state,
 
     The reduction alternates the integer horizontal shift with the
     inversion; trans_quats holds the T then S holonomy quaternions when
-    trans_kind == TRANS_ROTATION.
+    trans_kind == TRANS_ROTATION.  A frame that climbs the cusp until
+    c * c + d * d underflows to 0 raises ValueError naming the step,
+    before the division by it.
     """
     a, b, c, d = frame
     sa, sb, sc, sd = step
@@ -376,6 +378,9 @@ def modular_orbit(frame, step, trans_kind, trans_quats, trans_state,
         rounds = 0
         while True:
             gamma = c * c + d * d
+            if gamma == 0.0:
+                raise ValueError("frame escaped into the cusp at step %d"
+                                 % (first_step + i))
             re = (a * c + b * d) / gamma
             im = 1.0 / gamma
             m = math.floor(re + 0.5)

@@ -14,9 +14,12 @@ once and never copied, and a run's coordinates are held once at their peak.
 A run need not be held whole: orbit_chunks calls the kernel for CHUNK_ROWS
 samples at a time and yields each call's rows as a segment of their own,
 which coverage and the CSV writer read as they come, so the CLI's `flow`
-and `density` hold one chunk at a time.  The segment derives each row's
-time from the flow and builds sample points only when `segment.samples`
-is first read.  Coverage, the CSV writer and
+and `density` hold one chunk at a time.  The CLI reads such a stream ahead:
+when the run takes two or more kernel calls and two CPUs are usable, a
+forked producer runs the kernel on one of them while the CLI formats or
+bins the chunks already made on the other (horoflow._readahead).  The
+segment derives each row's time from the flow and builds sample points
+only when `segment.samples` is first read.  Coverage, the CSV writer and
 divergence detection read only the coordinates and times: coverage and
 the CSV writer by column from `segment.values`, divergence detection row by
 row through `segment.rows()`; sample points are for comparisons that need
@@ -391,7 +394,8 @@ def _begin(model, start, flow, steps, seed, sample_every):
     return kernel, state, 0, array("d", head), first, make
 
 
-def orbit_chunks(model, start, flow, steps, seed=None, sample_every=1):
+def orbit_chunks(model, start, flow, steps, seed=None, sample_every=1,
+                 ahead=False):
     """integrate_orbit's orbit as consecutive OrbitSegment chunks.
 
     Each chunk comes from one kernel call of CHUNK_ROWS * sample_every
@@ -404,10 +408,23 @@ def orbit_chunks(model, start, flow, steps, seed=None, sample_every=1):
     step the whole-run call names.  The arguments are checked, and the
     start drawn and reduced, before this returns; the kernel runs as the
     chunks are read.
+
+    With `ahead`, a run of two or more kernel calls is read ahead: on first
+    read, a forked producer on another usable CPU runs the kernel calls
+    while the caller reads the chunks it has sent (horoflow._readahead).
+    The chunks and any error are the same; only the chunks' `resume` is
+    left unset.
     """
     run = _begin(model, start, flow, steps, seed, sample_every)
-    return _chunks(model, flow, steps, seed, sample_every,
-                   CHUNK_ROWS * sample_every, run)
+    per_call = CHUNK_ROWS * sample_every
+    chunks = partial(_chunks, model, flow, steps, seed, sample_every,
+                     per_call, run)
+    if ahead and steps > per_call:
+        from horoflow._readahead import read_ahead
+
+        *_, first, make = run
+        return read_ahead(chunks, make, first)
+    return chunks()
 
 
 def _chunks(model, flow, steps, seed, sample_every, per_call, run):

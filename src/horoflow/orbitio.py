@@ -17,7 +17,9 @@ raises part way, a temp file is removed and the path is left as it was,
 while a device or FIFO target has already received the text written
 before the failure.  An orbit CSV is rendered and written CSV_CHUNK_ROWS
 rows at a time, so its whole text is never held at once; each chunk's rows
-take one `%` format call.
+take one `%` format call.  The CLI's stream may come from a read-ahead
+producer (flows.orbit_chunks), whose kernel makes the next chunks on
+another CPU while this module renders the ones it has.
 """
 
 from __future__ import annotations
@@ -28,7 +30,10 @@ import stat
 from horoflow.flows import OrbitSegment, flow_label
 
 FLOAT_FMT = "%.17g"
-CSV_CHUNK_ROWS = 2048
+# Rows rendered per text: each text's rows pass through a flat argument
+# list, a tuple and the text itself, so a smaller piece keeps less at once
+# and costs no time, as one `%` call still formats hundreds of rows.
+CSV_CHUNK_ROWS = 512
 # Names tried for a temp file before giving up, as tempfile.TMP_MAX.
 TEMP_NAME_ATTEMPTS = 10000
 

@@ -87,8 +87,9 @@ def test_flow_rejects_flow_model_mismatch(tmp_path, capsys):
 def test_flow_cusp_division_by_zero_is_a_run_failure(
     kernel, tmp_path, capsys, monkeypatch, native_or_none
 ):
-    # A modular geodesic climbs the cusp until c^2 + d^2 underflows to 0;
-    # both kernels then raise Python's ZeroDivisionError, which the CLI
+    # A modular geodesic climbs the cusp until c^2 + d^2 underflows to 0,
+    # in the fourth kernel call of the stream; both kernels then raise a
+    # ValueError naming the step before they divide by it, which the CLI
     # reports as a failed run without a traceback.
     if kernel == "native" and native_or_none is None:
         pytest.skip("no C compiler to build _native.c")
@@ -97,7 +98,8 @@ def test_flow_cusp_division_by_zero_is_a_run_failure(
     code = run(["flow", "--model", "modular", "--flow", "geo", "--dt", 0.1,
                 "--steps", 10000, "--out", tmp_path / "x.csv"])
     assert code == 1
-    assert capsys.readouterr().err == "run failed: float division by zero\n"
+    assert capsys.readouterr().err == (
+        "run failed: frame escaped into the cusp at step 7451\n")
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -118,10 +118,12 @@ def command_modules(command, tmp_path, bare_modules):
 
 
 def test_flow_run_leaves_out_acceptance_and_diagnostics(tmp_path, bare_modules):
-    # nor json, which only the density writer uses
+    # nor json, which only the density writer uses, nor the read-ahead
+    # producer, which only a run of several kernel calls uses
     loaded = command_modules("flow", tmp_path, bare_modules)
     assert {"horoflow.flows", "horoflow.orbitio"} <= loaded
-    assert not loaded & {"horoflow.acceptance", "horoflow.diagnostics", "json"}
+    assert not loaded & {"horoflow.acceptance", "horoflow.diagnostics",
+                         "horoflow._readahead", "json"}
     assert (tmp_path / "orbit.csv").exists()
 
 
