@@ -215,7 +215,12 @@ def test_density_json_schema(tmp_path):
 
 @pytest.mark.parametrize("width", [3, 4, 5])
 @pytest.mark.parametrize(
-    "rows", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]
+    "rows",
+    # the chunk boundaries, and the multi-chunk counts 2047, 2048, 2049 and
+    # 4097 (a partial last chunk, whole chunks only, one row over, and so on)
+    sorted(
+        {0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 2047, 2048, 2049, 4097}
+    ),
 )
 def test_chunked_csv_matches_whole_text(rows, width, tmp_path):
     segment, row_tuples = synthetic_segment(rows, width, seed=rows + width)
