@@ -2,8 +2,10 @@
 
 flows.orbit_chunks(..., ahead=True) hands a run of two or more kernel calls
 here.  On first read, read_ahead forks a producer, pins it to one usable
-CPU and this process to another, and the producer runs the chunks while
-this process renders or bins the ones already sent.  Each chunk crosses a
+CPU and this process to its neighbour, and the producer runs the chunks
+while this process renders or bins the ones already sent.  The pair of
+CPUs is picked by this process's pid, so runs started side by side on a
+host of four or more CPUs spread over them in pairs.  Each chunk crosses a
 pipe as a header of two int64s, (doubles, offset), followed by the chunk's
 coordinate buffer, written from the array itself and read with readinto
 into an array allocated here.  The stream ends with an END header, or
@@ -20,8 +22,10 @@ without fork, the chunks run in this process as without `ahead`.
 """
 
 import os
-import sys
 from array import array
+from functools import partial
+
+from horoflow._fork import fork, usable_cpus
 
 END = -1
 ERROR = -2
@@ -35,30 +39,23 @@ def read_ahead(chunks, make, first):
     OrbitSegment partial; the segment at offset 0 gets `first`, the point
     of the reduced start.
     """
-    cpus = []
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        cpus = sorted(os.sched_getaffinity(0))
+    cpus = usable_cpus()
     if len(cpus) < 2:
         yield from chunks()
         return
+    here, there = _cpu_pair(cpus, os.getpid())
     read, write = os.pipe()
-    sys.stdout.flush()
-    sys.stderr.flush()
-    try:
-        pid = os.fork()
-    except OSError:
+    pid = fork(partial(_produce, read, write, chunks, there))
+    if pid is None:
         os.close(read)
         os.close(write)
         yield from chunks()
         return
-    if pid == 0:
-        os.close(read)
-        _produce(write, chunks, cpus[1])
     os.close(write)
     ended = False
     pipe = open(read, "rb")
     try:
-        _pin(cpus[:1])
+        _pin((here,))
         while True:
             header = array("q", (0, 0))
             if pipe.readinto(header) != header.itemsize * 2:
@@ -91,31 +88,34 @@ def read_ahead(chunks, make, first):
                        "(exit status %d)" % status)
 
 
-def _produce(out, chunks, cpu):
-    """The producer: send each chunk, then END or the pickled exception
-    that ended the run.  It leaves only through os._exit, so it never
-    returns into the caller's stack."""
-    code = 1
-    try:
-        _pin((cpu,))
-        try:
-            for chunk in chunks():
-                _send(out, array("q", (len(chunk.values), chunk.offset)))
-                _send(out, chunk.values)
-            _send(out, array("q", (END, 0)))
-        except Exception as exc:  # a closed pipe fails this send too
-            import pickle
+def _cpu_pair(cpus, pid):
+    """The reader's CPU and the producer's: two neighbours in the sorted
+    `cpus`, the pid picking which pair."""
+    first = 2 * (pid % (len(cpus) // 2))
+    return cpus[first], cpus[first + 1]
 
-            try:
-                data = pickle.dumps(exc)
-            except Exception:
-                data = pickle.dumps(RuntimeError(
-                    "%s: %s" % (type(exc).__name__, exc)))
-            _send(out, array("q", (ERROR, len(data))))
-            _send(out, data)
-        code = 0
-    finally:
-        os._exit(code)
+
+def _produce(read, out, chunks, cpu):
+    """The producer, in the forked process: send each chunk, then END or
+    the pickled exception that ended the run.  A send into a pipe the
+    reader has closed raises, which ends the producer with status 1."""
+    os.close(read)
+    _pin((cpu,))
+    try:
+        for chunk in chunks():
+            _send(out, array("q", (len(chunk.values), chunk.offset)))
+            _send(out, chunk.values)
+        _send(out, array("q", (END, 0)))
+    except Exception as exc:  # a closed pipe fails this send too
+        import pickle
+
+        try:
+            data = pickle.dumps(exc)
+        except Exception:
+            data = pickle.dumps(RuntimeError(
+                "%s: %s" % (type(exc).__name__, exc)))
+        _send(out, array("q", (ERROR, len(data))))
+        _send(out, data)
 
 
 def _pin(cpus):

@@ -19,9 +19,10 @@ import os
 import pickle
 import random
 import select
-import sys
 import time
+from functools import partial
 
+from horoflow._fork import fork, usable_cpus
 from horoflow._record import Record
 from horoflow.diagnostics import (
     BinningSpec,
@@ -461,7 +462,8 @@ def run_suite(name="all", report=print):
     shown = 0
     workers = []
     try:
-        _start_workers(queue, min(len(suite), _usable_cpus()) - 1, workers)
+        _start_workers(queue, min(len(suite), len(usable_cpus())) - 1,
+                       workers)
         while not any(isinstance(o, BaseException) for o in outcomes.values()):
             pulled = os.read(queue, 1)
             if not pulled:
@@ -489,13 +491,6 @@ def run_suite(name="all", report=print):
     return [outcomes[n] for n in suite]
 
 
-def _usable_cpus():
-    """The CPUs this process may run on; one where it cannot fork."""
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return 1
-
-
 def _outcome(number):
     """The criterion's result, or the exception it raised."""
     try:
@@ -521,34 +516,25 @@ def _report_ready(suite, outcomes, shown, report):
 def _start_workers(queue, count, workers):
     """Fork up to `count` workers on the queue, each added to `workers` as
     it starts; a fork that fails starts no more of them."""
-    if count > 0:
-        sys.stdout.flush()
-        sys.stderr.flush()
     parent = os.getpid()
     for _ in range(count):
         read, write = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
+        pid = fork(partial(_work, queue, write, parent,
+                           [read] + [worker.fd for worker in workers]))
+        if pid is None:
             os.close(read)
             os.close(write)
             break
-        if pid == 0:
-            try:
-                os.close(read)
-                for worker in workers:
-                    os.close(worker.fd)
-                _work(queue, write, parent)
-            finally:
-                os._exit(1)
         os.close(write)
         workers.append(_Worker(pid, read))
 
 
-def _work(queue, out, parent):
-    """A worker's loop: pull, run and send back criteria until the queue is
-    empty, a criterion fails or the parent is gone.  It leaves only through
-    os._exit, so it never returns into the caller's stack."""
+def _work(queue, out, parent, others):
+    """A worker's loop, in the forked worker: close the pipe ends `others`
+    it has no use for, then pull, run and send back criteria until the
+    queue is empty, a criterion fails or the parent is gone."""
+    for fd in others:
+        os.close(fd)
     while os.getppid() == parent:
         pulled = os.read(queue, 1)
         if not pulled:
@@ -561,7 +547,6 @@ def _work(queue, out, parent):
             data = data[os.write(out, data):]
         if isinstance(outcome, BaseException):
             break
-    os._exit(0)
 
 
 class _Worker:

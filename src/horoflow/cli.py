@@ -187,10 +187,13 @@ def origin_point(model, flow):
 
 def _integrate(args):
     """The model and the orbit's chunks, which run the kernel as they are
-    read, ahead of the reader when the run takes several kernel calls; a
-    failure of the run, before or while the chunks come, is a RunError.
-    The caller closes the chunks, so a read-ahead producer is reaped when
-    the command ends, whether it failed or not."""
+    read, ahead of the reader when the run takes several calls of the pure
+    kernel; a failure of the run, before or while the chunks come, is a
+    RunError.  The caller closes the chunks, so a read-ahead producer is
+    reaped when the command ends, whether it failed or not.  The compiled
+    kernel takes a few hundredths of a second of a dense-octagon run, too
+    little for reading ahead to pay (README, performance)."""
+    from horoflow import _kernels
     from horoflow.flows import orbit_chunks
 
     model = build_model(_require(args, "model"), args.A, args.seed)
@@ -202,7 +205,7 @@ def _integrate(args):
             model, start, flow, steps,
             seed=args.seed,
             sample_every=1 if args.sample_every is None else args.sample_every,
-            ahead=True,
+            ahead=_kernels.BACKEND == "pure",
         )
     except (ValueError, ArithmeticError) as exc:
         raise RunError(str(exc)) from None

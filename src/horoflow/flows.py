@@ -14,16 +14,16 @@ once and never copied, and a run's coordinates are held once at their peak.
 A run need not be held whole: orbit_chunks calls the kernel for CHUNK_ROWS
 samples at a time and yields each call's rows as a segment of their own,
 which coverage and the CSV writer read as they come, so the CLI's `flow`
-and `density` hold one chunk at a time.  The CLI reads such a stream ahead:
-when the run takes two or more kernel calls and two CPUs are usable, a
-forked producer runs the kernel on one of them while the CLI formats or
-bins the chunks already made on the other (horoflow._readahead).  The
-segment derives each row's time from the flow and builds sample points
-only when `segment.samples` is first read.  Coverage, the CSV writer and
-divergence detection read only the coordinates and times: coverage and
-the CSV writer by column from `segment.values`, divergence detection row by
-row through `segment.rows()`; sample points are for comparisons that need
-frames.
+and `density` hold one chunk at a time.  On the pure backend the CLI reads
+such a stream ahead: when the run takes two or more kernel calls and two
+CPUs are usable, a forked producer runs the kernel on one of them while the
+CLI formats or bins the chunks already made on the other
+(horoflow._readahead).  The segment derives each row's time from the flow
+and builds sample points only when `segment.samples` is first read.
+Coverage, the CSV writer and divergence detection read only the
+coordinates and times: coverage and the CSV writer by column from
+`segment.values`, divergence detection row by row through
+`segment.rows()`; sample points are for comparisons that need frames.
 Sample points carry quotient coordinates and, for the surface models, a
 reconstructed frame so orbit-aware point comparisons work on them.  Samples
 of a rotation-group bundle carry only the projected pole coordinates of the

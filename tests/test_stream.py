@@ -7,6 +7,7 @@ must join to the whole run's rows bit for bit, end in the same final
 state, fail with the same message, and give the CLI the same bytes.
 """
 
+import itertools
 import os
 import re
 import tracemalloc
@@ -14,6 +15,7 @@ import tracemalloc
 import pytest
 
 from horoflow import _kernels, cli, flows
+from horoflow._fork import usable_cpus
 from horoflow._kernels import _pure
 from horoflow.diagnostics import (
     BinningSpec,
@@ -241,8 +243,9 @@ def test_t3a_drift_past_the_first_chunk_names_the_whole_run_step(
 def test_a_kernel_failure_after_the_first_chunk_leaves_no_file(
     tmp_path, capsys, monkeypatch, command
 ):
-    # The kernel runs in the read-ahead producer, a forked process, so the
-    # stub logs the first step of each call to a file the test reads.
+    # The CLI reads ahead only as the pure backend, so the test runs it as
+    # each backend.  Read ahead, the kernel runs in the forked producer, so
+    # the stub logs the first step of each call to a file the test reads.
     real = _kernels.surface_orbit
     calls = []
     log = tmp_path / "calls.log"
@@ -267,11 +270,15 @@ def test_a_kernel_failure_after_the_first_chunk_leaves_no_file(
     target = tmp_path / "target"
     target.mkdir()
     out = target / "out"
-    for before in (None, "kept\n"):
+    for backend, before in itertools.product(("native", "pure"),
+                                             (None, "kept\n")):
+        monkeypatch.setattr(_kernels, "BACKEND", backend)
         calls.clear()
         log.write_text("")
         if before is not None:
             out.write_text(before)
+        else:
+            out.unlink(missing_ok=True)
         assert cli.main(argv + ["--out", str(out)]) == 1
         assert capsys.readouterr().err == (
             "run failed: reduction did not settle within 10000 descents "
@@ -288,7 +295,7 @@ def test_a_kernel_failure_after_the_first_chunk_leaves_no_file(
 
 # With two usable CPUs a stream read ahead forks one producer; with one it
 # runs in this process, as without `ahead`.
-TWO_CPUS = len(os.sched_getaffinity(0)) >= 2
+TWO_CPUS = len(usable_cpus()) >= 2
 
 
 @pytest.fixture
@@ -322,14 +329,14 @@ def test_read_ahead_chunks_are_the_in_process_chunks(small_chunks, forks, case):
     steps = 3 * ROWS * 7 + 10
     here = list(orbit_chunks(model, None, flow, steps, seed=SEED,
                              sample_every=7))
-    cpus = os.sched_getaffinity(0)
+    cpus = usable_cpus()
     ahead = []
     for chunk in orbit_chunks(model, None, flow, steps, seed=SEED,
                               sample_every=7, ahead=True):
         # while it streams, this process keeps to one CPU
-        assert len(os.sched_getaffinity(0)) == (1 if TWO_CPUS else len(cpus))
+        assert len(usable_cpus()) == (1 if TWO_CPUS else len(cpus))
         ahead.append(chunk)
-    assert os.sched_getaffinity(0) == cpus
+    assert usable_cpus() == cpus
     assert len(forks) == TWO_CPUS
     assert len(ahead) == 4
     assert chunk_bits(ahead) == chunk_bits(here)
@@ -338,18 +345,17 @@ def test_read_ahead_chunks_are_the_in_process_chunks(small_chunks, forks, case):
     assert_no_child_left()
 
 
-def test_one_usable_cpu_or_one_kernel_call_forks_nothing(small_chunks, forks):
+def test_one_usable_cpu_or_one_kernel_call_forks_nothing(
+    monkeypatch, small_chunks, forks
+):
     model, flow = CASES["surface-none"]()
     whole = chunk_bits(orbit_chunks(model, None, flow, 3 * ROWS, seed=SEED))
     assert len(list(orbit_chunks(model, None, flow, ROWS, seed=SEED,
                                  ahead=True))) == 1
-    cpus = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, {min(cpus)})
-    try:
-        chunks = chunk_bits(orbit_chunks(model, None, flow, 3 * ROWS,
-                                         seed=SEED, ahead=True))
-    finally:
-        os.sched_setaffinity(0, cpus)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    chunks = chunk_bits(orbit_chunks(model, None, flow, 3 * ROWS, seed=SEED,
+                                     ahead=True))
     assert chunks == whole
     assert forks == []
     assert_no_child_left()
@@ -368,14 +374,14 @@ def test_a_producer_error_reaches_the_reader_after_the_chunks_before_it(
 
     monkeypatch.setattr(_kernels, "surface_orbit", third_call_fails)
     model, flow = CASES["surface-none"]()
-    cpus = os.sched_getaffinity(0)
+    cpus = usable_cpus()
     chunks = orbit_chunks(model, None, flow, 4 * ROWS, seed=SEED, ahead=True)
     assert [next(chunks).offset, next(chunks).offset] == [0, ROWS + 1]
     with pytest.raises(error) as info:
         next(chunks)
     assert type(info.value) is error
     assert str(info.value) == "kernel failed at step %d" % (2 * ROWS)
-    assert os.sched_getaffinity(0) == cpus
+    assert usable_cpus() == cpus
     assert len(forks) == TWO_CPUS
     assert_no_child_left()
 
@@ -422,11 +428,11 @@ def test_a_producer_that_dies_fails_the_stream(monkeypatch, small_chunks, forks)
 
 def test_a_reader_that_stops_early_reaps_the_producer(small_chunks, forks):
     model, flow = CASES["surface-none"]()
-    cpus = os.sched_getaffinity(0)
+    cpus = usable_cpus()
     chunks = orbit_chunks(model, None, flow, 100 * ROWS, seed=SEED, ahead=True)
     next(chunks)
     chunks.close()
-    assert os.sched_getaffinity(0) == cpus
+    assert usable_cpus() == cpus
     assert len(forks) == TWO_CPUS
     assert_no_child_left()
 
@@ -448,20 +454,71 @@ def test_a_cli_reader_that_fails_mid_stream_reaps_the_producer(
 
     monkeypatch.setattr(orbitio, "orbit_csv_text", second_text_fails)
     monkeypatch.setattr(diagnostics, "coverage", second_chunk_fails)
+    monkeypatch.setattr(_kernels, "BACKEND", "pure")  # which reads ahead
     argv = [command, "--model", "t3a", "--flow", "sol3u", "--seed", "1",
             "--steps", str(20 * ROWS), "--out", str(tmp_path / "out")]
     if command == "density":
         argv += ["--bins", "8 8"]
-    cpus = os.sched_getaffinity(0)
+    cpus = usable_cpus()
     # `info` keeps the traceback, and with it the command's frame and its
     # stream, alive: the command must close the stream itself
     with pytest.raises(OSError, match="No space left") as info:
         cli.main(argv)
     assert os.listdir(tmp_path) == []
-    assert os.sched_getaffinity(0) == cpus
+    assert usable_cpus() == cpus
     assert len(forks) == TWO_CPUS
     assert_no_child_left()
     assert info.value.errno == 28
+
+
+@pytest.mark.parametrize("backend", ["native", "pure"])
+def test_the_cli_reads_ahead_as_the_pure_backend_only(
+    monkeypatch, tmp_path, small_chunks, forks, backend
+):
+    # The compiled kernel is too quick for a producer to pay.  The bytes
+    # are those of a run on one usable CPU, which forks nothing.
+    argv = ["flow", "--model", "octagon", "--flow", "u", "--seed", "5",
+            "--steps", str(3 * ROWS), "--out"]
+    monkeypatch.setattr(_kernels, "BACKEND", backend)
+    assert cli.main(argv + [str(tmp_path / "cli.csv")]) == 0
+    assert len(forks) == (TWO_CPUS and backend == "pure")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert cli.main(argv + [str(tmp_path / "one-cpu.csv")]) == 0
+    assert len(forks) == (TWO_CPUS and backend == "pure")
+    assert ((tmp_path / "cli.csv").read_bytes()
+            == (tmp_path / "one-cpu.csv").read_bytes())
+    assert_no_child_left()
+
+
+def test_streams_started_side_by_side_read_ahead_on_other_cpus(
+    monkeypatch, tmp_path, small_chunks, forks
+):
+    # Four usable CPUs, and two streams whose readers have neighbouring
+    # pids, as two runs started together would: each stream pins its
+    # reader and its producer to two CPUs that the other stream leaves alone.
+    log = tmp_path / "pins"
+
+    def pin(pid, cpus):
+        with open(log, "a") as out:
+            out.write(" ".join(map(str, sorted(cpus))) + "\n")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)),
+                        raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", pin, raising=False)
+    model, flow = CASES["surface-none"]()
+    pairs = []
+    for reader in (4242, 4243):
+        monkeypatch.setattr(os, "getpid", lambda reader=reader: reader)
+        log.write_text("")
+        list(orbit_chunks(model, None, flow, 3 * ROWS, seed=SEED, ahead=True))
+        *pinned, restored = log.read_text().splitlines()
+        assert restored == "0 1 2 3"
+        pairs.append({int(cpu) for cpu in pinned})
+    assert len(forks) == 2
+    assert [len(pair) for pair in pairs] == [2, 2]
+    assert not pairs[0] & pairs[1]
+    assert_no_child_left()
 
 
 # Starts a stream read ahead, prints the producer's pid and then "read"
@@ -496,6 +553,8 @@ def has_exited(pid):
         return True
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="tells a process's state from /proc")
 def test_a_killed_reader_lets_the_producer_exit():
     import signal
     import subprocess
