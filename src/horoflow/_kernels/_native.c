@@ -255,10 +255,21 @@ static double inner_bound(const double *quick, Py_ssize_t n)
     return 2.0 * sqrt((0.5 * norm + 1.0) * 0.5) * (1.0 - INNER_MARGIN);
 }
 
-static double boundary_apply(double a, double b, double c, double d,
-                             double theta)
+/* moebius.boundary_angle of (a, b; c, d) at *theta, in place.  An
+   infinite theta raises math.sin's own error, where C's sin would go on
+   with a NaN. */
+static int boundary_apply(double a, double b, double c, double d,
+                          double *theta)
 {
-    double half = 0.5 * theta;
+    double half = 0.5 * *theta;
+    if (isinf(half)) {
+        PyObject *math = PyImport_ImportModule("math");
+        if (math != NULL) {
+            Py_XDECREF(PyObject_CallMethod(math, "sin", "d", half)); /* raises */
+            Py_DECREF(math);
+        }
+        return -1;
+    }
     double p = sin(half);
     double q = cos(half);
     double pp = a * p + b * q;
@@ -268,7 +279,8 @@ static double boundary_apply(double a, double b, double c, double d,
         phi += PI;
     else if (phi > HALF_PI)
         phi -= PI;
-    return 2.0 * phi;
+    *theta = 2.0 * phi;
+    return 0;
 }
 
 /* t <- l * t normalised, its sign set by the first entry beyond 1e-12. */
@@ -406,10 +418,10 @@ static PyObject *surface_orbit(PyObject *self, PyObject *args,
                     memcpy(m, cm, sizeof cm);
                     arg = carg;
                     dist = cand;
-                    if (kind == TRANS_BOUNDARY)
-                        t[0] = boundary_apply(l[0], l[1], l[2], l[3], t[0]);
-                    else if (kind == TRANS_ROTATION
-                             && quat_mul_norm(quats + 4 * k, t))
+                    if ((kind == TRANS_BOUNDARY
+                         && boundary_apply(l[0], l[1], l[2], l[3], &t[0]))
+                        || (kind == TRANS_ROTATION
+                            && quat_mul_norm(quats + 4 * k, t)))
                         goto done;
                     moved = 1;
                     break;
@@ -481,7 +493,8 @@ static PyObject *modular_orbit(PyObject *self, PyObject *args,
                 m[1] -= shift * m[3];
                 re -= shift;
                 if (kind == TRANS_BOUNDARY) {
-                    t[0] = boundary_apply(1.0, -shift, 0.0, 1.0, t[0]);
+                    if (boundary_apply(1.0, -shift, 0.0, 1.0, &t[0]))
+                        goto done;
                 }
                 else if (kind == TRANS_ROTATION) {
                     /* T applied -shift times: the inverse for shift > 0 */
@@ -500,9 +513,9 @@ static PyObject *modular_orbit(PyObject *self, PyObject *args,
             m[1] = -m[3];
             m[2] = a;
             m[3] = b;
-            if (kind == TRANS_BOUNDARY)
-                t[0] = boundary_apply(0.0, -1.0, 1.0, 0.0, t[0]);
-            else if (kind == TRANS_ROTATION && quat_mul_norm(quats + 4, t))
+            if ((kind == TRANS_BOUNDARY
+                 && boundary_apply(0.0, -1.0, 1.0, 0.0, &t[0]))
+                || (kind == TRANS_ROTATION && quat_mul_norm(quats + 4, t)))
                 goto done;
             if (++rounds > REDUCE_CAP) {
                 PyErr_Format(PyExc_ValueError,

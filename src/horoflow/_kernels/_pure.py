@@ -8,10 +8,11 @@ the step product assigns its entries in pairs without building a tuple,
 the first descent round reuses the post-step determinant, the loop writes
 each sample row into the buffer itself (a rotated pole through _put_pole),
 the letter table is built once per distinct letter list, and t3a_orbit
-takes lam ** t' only when t' has moved, where _native.c tests (i + 1)
-modulo each interval, recomputes the determinant every round, writes rows
-through put_sample, builds its table per call and takes lam ** t' every
-step.
+takes lam ** t' and the step's two shifts only when t' has moved, adds
+st to t' and floors it only when t' can move, and negates d' once, where
+_native.c tests (i + 1) modulo each interval, recomputes the determinant
+every round, writes rows through put_sample, builds its table per call
+and does all of these every step.
 The boundary action of a letter on the circle is moebius.boundary_angle,
 whose C twin is _native.c's boundary_apply.
 
@@ -453,31 +454,41 @@ def t3a_orbit(state, lam, eigen, sol_step, steps, sample_every, first_step=0):
     j = 3  # row 0 is the caller's
     every = abs(sample_every)
     sample_in = every
-    # lam ** tp, taken again only once tp has moved: after a step with a
-    # truthy st (nonzero or NaN) and after a level shift.  tp += st runs
-    # every step all the same, so a -0.0 start still turns into +0.0.
+    # lam ** tp and the step's shifts scale * sx and sy / scale, taken
+    # again only once tp has moved: after a step with a truthy st (nonzero
+    # or NaN) and after a level shift.  tp += st and its floor run only
+    # where tp can move: the first step, so that a -0.0 start still turns
+    # into +0.0, each step after a level shift, and every step of a truthy
+    # st.
     scale = None
+    moved = True
+    ndp = -dp
     for i in range(steps):
         if scale is None:
             scale = lam ** tp
-        xp += scale * sx
-        yp += sy / scale
-        tp += st
-        if st:
-            scale = None
-        n = math.floor(tp)
-        if n != 0:
-            if n > 64 or n < -64:
-                raise ValueError(
-                    "suspension coordinate drifted %d levels at step %d"
-                    % (n, first_step + i)
-                )
-            down = lam ** n
-            xp /= down
-            yp *= down
-            tp -= n
-            scale = None
-        x = -dp * xp + cp * yp
+            dx = scale * sx
+            dy = sy / scale
+        xp += dx
+        yp += dy
+        if moved:
+            tp += st
+            n = math.floor(tp)
+            if n != 0:
+                if n > 64 or n < -64:
+                    raise ValueError(
+                        "suspension coordinate drifted %d levels at step %d"
+                        % (n, first_step + i)
+                    )
+                down = lam ** n
+                xp /= down
+                yp *= down
+                tp -= n
+                scale = None
+            elif st:
+                scale = None
+            else:
+                moved = False
+        x = ndp * xp + cp * yp
         y = bp * xp - ap * yp
         m1 = math.floor(x)
         m2 = math.floor(y)

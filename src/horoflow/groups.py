@@ -15,6 +15,7 @@ documented heuristic over a finite ball.
 
 import enum
 import math
+import struct
 
 from horoflow._record import Record
 from horoflow.moebius import (
@@ -28,6 +29,7 @@ from horoflow.moebius import (
 
 WORD_BALL_RADIUS_CAP = 6
 WORD_BALL_ELEMENT_BUDGET = 200_000
+_PACK_KEY = struct.Struct("<4q").pack
 
 
 class TransverseSpace:
@@ -360,11 +362,23 @@ class WordBall(Record):
 
 def word_ball(group, radius, radius_cap=WORD_BALL_RADIUS_CAP,
               budget=WORD_BALL_ELEMENT_BUDGET, quantum=1e-9):
-    """All products of at most `radius` generators or inverses.
+    """All products of at most `radius` generators or inverses, in a list;
+    see iter_word_ball."""
+    return WordBall(
+        radius, list(iter_word_ball(group, radius, radius_cap, budget, quantum))
+    )
+
+
+def iter_word_ball(group, radius, radius_cap=WORD_BALL_RADIUS_CAP,
+                   budget=WORD_BALL_ELEMENT_BUDGET, quantum=1e-9):
+    """Yield (word tuple, ProductElement) for every product of at most
+    `radius` generators or inverses, identity first.
 
     Words are kept reduced (no letter followed by its undo) and collapsed by
     canonical key, so group relations shrink the ball instead of bloating it.
-    Deterministic breadth-first order.
+    Deterministic breadth-first order.  A bad radius raises here, at the
+    call; the stream holds only the keys seen and the layer still to be
+    extended, never the last layer.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -373,21 +387,38 @@ def word_ball(group, radius, radius_cap=WORD_BALL_RADIUS_CAP,
             "radius %d exceeds the cap %d; raise radius_cap explicitly if you "
             "really want this" % (radius, radius_cap)
         )
+    return _ball_stream(group, radius, budget, quantum)
+
+
+def _seen_key(elem, quantum):
+    """elem.key(quantum), packed into 32 bytes when the transverse key is
+    empty and the Mobius key fits int64.  A key always takes the same form
+    and packing is one to one, so the dedup classes are the plain keys'."""
+    mkey, tkey = elem.key(quantum)
+    if not tkey:
+        try:
+            return _PACK_KEY(*mkey)
+        except struct.error:
+            pass
+    return (mkey, tkey)
+
+
+def _ball_stream(group, radius, budget, quantum):
     letters = group.letters()
     identity = ProductElement(
         MoebiusElement.identity(), group.space.identity(), group.space
     )
-    seen = {identity.key(quantum)}
-    elements = [((), identity)]
+    seen = {_seen_key(identity, quantum)}
+    yield (), identity
     frontier = [((), identity, -1)]
-    for _ in range(radius):
+    for layer in range(radius, 0, -1):
         next_frontier = []
         for word, elem, last in frontier:
             for li, (lname, lelem, undo) in enumerate(letters):
                 if last >= 0 and letters[last][2] == li:
                     continue  # would cancel the previous letter
                 new = elem.mul(lelem)
-                k = new.key(quantum)
+                k = _seen_key(new, quantum)
                 if k in seen:
                     continue
                 if len(seen) >= budget:
@@ -395,18 +426,17 @@ def word_ball(group, radius, radius_cap=WORD_BALL_RADIUS_CAP,
                         "word ball exceeded the element budget (%d)" % budget
                     )
                 seen.add(k)
-                entry = (word + (lname,), new)
-                elements.append(entry)
-                next_frontier.append((entry[0], new, li))
+                longer = word + (lname,)
+                yield longer, new
+                if layer > 1:
+                    next_frontier.append((longer, new, li))
         frontier = next_frontier
-    return WordBall(radius, elements)
 
 
 def detect_semi_parabolic(group, radius, **kw):
     """Ball elements whose Mobius part is parabolic and not the identity."""
-    ball = word_ball(group, radius, **kw)
     out = []
-    for word, pe in ball.elements:
+    for word, pe in iter_word_ball(group, radius, **kw):
         if pe.m.is_identity():
             continue
         if classify_element(pe.m) is ElementClass.PARABOLIC:

@@ -18,12 +18,15 @@ from horoflow.groups import (
     ProductElement,
     ProjectionClass,
     classify_psl_projection,
+    _seen_key,
     detect_semi_parabolic,
+    iter_word_ball,
     quat_mul,
     quat_normalize,
     quat_rotate_vector,
     word_ball,
 )
+from horoflow.models import build_octagon, build_t3a
 from horoflow.moebius import BoundaryPoint, MoebiusElement
 
 LAMBDA = (3.0 + math.sqrt(5.0)) / 2.0
@@ -118,6 +121,87 @@ def test_ball_radius_cap_and_budget():
     word_ball(free_pair(), 7, radius_cap=7, budget=100_000)  # explicit raise of cap
     with pytest.raises(RuntimeError):
         word_ball(free_pair(), 3, budget=10)
+
+
+def reference_word_ball(group, radius, budget=200_000):
+    """The breadth-first ball as a list, deduplicated by the plain keys:
+    the oracle for the stream's order, its packed keys and its budget."""
+    letters = group.letters()
+    identity = ProductElement(
+        MoebiusElement.identity(), group.space.identity(), group.space
+    )
+    seen = {identity.key()}
+    elements = [((), identity)]
+    frontier = [((), identity, -1)]
+    for _ in range(radius):
+        next_frontier = []
+        for word, elem, last in frontier:
+            for li, (lname, lelem, _undo) in enumerate(letters):
+                if last >= 0 and letters[last][2] == li:
+                    continue
+                new = elem.mul(lelem)
+                k = new.key()
+                if k in seen:
+                    continue
+                if len(seen) >= budget:
+                    raise RuntimeError(
+                        "word ball exceeded the element budget (%d)" % budget
+                    )
+                seen.add(k)
+                elements.append((word + (lname,), new))
+                next_frontier.append((word + (lname,), new, li))
+        frontier = next_frontier
+    return elements
+
+
+def exact(elements):
+    """Words and exact entries: ProductElement's repr rounds to 9 digits."""
+    return repr([(w, pe.m.entries, pe.g, pe.space.name) for w, pe in elements])
+
+
+@pytest.mark.parametrize("group, radii", [
+    (build_octagon().group(), range(5)),
+    (free_pair(), range(5)),
+    (modular_pair(), range(5)),
+    (build_t3a(((2, 1), (1, 1))).dual_group(), range(4)),  # RealAffine keys
+], ids=["octagon", "free", "modular", "t3a-dual"])
+def test_streamed_ball_matches_the_list_ball(group, radii):
+    for radius in radii:
+        streamed = list(iter_word_ball(group, radius))
+        assert exact(streamed) == exact(reference_word_ball(group, radius))
+        assert exact(word_ball(group, radius).elements) == exact(streamed)
+
+
+def test_streamed_ball_refuses_a_bad_radius_at_the_call():
+    with pytest.raises(ValueError, match="nonnegative"):
+        iter_word_ball(free_pair(), -1)
+    with pytest.raises(ValueError, match="exceeds the cap 6"):
+        iter_word_ball(free_pair(), 7)
+
+
+def test_streamed_ball_stops_at_the_same_element_over_budget():
+    got = []
+    with pytest.raises(RuntimeError, match=r"element budget \(10\)"):
+        for entry in iter_word_ball(free_pair(), 3, budget=10):
+            got.append(entry)
+    with pytest.raises(RuntimeError, match=r"element budget \(10\)"):
+        reference_word_ball(free_pair(), 3, budget=10)
+    assert exact(got) == exact(reference_word_ball(free_pair(), 3)[:10])
+
+
+def test_ball_key_past_int64_stays_a_tuple_and_dedups_alike():
+    # geo(1e5) has entries 1e5 and 1e-5, so words of two or more of its
+    # letters have a key entry of 1e19 or more, past int64
+    big = GeneratedGroup.from_moebius(
+        [("g", MoebiusElement.geo(1e5)), ("T", MoebiusElement.u(1.0))]
+    )
+    elements = list(iter_word_ball(big, 3))
+    keys = [_seen_key(pe, 1e-9) for _, pe in elements]
+    assert any(isinstance(k, tuple) for k in keys)
+    assert any(isinstance(k, bytes) for k in keys)
+    assert exact(elements) == exact(reference_word_ball(big, 3))
+    assert len(elements) == len(brute_force_keys(
+        [MoebiusElement.geo(1e5), MoebiusElement.u(1.0)], 3))
 
 
 def test_generated_group_validation():

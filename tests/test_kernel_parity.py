@@ -1,0 +1,196 @@
+"""Hypothesis parity of the modular and t3a kernels across the backends.
+
+Each drawn call runs on both backends, and the repr of what they return,
+or the (type, message) of what they raise, must be the same.  The draws
+include the inputs the kernels must fail on alike: non-finite and
+collapsed frames, infinite boundary angles, zero quaternions, a zero
+sampling interval, and for t3a a zero or NaN lam ** t' and a level guard.
+
+`reference_t3a_orbit` is t3a_orbit as _native.c runs it, every expression
+on every step: the pure kernel, which takes lam ** t' and floors t' only
+when t' can have moved, must return exactly what it returns, also where
+no C compiler exists.  The t' draws include +-0.0, and the st draws 0.0,
+-0.0, a tiny st, one of at least a level per step and NaN, so that every
+way of skipping the floor is taken.
+"""
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from horoflow._kernels import TRANS_BOUNDARY, TRANS_ROTATION, _pure
+from horoflow._kernels._pure import _sample_buffer
+from horoflow.models import build_t3a
+from horoflow.moebius import MoebiusElement
+
+IDENTITY = (1.0, 0.0, 0.0, 1.0)
+NO_TRANS = (0.0, 0.0, 0.0, 0.0)
+T3A = build_t3a(((2, 1), (1, 1)))
+EIGEN = (T3A.a_prime, T3A.b_prime, T3A.c_prime, T3A.d_prime)
+
+
+def outcome(kernel, args):
+    """The repr of what the kernel returns, or its exception and message."""
+    try:
+        return repr(kernel(*args))
+    except Exception as exc:  # the failure must match as well
+        return (type(exc), str(exc))
+
+
+def reference_t3a_orbit(state, lam, eigen, sol_step, steps, sample_every,
+                        first_step=0):
+    xp, yp, tp = state
+    ap, bp, cp, dp = eigen
+    sx, sy, st_ = sol_step
+    if lam < 0.0:
+        raise ValueError("lam must not be negative, got %g" % lam)
+    samples = _sample_buffer(steps, sample_every, 3)
+    j = 3
+    for i in range(steps):
+        scale = lam ** tp
+        xp += scale * sx
+        yp += sy / scale
+        tp += st_
+        n = math.floor(tp)
+        if n != 0:
+            if n > 64 or n < -64:
+                raise ValueError(
+                    "suspension coordinate drifted %d levels at step %d"
+                    % (n, first_step + i)
+                )
+            down = lam ** n
+            xp /= down
+            yp *= down
+            tp -= n
+        x = -dp * xp + cp * yp
+        y = bp * xp - ap * yp
+        m1 = math.floor(x)
+        m2 = math.floor(y)
+        if m1 != 0 or m2 != 0:
+            xp -= m1 * ap + m2 * cp
+            yp -= m1 * bp + m2 * dp
+        if (i + 1) % sample_every == 0:
+            samples[j] = x - m1
+            samples[j + 1] = y - m2
+            samples[j + 2] = tp
+            j += 3
+    return (samples, (xp, yp, tp))
+
+
+def run_lengths():
+    return (st.integers(0, 60), st.integers(-7, 7), st.integers(0, 2 ** 40))
+
+
+@st.composite
+def modular_frames(draw):
+    """k(theta) a(t) n(x) within distance about 9 of i, so that a rotation
+    bundle's T holonomy runs a few thousand times at most, or a frame the
+    kernel must refuse."""
+    special = draw(st.sampled_from([
+        None, None, None, None,
+        (1e200, 0.0, 0.0, 1e-200),  # c^2 + d^2 underflows to 0
+        (1e-200, 0.0, 0.0, 1e200),  # c^2 + d^2 overflows to inf
+        (math.nan, 0.0, 0.0, 1.0),
+        (1.0, 0.0, 0.0, -1.0),  # det -1
+        (0.0, 0.0, 0.0, 0.0),
+    ]))
+    if special is not None:
+        return special
+    theta = draw(st.floats(-math.pi, math.pi))
+    t = draw(st.floats(0.0, 6.0))
+    x = draw(st.floats(-10.0, 10.0))
+    g = MoebiusElement.rot(theta).mul(MoebiusElement.geo(math.exp(0.5 * t)))
+    return g.mul(MoebiusElement.u(x)).entries
+
+
+@st.composite
+def modular_steps(draw, bound):
+    """A u, geo or b step of size at most bound, or the identity."""
+    kind = draw(st.sampled_from(["u", "geo", "b", "identity"]))
+    s = draw(st.floats(-bound, bound))
+    if kind == "u":
+        return MoebiusElement.u(s).entries
+    if kind == "geo":
+        return MoebiusElement.geo(math.exp(0.5 * s)).entries
+    if kind == "b":
+        return MoebiusElement.b_el(math.exp(s), draw(st.floats(-bound, bound))).entries
+    return IDENTITY
+
+
+@st.composite
+def quats(draw):
+    q = draw(st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+        lambda q: sum(v * v for v in q) > 0.01))
+    n = math.sqrt(sum(v * v for v in q))
+    return tuple(v / n for v in q)
+
+
+@st.composite
+def modular_cases(draw):
+    kind = draw(st.sampled_from([0, TRANS_BOUNDARY, TRANS_ROTATION]))
+    holonomy = None
+    trans = NO_TRANS
+    if kind == TRANS_BOUNDARY:
+        trans = (draw(st.one_of(
+            st.floats(-math.pi, math.pi),
+            st.sampled_from([math.inf, -math.inf, math.nan, -0.0]),
+        )), 0.0, 0.0, 0.0)
+    elif kind == TRANS_ROTATION:
+        trans = draw(quats())
+        if draw(st.integers(0, 9)):
+            holonomy = list(draw(quats()) + draw(quats()))
+        else:
+            holonomy = [0.0] * 8  # no norm to divide by
+    # a rotation bundle applies its T holonomy once per unit of each shift,
+    # so its steps stay short enough that the orbit climbs no higher than
+    # about e^6
+    step = draw(modular_steps(0.1 if kind == TRANS_ROTATION else 0.5))
+    steps, every, first = (draw(s) for s in run_lengths())
+    return (draw(modular_frames()), step, kind, holonomy,
+            trans, steps, every, first)
+
+
+@st.composite
+def t3a_cases(draw):
+    tp = draw(st.one_of(
+        st.floats(-2.0, 2.0),
+        st.sampled_from([0.0, -0.0, -1e-20, 1.0 - 2.0 ** -53, math.nan,
+                         math.inf, -1e6]),
+    ))
+    state = (draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)), tp)
+    st_ = draw(st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, 1e-300, math.nan, -1.5, 70.0]),
+        st.floats(-0.3, 0.3),
+        st.floats(1.0, 3.0),  # at least one level per step
+    ))
+    sol_step = (draw(st.floats(-0.2, 0.2)), draw(st.floats(-0.2, 0.2)), st_)
+    lam = draw(st.sampled_from([T3A.lam, T3A.lam, T3A.lam, 1.0, 0.0, -1.0]))
+    steps, every, first = (draw(s) for s in run_lengths())
+    return (state, lam, EIGEN, sol_step, steps, every, first)
+
+
+@settings(max_examples=300, deadline=None)
+@given(t3a_cases())
+def test_pure_t3a_matches_every_step_reference(args):
+    assert outcome(_pure.t3a_orbit, args) == outcome(reference_t3a_orbit, args)
+
+
+def test_native_t3a_matches_pure(native):
+    @settings(max_examples=300, deadline=None)
+    @given(t3a_cases())
+    def check(args):
+        assert outcome(native.t3a_orbit, args) == outcome(_pure.t3a_orbit, args)
+
+    check()
+
+
+def test_native_modular_matches_pure(native):
+    @settings(max_examples=300, deadline=None)
+    @given(modular_cases())
+    def check(args):
+        assert outcome(native.modular_orbit, args) == outcome(
+            _pure.modular_orbit, args
+        )
+
+    check()

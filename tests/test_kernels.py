@@ -472,6 +472,17 @@ def test_nonfinite_and_zero_inputs_fail_alike(native):
     flat = (1e200, 0.0, 0.0, 1e-200)
     tall = (1e-200, 0.0, 0.0, 1e200)
     model = build_product(build_octagon(), ROTATIONS3, seed=7)
+    # an infinite boundary angle reaches math.sin at the first descent
+    infinite_angle = [
+        *(lambda k, theta=theta: k.surface_orbit(
+            build_octagon().generators[0].entries, IDENTITY,
+            octagon_letters(), 1, None, (theta, 0.0, 0.0, 0.0), 3, 1,
+        ) for theta in (math.inf, -math.inf)),
+        *(lambda k, theta=theta: k.modular_orbit(
+            MoebiusElement.u(2.0).entries, IDENTITY, 1, None,
+            (theta, 0.0, 0.0, 0.0), 3, 1,
+        ) for theta in (math.inf, -math.inf)),
+    ]
     calls = [
         lambda k: k.surface_orbit(flat, IDENTITY, octagon_letters(), 0, None,
                                   NO_TRANS, 3, 1),
@@ -500,6 +511,7 @@ def test_nonfinite_and_zero_inputs_fail_alike(native):
                               (0.0, 0.0, math.inf), 5, 1),
         lambda k: k.t3a_orbit((0.0, 0.0, 0.0), m.lam, eigen,
                               (0.0, 0.0, -1e30), 5, 1),
+        *infinite_angle,
         lambda k: k.surface_orbit(
             IDENTITY, step, octagon_letters(), 0, None, NO_TRANS, 3, 0
         ),
@@ -519,6 +531,8 @@ def test_nonfinite_and_zero_inputs_fail_alike(native):
     assert failure(calls[0], native) == (
         ZeroDivisionError, "float division by zero"
     )
+    for call in infinite_angle:
+        assert failure(call, native)[0] is ValueError
     for call in calls[-3:]:
         assert failure(call, _pure) == (
             ZeroDivisionError, "integer modulo by zero"
