@@ -2,7 +2,8 @@
 
 Both find the CPUs they may spread over the same way, and both fork
 children that leave only through os._exit, so that a child never returns
-into its parent's stack.  Each caller keeps its own pipes and wire format.
+into its parent's stack.  Each caller keeps its own pipes and wire format,
+and sends an exception through portable.
 """
 
 import os
@@ -36,3 +37,15 @@ def fork(child):
         finally:
             os._exit(code)
     return pid
+
+
+def portable(exc):
+    """exc if it pickles and unpickles, so that a child can send it to its
+    parent, or else a RuntimeError naming its type and message."""
+    import pickle  # here, as a flow or density child has no other use for it
+
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return RuntimeError("%s: %s" % (type(exc).__name__, exc))
+    return exc

@@ -25,7 +25,7 @@ import os
 from array import array
 from functools import partial
 
-from horoflow._fork import fork, usable_cpus
+from horoflow._fork import fork, portable, usable_cpus
 
 END = -1
 ERROR = -2
@@ -109,11 +109,7 @@ def _produce(read, out, chunks, cpu):
     except Exception as exc:  # a closed pipe fails this send too
         import pickle
 
-        try:
-            data = pickle.dumps(exc)
-        except Exception:
-            data = pickle.dumps(RuntimeError(
-                "%s: %s" % (type(exc).__name__, exc)))
+        data = pickle.dumps(portable(exc))
         _send(out, array("q", (ERROR, len(data))))
         _send(out, data)
 

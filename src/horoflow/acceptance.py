@@ -1,7 +1,8 @@
 """Desk-scale acceptance suite: ten numbered, self-timing criteria.
 
 Each criterion is a zero-argument callable returning a CriterionResult with
-the measured quantities, the verdict, and the elapsed wall time.  Seeds and
+the measured quantities, the verdict, and the elapsed wall time: a check
+returning (passed, details), timed and numbered by _criterion.  Seeds and
 thresholds are fixed constants so a run is reproducible bit for bit; the
 runtime budgets assume one modern core and the compiled kernels (the pure
 fallback stays within budget everywhere but with less headroom).
@@ -20,9 +21,9 @@ import pickle
 import random
 import select
 import time
-from functools import partial
+from functools import partial, wraps
 
-from horoflow._fork import fork, usable_cpus
+from horoflow._fork import fork, portable, usable_cpus
 from horoflow._record import Record
 from horoflow.diagnostics import (
     BinningSpec,
@@ -79,6 +80,21 @@ class CriterionResult(Record):
         )
 
 
+def _criterion(number, budget):
+    """Turn a check returning (passed, details) into criterion `number`: a
+    zero-argument callable that times the check in the process running it
+    and returns its CriterionResult, named after the check."""
+    def wrap(check):
+        @wraps(check)
+        def criterion():
+            start = time.perf_counter()
+            passed, details = check()
+            return CriterionResult(number, check.__name__, passed,
+                                   time.perf_counter() - start, budget, details)
+        return criterion
+    return wrap
+
+
 def _short(value):
     if isinstance(value, float):
         return "%.3g" % value
@@ -104,9 +120,9 @@ def _random_frame(rng):
     )
 
 
+@_criterion(1, 1.0)
 def boundary_contraction():
     """1: powers of a hyperbolic element contract the boundary grid."""
-    start = time.perf_counter()
     rng = random.Random(SUITE_SEED)
     worst_passage = 0
     tracked_total = 0
@@ -120,16 +136,13 @@ def boundary_contraction():
             ok = False
         else:
             worst_passage = max(worst_passage, max(passages))
-    elapsed = time.perf_counter() - start
-    return CriterionResult(
-        1, "boundary_contraction", ok, elapsed, 1.0,
-        {"tracked_points": tracked_total, "worst_first_passage": worst_passage},
-    )
+    return ok, {"tracked_points": tracked_total,
+                "worst_first_passage": worst_passage}
 
 
+@_criterion(2, 1.0)
 def steering_identity():
     """2: unipotent steering lands exactly on the target near-diagonal form."""
-    start = time.perf_counter()
     rng = random.Random(SUITE_SEED + 1)
     worst = 0.0
     for _ in range(1000):
@@ -146,34 +159,25 @@ def steering_identity():
             max(abs(x + y) for x, y in zip(got, target)),
         )
         worst = max(worst, gap)
-    elapsed = time.perf_counter() - start
-    return CriterionResult(
-        2, "steering_identity", worst < 1e-9, elapsed, 1.0,
-        {"max_entry_gap": worst},
-    )
+    return worst < 1e-9, {"max_entry_gap": worst}
 
 
+@_criterion(3, 10.0)
 def toroidal_fiber_density():
     """3: the unipotent flow keeps the suspension time and fills its torus."""
-    start = time.perf_counter()
     model = build_t3a(((2, 1), (1, 1)))
     chunks = orbit_chunks(model, None, Sol3U(0.037), 100_000, seed=SUITE_SEED)
     fiber = FiberWatch("t")
     report = coverage(fiber.passing(chunks),
                       BinningSpec(((0.0, 1.0), (0.0, 1.0)), (50, 50)))
     variation = fiber.worst
-    elapsed = time.perf_counter() - start
-    return CriterionResult(
-        3, "toroidal_fiber_density",
-        variation == 0.0 and report.fraction >= 0.99,
-        elapsed, 10.0,
-        {"t_variation": variation, "fraction": report.fraction},
-    )
+    return (variation == 0.0 and report.fraction >= 0.99,
+            {"t_variation": variation, "fraction": report.fraction})
 
 
+@_criterion(4, 1.0)
 def boundary_funneling():
     """4: the dual bundle iteration funnels generic pairs to (infinity, 0)."""
-    start = time.perf_counter()
     model = build_t3a(((2, 1), (1, 1)))
     rng = random.Random(SUITE_SEED + 2)
     zero = BoundaryPoint.from_real(0.0)
@@ -199,30 +203,22 @@ def boundary_funneling():
         else:
             passage = next(i for i, gap in enumerate(gaps) if gap < 1e-3)
             worst_passage = max(worst_passage, passage)
-    elapsed = time.perf_counter() - start
-    return CriterionResult(
-        4, "boundary_funneling", ok, elapsed, 1.0,
-        {"worst_gap": worst_gap, "worst_passage": worst_passage},
-    )
+    return ok, {"worst_gap": worst_gap, "worst_passage": worst_passage}
 
 
+@_criterion(5, 5.0)
 def graph_minimal_set():
     """5: the diagonal graph set absorbs group moves and triangular steps."""
-    start = time.perf_counter()
     model = build_product(build_octagon(), BOUNDARY_CIRCLE)
     residual = minimal_set_residual(
         model, 200, 3, borel_grid(50), seed=SUITE_SEED + 3, gamma_count=50
     )
-    elapsed = time.perf_counter() - start
-    return CriterionResult(
-        5, "graph_minimal_set", residual <= 1e-8, elapsed, 5.0,
-        {"max_residual": residual},
-    )
+    return residual <= 1e-8, {"max_residual": residual}
 
 
+@_criterion(6, 30.0)
 def cocompact_trace_gap():
     """6: no near-parabolic traces in the octagon ball; relator collapses."""
-    start = time.perf_counter()
     model = build_octagon()
     ball = iter_word_ball(model.group(), 4)
     next(ball)  # the identity
@@ -233,115 +229,89 @@ def cocompact_trace_gap():
         gap = min(gap, abs(pe.m.trace_abs() - 2.0))
     relator = model.relator_product()
     relator_ok = relator.is_identity(1e-6)
-    elapsed = time.perf_counter() - start
-    return CriterionResult(
-        6, "cocompact_trace_gap", gap > 0.1 and relator_ok, elapsed, 30.0,
-        {"ball_size": size, "min_trace_gap": gap,
-         "relator_is_identity": relator_ok},
-    )
+    return gap > 0.1 and relator_ok, {
+        "ball_size": size, "min_trace_gap": gap,
+        "relator_is_identity": relator_ok}
 
 
+@_criterion(7, 1.0)
 def noncompact_contrast():
     """7: cusped quotient: periodic unipotent orbit, divergent geodesic."""
-    start = time.perf_counter()
     model = build_modular()
     origin = model.point_from_frame(MoebiusElement.identity())
     useg = integrate_orbit(model, origin, HorocycleU(0.01), 100)
     periodic = model.points_close(useg.samples[100][1], useg.samples[0][1], 1e-9)
     escape = detect_divergence(model, origin, GeodesicD(0.01), 600, 100.0)
-    elapsed = time.perf_counter() - start
-    return CriterionResult(
-        7, "noncompact_contrast", periodic and escape["diverged"], elapsed, 1.0,
-        {"periodic": periodic, "peak_height": escape["max_escape"]},
-    )
+    return periodic and escape["diverged"], {
+        "periodic": periodic, "peak_height": escape["max_escape"]}
 
 
+@_criterion(8, 60.0)
 def compact_surface_density():
     """8: a long unipotent orbit fills the octagon frame-space grid."""
-    start = time.perf_counter()
     model = build_octagon()
     origin = model.point_from_frame(MoebiusElement.identity())
     chunks = orbit_chunks(model, origin, HorocycleU(0.11), 200_000)
     xbox, ybox = model.coverage_box()
     spec = BinningSpec((xbox, ybox, (0.0, _TAU)), (10, 10, 8))
     report = coverage(chunks, spec)
-    elapsed = time.perf_counter() - start
-    return CriterionResult(
-        8, "compact_surface_density", report.fraction >= 0.9, elapsed, 60.0,
-        {"fraction": report.fraction, "samples": report.samples},
-    )
+    return report.fraction >= 0.9, {"fraction": report.fraction,
+                                    "samples": report.samples}
 
 
-def _surface_reduction_trials(model, rng, trials):
-    gammas = [pe.m for _, pe in word_ball(model.group(), 2).elements]
+def _reduction_failures(model, rng, moves, before, after):
+    """How many of 1000 sampled points p model.reduce fails to return, from
+    reduce(*before(p)) or from reduce(*after(move, p)) for a random move."""
     failures = 0
-    for _ in range(trials):
+    for _ in range(1000):
         p = model.sample_point(rng)
-        gamma = gammas[rng.randrange(len(gammas))]
-        again = model.reduce(p.frame)
-        moved = model.reduce(gamma.mul(p.frame))
-        if not model.points_close(again, p, 1e-9):
-            failures += 1
-        elif not model.points_close(moved, p, 1e-9):
+        move = moves[rng.randrange(len(moves))]
+        again = model.reduce(*before(p))
+        moved = model.reduce(*after(move, p))
+        if not (model.points_close(again, p, 1e-9)
+                and model.points_close(moved, p, 1e-9)):
             failures += 1
     return failures
 
 
-def _product_reduction_trials(model, rng, trials):
-    gammas = [pe.m for _, pe in word_ball(model.base.group(), 2).elements]
-    failures = 0
-    for _ in range(trials):
-        p = model.sample_point(rng)
-        gamma = gammas[rng.randrange(len(gammas))]
-        again = model.reduce(p.frame, p.transverse)
-        moved = model.reduce(
-            gamma.mul(p.frame), gamma.apply_boundary(p.transverse)
-        )
-        if not model.points_close(again, p, 1e-9):
-            failures += 1
-        elif not model.points_close(moved, p, 1e-9):
-            failures += 1
-    return failures
+def _deck_moves(group):
+    """The Mobius parts of the words of length at most 2 in `group`."""
+    return [pe.m for _, pe in word_ball(group, 2).elements]
 
 
-def _bundle_reduction_trials(model, rng, trials):
-    words = [()]
-    letters = [(k, inv) for k in range(3) for inv in (False, True)]
-    words.extend((l,) for l in letters)
-    words.extend((l1, l2) for l1 in letters for l2 in letters)
-    failures = 0
-    for _ in range(trials):
-        p = model.sample_point(rng)
-        again = model.reduce(p.coords)
-        coords = p.coords
-        for k, inv in words[rng.randrange(len(words))]:
-            coords = model.apply_torus_gen(k, coords, inverse=inv)
-        moved = model.reduce(coords)
-        if not model.points_close(again, p, 1e-9):
-            failures += 1
-        elif not model.points_close(moved, p, 1e-9):
-            failures += 1
-    return failures
-
-
+@_criterion(9, 5.0)
 def reduction_correctness():
     """9: reduction is idempotent and blind to deck moves on every model."""
-    start = time.perf_counter()
     rng = random.Random(SUITE_SEED + 4)
     octagon = build_octagon()
+    t3a = build_t3a(((2, 1), (1, 1)))
+    letters = [(k, inv) for k in range(3) for inv in (False, True)]
+    words = [()] + [(l,) for l in letters]
+    words += [(l1, l2) for l1 in letters for l2 in letters]
+
+    def torus_moved(word, p):
+        coords = p.coords
+        for k, inv in word:
+            coords = t3a.apply_torus_gen(k, coords, inverse=inv)
+        return (coords,)
+
+    def surface_failures(model):
+        return _reduction_failures(
+            model, rng, _deck_moves(model.group()),
+            lambda p: (p.frame,), lambda g, p: (g.mul(p.frame),))
+
+    product = build_product(octagon, BOUNDARY_CIRCLE)
     failures = {
-        "octagon": _surface_reduction_trials(octagon, rng, 1000),
-        "modular": _surface_reduction_trials(build_modular(), rng, 1000),
-        "t3a": _bundle_reduction_trials(build_t3a(((2, 1), (1, 1))), rng, 1000),
-        "product": _product_reduction_trials(
-            build_product(octagon, BOUNDARY_CIRCLE), rng, 1000
-        ),
+        "octagon": surface_failures(octagon),
+        "modular": surface_failures(build_modular()),
+        "t3a": _reduction_failures(
+            t3a, rng, words, lambda p: (p.coords,), torus_moved),
+        "product": _reduction_failures(
+            product, rng, _deck_moves(octagon.group()),
+            lambda p: (p.frame, p.transverse),
+            lambda g, p: (g.mul(p.frame), g.apply_boundary(p.transverse))),
     }
-    elapsed = time.perf_counter() - start
-    return CriterionResult(
-        9, "reduction_correctness",
-        all(v == 0 for v in failures.values()), elapsed, 5.0, failures,
-    )
+    return all(v == 0 for v in failures.values()), failures
 
 
 def _random_anosov_matrix(rng, max_trace):
@@ -356,9 +326,9 @@ def _random_anosov_matrix(rng, max_trace):
             return m
 
 
+@_criterion(10, 5.0)
 def bundle_structure_identities():
     """10: primed-frame unimodularity, chart conjugation, triangular embedding."""
-    start = time.perf_counter()
     rng = random.Random(SUITE_SEED + 5)
     worst_det = 0.0
     models = []
@@ -397,14 +367,9 @@ def bundle_structure_identities():
         worst_hom = max(
             worst_hom, max(abs(a - b) for a, b in zip(direct, stepped))
         )
-    elapsed = time.perf_counter() - start
-    return CriterionResult(
-        10, "bundle_structure_identities",
-        worst_det <= 1e-12 and worst_conj < 1e-9 and worst_hom < 1e-9,
-        elapsed, 5.0,
-        {"max_det_gap": worst_det, "max_conjugation_gap": worst_conj,
-         "max_homomorphism_gap": worst_hom},
-    )
+    return (worst_det <= 1e-12 and worst_conj < 1e-9 and worst_hom < 1e-9,
+            {"max_det_gap": worst_det, "max_conjugation_gap": worst_conj,
+             "max_homomorphism_gap": worst_hom})
 
 
 ALL_CRITERIA = (
@@ -445,7 +410,8 @@ def run_suite(name="all", report=print):
     the suite's numbers in order, by this process and by min(len(suite),
     usable CPUs) - 1 forked workers; with one usable CPU, or without fork,
     this process pulls them all.  A worker sends each result, or the
-    exception its criterion raised, back through its own pipe.  The lines
+    exception its criterion raised, back through its own pipe; one that
+    does not survive pickling comes as a RuntimeError naming it.  The lines
     are reported and the results returned in suite order.  A criterion's
     exception is raised after the lines of the criteria before it, and no
     criterion starts once this process has seen one fail; a worker that
@@ -544,11 +510,12 @@ def _work(queue, out, parent, others):
             break
         number = pulled[0]
         outcome = _outcome(number)
-        data = pickle.dumps((number, outcome))
+        failed = isinstance(outcome, BaseException)
+        data = pickle.dumps((number, portable(outcome) if failed else outcome))
         data = len(data).to_bytes(4, "big") + data
         while data:
             data = data[os.write(out, data):]
-        if isinstance(outcome, BaseException):
+        if failed:
             break
 
 

@@ -81,17 +81,18 @@ def read_config_file(path):
     return values
 
 
-def _merge_config(args, parser_keys):
-    """Fill argparse gaps from the config file; flags always win."""
+def _merge_config(args):
+    """Fill argparse gaps from the config file, whose keys are the dests in
+    args.config_keys; flags always win."""
     if not getattr(args, "config", None):
         return
     values = read_config_file(args.config)
     for key, text in values.items():
         dest = key.replace("-", "_")
-        if dest not in parser_keys:
+        if dest not in args.config_keys:
             raise UsageError("unknown config key %r" % key)
         if getattr(args, dest) is None:
-            caster = parser_keys[dest]
+            caster = args.config_keys[dest]
             try:
                 setattr(args, dest, caster(text))
             except ValueError:
@@ -470,24 +471,27 @@ def cmd_plot(args):
 
 
 def _add_orbit_options(sub):
-    sub.add_argument("--model", type=str, default=None)
-    sub.add_argument("--A", type=str, default=None,
-                     help='integer matrix for t3a, e.g. "2 1 1 1"')
-    sub.add_argument("--flow", type=str, default=None)
-    sub.add_argument("--dt", type=float, default=None)
-    sub.add_argument("--dalpha", type=float, default=None)
-    sub.add_argument("--dbeta", type=float, default=None)
-    sub.add_argument("--steps", type=int, default=None)
-    sub.add_argument("--sample-every", type=int, default=None)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--out", type=str, default=None)
+    """Add the orbit options, then --config; returns the orbit options."""
+    options = [
+        sub.add_argument("--model", type=str, default=None),
+        sub.add_argument("--A", type=str, default=None,
+                         help='integer matrix for t3a, e.g. "2 1 1 1"'),
+        sub.add_argument("--flow", type=str, default=None),
+        sub.add_argument("--dt", type=float, default=None),
+        sub.add_argument("--dalpha", type=float, default=None),
+        sub.add_argument("--dbeta", type=float, default=None),
+        sub.add_argument("--steps", type=int, default=None),
+        sub.add_argument("--sample-every", type=int, default=None),
+        sub.add_argument("--seed", type=int, default=None),
+        sub.add_argument("--out", type=str, default=None),
+    ]
     sub.add_argument("--config", type=str, default=None)
+    return options
 
 
-_ORBIT_KEYS = {
-    "model": str, "A": str, "flow": str, "dt": float, "dalpha": float,
-    "dbeta": float, "steps": int, "sample_every": int, "seed": int, "out": str,
-}
+def _config_keys(sub, options):
+    """Let a config file set `options`, the actions add_argument returned."""
+    sub.set_defaults(config_keys={o.dest: o.type for o in options})
 
 
 def build_parser():
@@ -498,39 +502,37 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     flow = subs.add_parser("flow", help="integrate an orbit, write CSV")
-    _add_orbit_options(flow)
+    _config_keys(flow, _add_orbit_options(flow))
 
     density = subs.add_parser("density", help="orbit grid coverage as JSON")
-    _add_orbit_options(density)
-    density.add_argument("--bins", type=str, default=None,
-                         help='cells per axis, e.g. "50 50"')
-    density.add_argument("--box", type=str, default=None,
-                         help='explicit ranges "lo hi" per axis')
+    _config_keys(density, _add_orbit_options(density) + [
+        density.add_argument("--bins", type=str, default=None,
+                             help='cells per axis, e.g. "50 50"'),
+        density.add_argument("--box", type=str, default=None,
+                             help='explicit ranges "lo hi" per axis'),
+    ])
 
     classify = subs.add_parser("classify", help="classify a generator file")
-    classify.add_argument("--generators", type=str, default=None)
-    classify.add_argument("--radius", type=int, default=None)
-    classify.add_argument("--tol", type=float, default=None)
+    _config_keys(classify, [
+        classify.add_argument("--generators", type=str, default=None),
+        classify.add_argument("--radius", type=int, default=None),
+        classify.add_argument("--tol", type=float, default=None),
+    ])
     classify.add_argument("--config", type=str, default=None)
 
     check = subs.add_parser("check", help="run an acceptance suite")
     check.add_argument("suite", nargs="?", default="all")
 
     plot = subs.add_parser("plot", help="render an orbit CSV as SVG")
-    plot.add_argument("--in", dest="infile", type=str, default=None)
-    plot.add_argument("--x", type=str, default=None)
-    plot.add_argument("--y", type=str, default=None)
-    plot.add_argument("--out", type=str, default=None)
+    _config_keys(plot, [
+        plot.add_argument("--in", dest="infile", type=str, default=None),
+        plot.add_argument("--x", type=str, default=None),
+        plot.add_argument("--y", type=str, default=None),
+        plot.add_argument("--out", type=str, default=None),
+    ])
     plot.add_argument("--config", type=str, default=None)
     return parser
 
-
-_CONFIG_KEYS = {
-    "flow": _ORBIT_KEYS,
-    "density": dict(_ORBIT_KEYS, bins=str, box=str),
-    "classify": {"generators": str, "radius": int, "tol": float},
-    "plot": {"infile": str, "x": str, "y": str, "out": str},
-}
 
 _HANDLERS = {
     "flow": cmd_flow,
@@ -545,8 +547,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command in _CONFIG_KEYS:
-            _merge_config(args, _CONFIG_KEYS[args.command])
+        _merge_config(args)
         return _HANDLERS[args.command](args)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)

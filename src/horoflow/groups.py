@@ -19,6 +19,7 @@ import struct
 
 from horoflow._record import Record
 from horoflow.moebius import (
+    KEY_QUANTUM,
     BoundaryPoint,
     ElementClass,
     MoebiusElement,
@@ -55,7 +56,7 @@ class TransverseSpace:
     def point_dist(self, x, y):
         raise NotImplementedError
 
-    def key(self, g, quantum=1e-9):
+    def key(self, g):
         raise NotImplementedError
 
     def point_coords(self, point):
@@ -90,7 +91,7 @@ class TrivialSpace(TransverseSpace):
     def point_dist(self, x, y):
         return 0.0
 
-    def key(self, g, quantum=1e-9):
+    def key(self, g):
         return ()
 
     def point_coords(self, point):
@@ -127,8 +128,8 @@ class RealAffineSpace(TransverseSpace):
     def point_dist(self, x, y):
         return abs(x - y)
 
-    def key(self, g, quantum=1e-9):
-        return (round(g[0] / quantum), round(g[1] / quantum))
+    def key(self, g):
+        return (round(g[0] / KEY_QUANTUM), round(g[1] / KEY_QUANTUM))
 
     def point_coords(self, point):
         return (point,)
@@ -216,8 +217,8 @@ class Rotations3Space(TransverseSpace):
         dot = abs(x[0] * y[0] + x[1] * y[1] + x[2] * y[2] + x[3] * y[3])
         return 2.0 * math.acos(min(1.0, dot))
 
-    def key(self, g, quantum=1e-9):
-        return tuple(round(comp / quantum) for comp in g)
+    def key(self, g):
+        return tuple(round(comp / KEY_QUANTUM) for comp in g)
 
     def point_coords(self, point):
         # image of the north pole: polar and azimuthal angle
@@ -251,8 +252,8 @@ class BoundaryCircleSpace(TransverseSpace):
     def point_dist(self, x, y):
         return x.chordal(y)
 
-    def key(self, g, quantum=1e-9):
-        return g.key(quantum)
+    def key(self, g):
+        return g.key()
 
     def point_coords(self, point):
         return (point.theta,)
@@ -295,8 +296,8 @@ class ProductElement:
     def is_identity(self, tol=1e-9):
         return self.m.is_identity(tol) and self.space.is_identity(self.g, tol)
 
-    def key(self, quantum=1e-9):
-        return (self.m.key(quantum), self.space.key(self.g, quantum))
+    def key(self):
+        return (self.m.key(), self.space.key(self.g))
 
     def apply_pair(self, pair):
         """Act on a (boundary point, transverse point) pair componentwise."""
@@ -361,16 +362,15 @@ class WordBall(Record):
 
 
 def word_ball(group, radius, radius_cap=WORD_BALL_RADIUS_CAP,
-              budget=WORD_BALL_ELEMENT_BUDGET, quantum=1e-9):
+              budget=WORD_BALL_ELEMENT_BUDGET):
     """All products of at most `radius` generators or inverses, in a list;
     see iter_word_ball."""
     return WordBall(
-        radius, list(iter_word_ball(group, radius, radius_cap, budget, quantum))
-    )
+        radius, list(iter_word_ball(group, radius, radius_cap, budget)))
 
 
 def iter_word_ball(group, radius, radius_cap=WORD_BALL_RADIUS_CAP,
-                   budget=WORD_BALL_ELEMENT_BUDGET, quantum=1e-9):
+                   budget=WORD_BALL_ELEMENT_BUDGET):
     """Yield (word tuple, ProductElement) for every product of at most
     `radius` generators or inverses, identity first.
 
@@ -387,14 +387,14 @@ def iter_word_ball(group, radius, radius_cap=WORD_BALL_RADIUS_CAP,
             "radius %d exceeds the cap %d; raise radius_cap explicitly if you "
             "really want this" % (radius, radius_cap)
         )
-    return _ball_stream(group, radius, budget, quantum)
+    return _ball_stream(group, radius, budget)
 
 
-def _seen_key(elem, quantum):
-    """elem.key(quantum), packed into 32 bytes when the transverse key is
-    empty and the Mobius key fits int64.  A key always takes the same form
-    and packing is one to one, so the dedup classes are the plain keys'."""
-    mkey, tkey = elem.key(quantum)
+def _seen_key(elem):
+    """elem.key(), packed into 32 bytes when the transverse key is empty
+    and the Mobius key fits int64.  A key always takes the same form and
+    packing is one to one, so the dedup classes are the plain keys'."""
+    mkey, tkey = elem.key()
     if not tkey:
         try:
             return _PACK_KEY(*mkey)
@@ -403,12 +403,12 @@ def _seen_key(elem, quantum):
     return (mkey, tkey)
 
 
-def _ball_stream(group, radius, budget, quantum):
+def _ball_stream(group, radius, budget):
     letters = group.letters()
     identity = ProductElement(
         MoebiusElement.identity(), group.space.identity(), group.space
     )
-    seen = {_seen_key(identity, quantum)}
+    seen = {_seen_key(identity)}
     yield (), identity
     frontier = [((), identity, -1)]
     for layer in range(radius, 0, -1):
@@ -418,7 +418,7 @@ def _ball_stream(group, radius, budget, quantum):
                 if last >= 0 and letters[last][2] == li:
                     continue  # would cancel the previous letter
                 new = elem.mul(lelem)
-                k = _seen_key(new, quantum)
+                k = _seen_key(new)
                 if k in seen:
                     continue
                 if len(seen) >= budget:

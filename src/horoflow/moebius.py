@@ -26,6 +26,7 @@ import math
 SIGN_TOL = 1e-12
 RENORM_TOL = 1e-12
 CLASSIFY_TOL = 1e-9
+KEY_QUANTUM = 1e-9
 
 _TAU = 2.0 * math.pi
 
@@ -165,17 +166,17 @@ class MoebiusElement:
             and abs(self.d - other.d) <= tol
         )
 
-    def key(self, quantum=1e-9):
-        """Hashable key identifying the element up to the given resolution.
+    def key(self):
+        """Hashable key identifying the element up to KEY_QUANTUM.
 
-        Entries sit on a grid of spacing `quantum`; elements closer than about
-        half a grid step collide.  Used for de-duplication in word balls.
+        Entries sit on a grid of spacing KEY_QUANTUM; elements closer than
+        about half a grid step collide.  Used for de-duplication in word balls.
         """
         return (
-            round(self.a / quantum),
-            round(self.b / quantum),
-            round(self.c / quantum),
-            round(self.d / quantum),
+            round(self.a / KEY_QUANTUM),
+            round(self.b / KEY_QUANTUM),
+            round(self.c / KEY_QUANTUM),
+            round(self.d / KEY_QUANTUM),
         )
 
     def __repr__(self):

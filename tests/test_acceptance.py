@@ -24,11 +24,16 @@ def _run(criterion):
     return result
 
 
+def assert_label(result, number, name, budget):
+    assert (result.number, result.name, result.budget) == (number, name, budget)
+
+
 def test_criterion_01_boundary_contraction():
     # 20 seeded hyperbolic elements, 64-point grid minus a 0.01-chordal
     # exclusion around the repelling point: every tracked point comes within
     # 1e-4 of the attracting point by power 200, in under a second
     result = _run(acceptance.boundary_contraction)
+    assert_label(result, 1, "boundary_contraction", 1.0)
     assert result.passed
     assert result.details["worst_first_passage"] <= 200
     assert result.elapsed < result.budget
@@ -38,6 +43,7 @@ def test_criterion_02_steering_identity():
     # 1000 seeded frames with |c| > 1e-3, alpha in [0.1, 10]: the steered
     # product matches (alpha, 0; c, 1/alpha) entrywise below 1e-9
     result = _run(acceptance.steering_identity)
+    assert_label(result, 2, "steering_identity", 1.0)
     assert result.passed
     assert result.details["max_entry_gap"] < 1e-9
     assert result.elapsed < result.budget
@@ -47,6 +53,7 @@ def test_criterion_03_toroidal_fiber_density():
     # 1e5 unipotent steps of size 0.037: suspension time exactly constant,
     # 50x50 torus grid at least 99 percent covered, under ten seconds
     result = _run(acceptance.toroidal_fiber_density)
+    assert_label(result, 3, "toroidal_fiber_density", 10.0)
     assert result.passed
     assert result.details["t_variation"] == 0.0
     assert result.details["fraction"] >= 0.99
@@ -57,6 +64,7 @@ def test_criterion_04_boundary_funneling():
     # 100 seeded boundary-fibre pairs at least 0.01 from the repeller reach
     # within 1e-3 of (infinity, 0) in at most 60 iterations
     result = _run(acceptance.boundary_funneling)
+    assert_label(result, 4, "boundary_funneling", 1.0)
     assert result.passed
     assert result.details["worst_passage"] <= 60
     assert result.elapsed < result.budget
@@ -66,6 +74,7 @@ def test_criterion_05_graph_minimal_set():
     # 200 on-set points x 50 group words of length <= 3 x 50 triangular grid
     # elements: the worst distance back to the graph set stays below 1e-8
     result = _run(acceptance.graph_minimal_set)
+    assert_label(result, 5, "graph_minimal_set", 5.0)
     assert result.passed
     assert result.details["max_residual"] <= 1e-8
     assert result.elapsed < result.budget
@@ -75,6 +84,7 @@ def test_criterion_06_cocompact_trace_gap():
     # every non-identity word of length <= 4 keeps |trace| clear of 2 by
     # more than 0.1, and the length-8 relator collapses to the identity
     result = _run(acceptance.cocompact_trace_gap)
+    assert_label(result, 6, "cocompact_trace_gap", 30.0)
     assert result.passed
     assert result.details["min_trace_gap"] > 0.1
     assert result.details["relator_is_identity"]
@@ -85,6 +95,7 @@ def test_criterion_07_noncompact_contrast():
     # cusped quotient: the unipotent orbit from the identity is 1-periodic
     # to 1e-9 while the geodesic orbit climbs past height 100 by time 6
     result = _run(acceptance.noncompact_contrast)
+    assert_label(result, 7, "noncompact_contrast", 1.0)
     assert result.passed
     assert result.details["periodic"]
     assert result.details["peak_height"] > 100.0
@@ -95,6 +106,7 @@ def test_criterion_08_compact_surface_density():
     # 2e5 unipotent samples on the compact surface cover at least 90
     # percent of the 10x10x8 position-angle grid (calibration threshold)
     result = _run(acceptance.compact_surface_density)
+    assert_label(result, 8, "compact_surface_density", 60.0)
     assert result.passed
     assert result.details["fraction"] >= 0.9
     assert result.elapsed < result.budget
@@ -104,6 +116,7 @@ def test_criterion_09_reduction_correctness():
     # 1000 random (point, deck word of length <= 2) pairs per model:
     # reduction is idempotent and deck-invariant to 1e-9 with no failures
     result = _run(acceptance.reduction_correctness)
+    assert_label(result, 9, "reduction_correctness", 5.0)
     assert result.passed
     assert set(result.details) == {"octagon", "modular", "t3a", "product"}
     assert all(v == 0 for v in result.details.values())
@@ -115,6 +128,7 @@ def test_criterion_10_bundle_structure_identities():
     # determinant to 1e-12; chart conjugation and the triangular-to-solvable
     # embedding hold to 1e-9 on random points and 1000 random pairs
     result = _run(acceptance.bundle_structure_identities)
+    assert_label(result, 10, "bundle_structure_identities", 5.0)
     assert result.passed
     assert result.details["max_det_gap"] <= 1e-12
     assert result.details["max_conjugation_gap"] < 1e-9
@@ -239,6 +253,54 @@ def test_a_criterion_error_reaches_the_caller(monkeypatch, cpus, tmp_path,
     assert started.count(str(where == "parent")) == 1
     if where == "parent":
         assert started.count("False") <= 2
+
+
+class KeywordError(Exception):
+    """Pickles, but unpickling calls __init__ without its keyword."""
+
+    def __init__(self, message, *, code):
+        super().__init__(message)
+        self.code = code
+
+
+def local_error(message):
+    class LocalError(ValueError):
+        """Defined in a function, so pickle cannot name it."""
+
+    return LocalError(message)
+
+
+@pytest.mark.parametrize(
+    "make", [local_error, lambda message: KeywordError(message, code=1)],
+    ids=["no-pickle", "no-unpickle"])
+def test_a_worker_error_that_does_not_cross_the_pipe_is_named(
+    monkeypatch, cpus, make
+):
+    def behave(n, in_parent):
+        if not in_parent:
+            raise make("criterion %d went wrong" % n)
+        time.sleep(0.05)
+
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", stub_criteria(behave))
+    cpus(2)
+    lines = []
+    pattern = r"^%s: criterion \d+ went wrong$" % type(make("")).__name__
+    with pytest.raises(RuntimeError, match=pattern) as info:
+        acceptance.run_suite("all", report=lines.append)
+    failed = int(re.search(r"criterion (\d+)", str(info.value)).group(1))
+    assert [line.split()[1] for line in lines] == [
+        str(n) for n in range(1, failed)]
+    assert no_child_left()
+
+    # in one process the criterion's own error is raised
+    def fails(n, _):
+        raise make("criterion %d went wrong" % n)
+
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", stub_criteria(fails))
+    cpus(1)
+    with pytest.raises(Exception, match=r"^criterion 1 went wrong$") as info:
+        acceptance.run_suite("all", report=None)
+    assert type(info.value).__name__ == type(make("")).__name__
 
 
 def test_a_dead_worker_names_the_criteria_left_without_result(

@@ -242,6 +242,41 @@ def test_config_unknown_key(tmp_path, capsys):
     assert "warp_factor" in capsys.readouterr().err
 
 
+ORBIT_CONFIG = {
+    "model": "octagon", "A": "2 1 1 1", "flow": "u", "dt": 0.5,
+    "dalpha": 0.25, "dbeta": 0.125, "steps": 7, "sample_every": 3, "seed": 11,
+    "out": "orbit.csv",
+}
+
+# Every option of each subcommand but --config, by dest, with a value of
+# the option's type.
+CONFIG_VALUES = {
+    "flow": ORBIT_CONFIG,
+    "density": dict(ORBIT_CONFIG, bins="4 4", box="0 1 0 1"),
+    "classify": {"generators": "modular.gens", "radius": 3, "tol": 0.25},
+    "plot": {"infile": "orbit.csv", "x": "c1", "y": "c3", "out": "plot.svg"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_VALUES))
+def test_a_config_file_sets_every_option(monkeypatch, tmp_path, command):
+    values = CONFIG_VALUES[command]
+    config = tmp_path / "run.conf"
+    config.write_text("".join("%s = %s\n" % item for item in values.items()))
+    seen = {}
+
+    def handler(args):
+        seen.update(vars(args))
+        return 0
+
+    monkeypatch.setitem(cli._HANDLERS, command, handler)
+    assert run([command, "--config", config]) == 0
+    assert {key: seen[key] for key in values} == values
+    assert all(type(seen[key]) is type(value) for key, value in values.items())
+    # an option the file left out would still be None
+    assert [key for key, value in seen.items() if value is None] == []
+
+
 @pytest.mark.parametrize("command", ["flow", "density"])
 @pytest.mark.parametrize("from_config", [False, True])
 def test_sample_every_zero_is_refused(tmp_path, capsys, command, from_config):

@@ -313,7 +313,7 @@ def test_fiber_variation_bad_coordinate():
 def test_borel_grid_shape():
     grid = borel_grid(50)
     assert len(grid) == 50
-    keys = {g.key(1e-12) for g in grid}
+    keys = {g.key() for g in grid}  # distinct on the KEY_QUANTUM grid
     assert len(keys) == 50
     for g in grid:
         a, b, c, d = g.entries

@@ -196,7 +196,7 @@ def test_ball_key_past_int64_stays_a_tuple_and_dedups_alike():
         [("g", MoebiusElement.geo(1e5)), ("T", MoebiusElement.u(1.0))]
     )
     elements = list(iter_word_ball(big, 3))
-    keys = [_seen_key(pe, 1e-9) for _, pe in elements]
+    keys = [_seen_key(pe) for _, pe in elements]
     assert any(isinstance(k, tuple) for k in keys)
     assert any(isinstance(k, bytes) for k in keys)
     assert exact(elements) == exact(reference_word_ball(big, 3))

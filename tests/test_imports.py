@@ -127,6 +127,19 @@ def test_flow_run_leaves_out_acceptance_and_diagnostics(tmp_path, bare_modules):
     assert (tmp_path / "orbit.csv").exists()
 
 
+def test_a_read_ahead_flow_run_leaves_out_pickle(monkeypatch, tmp_path,
+                                                 bare_modules):
+    # 5000 steps take three pure kernel calls, so the run reads its orbit
+    # ahead; only an error sent from the producer is pickled
+    monkeypatch.setenv("HOROFLOW_PURE", "1")
+    loaded = modules_after(
+        RUN_CLI, "flow", "--model", "octagon", "--flow", "u", "--steps", 5000,
+        "--out", "orbit.csv", cwd=tmp_path) - bare_modules
+    assert "horoflow._readahead" in loaded
+    assert "pickle" not in loaded
+    assert (tmp_path / "orbit.csv").exists()
+
+
 def test_density_run_leaves_out_acceptance(tmp_path):
     loaded = loaded_after(
         RUN_CLI, "density", "--model", "octagon", "--flow", "u", "--steps", 10,

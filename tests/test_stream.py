@@ -405,6 +405,31 @@ def test_a_producer_error_that_does_not_pickle_is_named(monkeypatch, small_chunk
     assert_no_child_left()
 
 
+class KeywordError(Exception):
+    """Pickles, but unpickling calls __init__ without its keyword."""
+
+    def __init__(self, message, *, code):
+        super().__init__(message)
+        self.code = code
+
+
+def test_a_producer_error_that_does_not_unpickle_is_named(monkeypatch,
+                                                          small_chunks):
+    real = _kernels.surface_orbit
+
+    def second_call_fails(*args):
+        if args[-1] == ROWS:
+            raise KeywordError("kernel failed", code=1)
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "surface_orbit", second_call_fails)
+    model, flow = CASES["surface-none"]()
+    with pytest.raises(RuntimeError if TWO_CPUS else KeywordError,
+                       match="^(KeywordError: )?kernel failed$"):
+        list(orbit_chunks(model, None, flow, 3 * ROWS, seed=SEED, ahead=True))
+    assert_no_child_left()
+
+
 def test_a_producer_that_dies_fails_the_stream(monkeypatch, small_chunks, forks):
     real = _kernels.surface_orbit
 
