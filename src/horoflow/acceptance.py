@@ -9,10 +9,11 @@ fallback stays within budget everywhere but with less headroom).
 
 The suite is runnable three ways: pytest (tests/test_acceptance.py prints
 one verdict line per criterion), the command line (`horoflow check all`),
-or directly via run_suite.  run_suite shares a suite's criteria between
-its own process and forked workers, one process per usable CPU: each
-criterion's elapsed time is measured in the process that ran it, and the
-budgets still assume one core per criterion.
+or directly via run_suite.  run_suite shares a suite's criteria among
+forked workers, one per usable CPU, while its own process only collects
+their results (on one CPU it runs them itself): each criterion's elapsed
+time is measured in the process that ran it, and the budgets still assume
+one core per criterion.
 """
 
 import math
@@ -399,6 +400,11 @@ SUITES = {
 }
 
 
+# The order in which workers start a suite's criteria: the longest on the
+# pure backend first, so that no CPU idles while the last one runs.
+LONGEST_FIRST = (8, 5, 9, 1, 3, 6, 2, 4, 10, 7)
+
+
 class UnknownSuite(KeyError):
     """A suite name that SUITES lacks, raised before any criterion runs."""
 
@@ -406,52 +412,58 @@ class UnknownSuite(KeyError):
 def run_suite(name="all", report=print):
     """Run one named suite; returns the results, emitting a line per criterion.
 
-    The criteria are pulled one at a time from one queue, a pipe holding
-    the suite's numbers in order, by this process and by min(len(suite),
-    usable CPUs) - 1 forked workers; with one usable CPU, or without fork,
-    this process pulls them all.  A worker sends each result, or the
-    exception its criterion raised, back through its own pipe; one that
-    does not survive pickling comes as a RuntimeError naming it.  The lines
-    are reported and the results returned in suite order.  A criterion's
-    exception is raised after the lines of the criteria before it, and no
-    criterion starts once this process has seen one fail; a worker that
-    dies leaves its criterion without a result, which raises a RuntimeError
-    naming it.  Every worker is reaped before this returns or raises.
+    A suite of two or more criteria, with two or more usable CPUs, runs in
+    min(len(suite), usable CPUs) forked workers.  They pull the criteria one
+    at a time from one queue, a pipe holding the suite's numbers in
+    LONGEST_FIRST order, and each sends every result, or the exception its
+    criterion raised, back through its own pipe; one that does not survive
+    pickling comes as a RuntimeError naming it.  This process runs no
+    criterion then: it waits on the workers' pipes, reports each line once
+    the lines before it are in, and empties the queue at the first failure,
+    so that no criterion starts after it.  With one criterion or one usable
+    CPU, without fork, or when no worker starts, this process runs the
+    suite itself, in suite order, and stops at the first failure.
+
+    The lines are reported and the results returned in suite order.  A
+    criterion's exception is raised after the lines of the criteria before
+    it that ran; a worker that dies leaves its criterion without a result,
+    which raises a RuntimeError naming every criterion left without one.
+    Every worker is reaped before this returns or raises.
     """
     if name not in SUITES:
         raise UnknownSuite("unknown suite %r; choose from %s"
                            % (name, ", ".join(sorted(SUITES))))
     suite = SUITES[name]
-    queue, feed = os.pipe()
-    try:
-        os.write(feed, bytes(suite))
-    finally:
-        os.close(feed)
     outcomes = {}
     shown = 0
     workers = []
-    try:
-        _start_workers(queue, min(len(suite), len(usable_cpus())) - 1,
-                       workers)
-        while not any(isinstance(o, BaseException) for o in outcomes.values()):
-            pulled = os.read(queue, 1)
-            if not pulled:
-                break
-            outcomes[pulled[0]] = _outcome(pulled[0])
-            _collect(workers, outcomes, wait=False)
-            shown = _report_ready(suite, outcomes, shown, report)
-    finally:
-        # Empty the queue, so that no criterion starts after this; those
-        # running finish first.  One read takes all a pipe holds.
-        drained = set(os.read(queue, len(suite)))
-        os.close(queue)
+    count = min(len(suite), len(usable_cpus()))
+    if count > 1:
+        queue, feed = os.pipe()
         try:
-            _collect(workers, outcomes, wait=True)
+            _start_workers(queue, feed, suite, count, workers)
+            while _collect(workers, outcomes) and not any(
+                    isinstance(o, BaseException) for o in outcomes.values()):
+                shown = _report_ready(suite, outcomes, shown, report)
         finally:
-            statuses = [worker.reap() for worker in workers]
-    shown = _report_ready(suite, outcomes, shown, report)
-    if shown < len(suite):
-        lost = [n for n in suite if n not in outcomes and n not in drained]
+            # Empty the queue, so that no criterion starts after this; those
+            # running finish first.  One read takes all a pipe holds, and a
+            # criterion taken from it unstarted has the outcome None.
+            outcomes.update(dict.fromkeys(os.read(queue, len(suite))))
+            os.close(queue)
+            try:
+                while _collect(workers, outcomes):
+                    pass
+            finally:
+                statuses = [worker.reap() for worker in workers]
+    if not workers:
+        for number in suite:
+            outcomes[number] = _outcome(number)
+            shown = _report_ready(suite, outcomes, shown, report)
+        return [outcomes[n] for n in suite]
+    _report_ready(suite, outcomes, shown, report)
+    lost = [n for n in suite if outcomes.get(n) is None]
+    if lost:
         raise RuntimeError(
             "no result for criteria %s (worker exit statuses %s)"
             % (", ".join(map(str, lost)),
@@ -469,33 +481,40 @@ def _outcome(number):
 
 
 def _report_ready(suite, outcomes, shown, report):
-    """Report the results from suite position `shown` on, up to the first
-    one not in yet; returns that position.  A criterion's exception is
-    raised when its turn comes."""
+    """Report the results from suite position `shown` on, passing over the
+    criteria that never started, up to the first one not in yet; returns
+    that position.  A criterion's exception is raised when its turn comes."""
     while shown < len(suite) and suite[shown] in outcomes:
         outcome = outcomes[suite[shown]]
         if isinstance(outcome, BaseException):
             raise outcome
-        if report is not None:
+        if outcome is not None and report is not None:
             report(outcome.verdict_line())
         shown += 1
     return shown
 
 
-def _start_workers(queue, count, workers):
+def _start_workers(queue, feed, suite, count, workers):
     """Fork up to `count` workers on the queue, each added to `workers` as
-    it starts; a fork that fails starts no more of them."""
+    it starts; a fork that fails starts no more of them.  Then write the
+    suite's numbers into the queue, longest first, if any worker started,
+    and close `feed`, the queue's write end."""
     parent = os.getpid()
-    for _ in range(count):
-        read, write = os.pipe()
-        pid = fork(partial(_work, queue, write, parent,
-                           [read] + [worker.fd for worker in workers]))
-        if pid is None:
-            os.close(read)
+    try:
+        for _ in range(count):
+            read, write = os.pipe()
+            pid = fork(partial(_work, queue, write, parent,
+                               [feed, read] + [w.fd for w in workers]))
+            if pid is None:
+                os.close(read)
+                os.close(write)
+                break
             os.close(write)
-            break
-        os.close(write)
-        workers.append(_Worker(pid, read))
+            workers.append(_Worker(pid, read))
+        if workers:
+            os.write(feed, bytes(n for n in LONGEST_FIRST if n in suite))
+    finally:
+        os.close(feed)
 
 
 def _work(queue, out, parent, others):
@@ -554,16 +573,15 @@ class _Worker:
         return os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
 
 
-def _collect(workers, outcomes, wait):
-    """Read what the workers have sent into `outcomes`: what is there now,
-    or with `wait` everything until each worker has closed its pipe."""
-    while True:
-        fds = [worker.fd for worker in workers if worker.fd is not None]
-        if not fds:
-            return
-        ready = select.select(fds, [], [], None if wait else 0)[0]
-        if not ready:
-            return
-        for worker in workers:
-            if worker.fd in ready:
-                worker.receive(outcomes)
+def _collect(workers, outcomes):
+    """Wait until a worker sends something or closes its pipe, and read
+    what has come into `outcomes`; returns False, without waiting, once
+    every worker has closed its pipe."""
+    fds = [worker.fd for worker in workers if worker.fd is not None]
+    if not fds:
+        return False
+    ready = select.select(fds, [], [])[0]
+    for worker in workers:
+        if worker.fd in ready:
+            worker.receive(outcomes)
+    return True

@@ -10,10 +10,12 @@ import re
 import select
 import signal
 import time
+import tracemalloc
 
 import pytest
 
 from horoflow import acceptance
+from horoflow._fork import fork
 from horoflow.acceptance import CriterionResult
 
 
@@ -190,25 +192,63 @@ def run_lines(name="all"):
 
 def test_runner_keeps_suite_order_across_workers(monkeypatch, cpus, tmp_path):
     # later criteria end sooner, so the workers finish out of suite order
-    log = tmp_path / "pids"
+    log = tmp_path / "runs"
 
     def behave(n, _):
         with open(log, "a") as out:
-            out.write("%d\n" % os.getpid())
+            out.write("%d %d\n" % (n, os.getpid()))
         time.sleep(0.02 * (10 - n))
 
     monkeypatch.setattr(acceptance, "ALL_CRITERIA", stub_criteria(behave))
     cpus(3)
     results, lines = run_lines()
-    assert len(set(log.read_text().split())) == 3  # two workers took some
+    runs = [line.split() for line in log.read_text().splitlines()]
+    assert sorted(int(n) for n, _ in runs) == list(range(1, 11))
+    pids = {pid for _, pid in runs}
+    assert len(pids) == 3 and str(os.getpid()) not in pids  # three workers
     assert no_child_left()
+    log.unlink()
     cpus(1)
     in_process, in_process_lines = run_lines()
-    assert len(set(log.read_text().split())) == 3
+    assert log.read_text().splitlines() == [
+        "%d %d" % (n, os.getpid()) for n in range(1, 11)]
     assert [r.number for r in results] == list(range(1, 11))
     assert results == in_process
     assert lines == in_process_lines == [r.verdict_line() for r in results]
     assert [r.number for r in run_lines("t3a")[0]] == [3, 4]
+
+
+def test_workers_start_the_longest_criteria_first(monkeypatch, cpus, tmp_path):
+    # The second fork fails, so one worker runs the suite and its log is
+    # the queue's order; each stub raises if the test process runs it.
+    log = tmp_path / "started"
+
+    def behave(n, in_test_process):
+        assert not in_test_process
+        with open(log, "a") as out:
+            out.write("%d\n" % n)
+
+    forks = []
+
+    def one_fork(child):
+        forks.append(child)
+        return fork(child) if len(forks) == 1 else None
+
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", stub_criteria(behave))
+    monkeypatch.setattr(acceptance, "fork", one_fork)
+    monkeypatch.setitem(acceptance.SUITES, "some", (2, 5, 7, 8))
+    cpus(2)
+    assert sorted(acceptance.LONGEST_FIRST) == list(acceptance.SUITES["all"])
+    for name, started in [("all", list(acceptance.LONGEST_FIRST)),
+                          ("some", [8, 5, 2, 7])]:
+        results, lines = run_lines(name)
+        assert len(forks) == 2
+        assert [int(n) for n in log.read_text().split()] == started
+        assert [r.number for r in results] == list(acceptance.SUITES[name])
+        assert lines == [r.verdict_line() for r in results]
+        assert no_child_left()
+        log.unlink()
+        forks.clear()
 
 
 def test_one_usable_cpu_forks_no_worker(monkeypatch, cpus):
@@ -221,38 +261,66 @@ def test_one_usable_cpu_forks_no_worker(monkeypatch, cpus):
     cpus(1)
     results, lines = run_lines()
     assert len(results) == len(lines) == 10
+    cpus(2)  # a suite of one criterion runs in this process too
+    results, lines = run_lines("keylemma")
+    assert len(results) == len(lines) == 1
+
+
+def test_the_parent_only_collects(monkeypatch, cpus):
+    # With two usable CPUs the real criteria run in two workers, and the
+    # test process, traced by tracemalloc, holds only the results they send
+    # back: about 70 KiB at its peak, where criteria 3, 5, 6 and 8 each
+    # peak at 0.2 to 0.6 MiB in the process that runs them.  Each worker
+    # stops tracing as it starts, so that the criteria run at full speed.
+    work = acceptance._work
+
+    def untraced(*args):
+        tracemalloc.stop()
+        work(*args)
+
+    monkeypatch.setattr(acceptance, "_work", untraced)
+    cpus(2)
+    tracemalloc.start()
+    try:
+        results = acceptance.run_suite("all", report=None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.number for r in results] == list(range(1, 11))
+    assert all(r.passed for r in results)
+    assert no_child_left()
+    assert peak < 160 * 1024
 
 
 @pytest.mark.parametrize("where", ["parent", "worker"])
 def test_a_criterion_error_reaches_the_caller(monkeypatch, cpus, tmp_path,
                                               where):
-    # every criterion raises in one kind of process and takes a while in the
-    # other, so the first criterion that kind of process pulls raises
+    # Criterion 9 raises.  On one CPU the test process runs the suite in
+    # suite order, so 9 raises after the lines of 1 to 8.  On two, two
+    # workers run it longest first: one is still on 8 when the other has
+    # run 5 and then 9, whose failure empties the queue.  No other
+    # criterion starts, and 9 raises after the lines of 5 and 8.
     log = tmp_path / "started"
 
     def behave(n, in_parent):
         with open(log, "a") as out:
-            out.write("%s\n" % in_parent)
-        if in_parent == (where == "parent"):
-            raise KeyError("criterion %d went wrong" % n)
-        time.sleep(0.05)
+            out.write("%d %s\n" % (n, in_parent))
+        if n == 9:
+            raise KeyError("criterion 9 went wrong")
+        if not in_parent:
+            time.sleep(0.5 if n == 8 else 0.05)
 
     monkeypatch.setattr(acceptance, "ALL_CRITERIA", stub_criteria(behave))
-    cpus(2)
+    cpus(1 if where == "parent" else 2)
     lines = []
-    with pytest.raises(KeyError, match=r"criterion (\d+) went wrong") as info:
+    with pytest.raises(KeyError, match="criterion 9 went wrong"):
         acceptance.run_suite("all", report=lines.append)
-    failed = int(re.search(r"criterion (\d+)", str(info.value)).group(1))
-    assert [line.split()[1] for line in lines] == [
-        str(n) for n in range(1, failed)]
     assert no_child_left()
-    # The failing process starts no criterion after its failure.  A failing
-    # parent empties the queue at once, so its worker starts at most two:
-    # the one it is on and one it may pull just before the queue empties.
-    started = log.read_text().split()
-    assert started.count(str(where == "parent")) == 1
-    if where == "parent":
-        assert started.count("False") <= 2
+    ran = list(range(1, 9)) if where == "parent" else [5, 8]
+    assert [line.split()[1] for line in lines] == [str(n) for n in ran]
+    started = [line.split() for line in log.read_text().splitlines()]
+    assert {in_parent for _, in_parent in started} == {str(where == "parent")}
+    assert sorted(int(n) for n, _ in started) == ran + [9]
 
 
 class KeywordError(Exception):
@@ -276,20 +344,18 @@ def local_error(message):
 def test_a_worker_error_that_does_not_cross_the_pipe_is_named(
     monkeypatch, cpus, make
 ):
+    # criterion 7 comes last in the workers' queue
     def behave(n, in_parent):
-        if not in_parent:
+        if n == 7 and not in_parent:
             raise make("criterion %d went wrong" % n)
-        time.sleep(0.05)
 
     monkeypatch.setattr(acceptance, "ALL_CRITERIA", stub_criteria(behave))
     cpus(2)
     lines = []
-    pattern = r"^%s: criterion \d+ went wrong$" % type(make("")).__name__
-    with pytest.raises(RuntimeError, match=pattern) as info:
+    pattern = r"^%s: criterion 7 went wrong$" % type(make("")).__name__
+    with pytest.raises(RuntimeError, match=pattern):
         acceptance.run_suite("all", report=lines.append)
-    failed = int(re.search(r"criterion (\d+)", str(info.value)).group(1))
-    assert [line.split()[1] for line in lines] == [
-        str(n) for n in range(1, failed)]
+    assert [line.split()[1] for line in lines] == [str(n) for n in range(1, 7)]
     assert no_child_left()
 
     # in one process the criterion's own error is raised
@@ -306,31 +372,43 @@ def test_a_worker_error_that_does_not_cross_the_pipe_is_named(
 def test_a_dead_worker_names_the_criteria_left_without_result(
     monkeypatch, cpus
 ):
+    # the worker that pulls criterion 5 dies; the other runs the rest
     def behave(n, in_parent):
-        if not in_parent:
+        if n == 5 and not in_parent:
             os._exit(3)
-        time.sleep(0.05)
+        time.sleep(0.02)
 
     monkeypatch.setattr(acceptance, "ALL_CRITERIA", stub_criteria(behave))
     cpus(2)
     lines = []
     with pytest.raises(RuntimeError) as info:
         acceptance.run_suite("all", report=lines.append)
-    message = re.fullmatch(
-        r"no result for criteria (\d+) \(worker exit statuses 3\)",
-        str(info.value))
-    assert message, str(info.value)
-    lost = int(message.group(1))
-    assert [line.split()[1] for line in lines] == [
-        str(n) for n in range(1, lost)]
+    assert str(info.value) == (
+        "no result for criteria 5 (worker exit statuses 3)")
+    assert [line.split()[1] for line in lines] == ["1", "2", "3", "4"]
+    assert no_child_left()
+
+    # with every worker dead, no criterion has a result
+    def dies(n, in_parent):
+        if not in_parent:
+            os._exit(3)
+
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", stub_criteria(dies))
+    with pytest.raises(RuntimeError) as info:
+        acceptance.run_suite("all", report=lines.append)
+    assert str(info.value) == (
+        "no result for criteria 1, 2, 3, 4, 5, 6, 7, 8, 9, 10"
+        " (worker exit statuses 3, 3)")
+    assert len(lines) == 4
     assert no_child_left()
 
 
 def test_a_worker_stops_when_its_parent_is_killed(monkeypatch, cpus, tmp_path):
     # Each criterion logs its start and takes 0.2 s.  The suite runs in a
-    # child of the test, killed once two criteria have started; its worker,
-    # which holds `write` open until it exits, may finish the criterion it
-    # is in but starts none past the one it may have pulled as the kill came.
+    # child of the test, killed once two criteria have started; its two
+    # workers, which hold `write` open until they exit, may finish the
+    # criterion they are in but start none past one they may have pulled
+    # as the kill came.
     log = tmp_path / "started"
 
     def behave(n, _):
