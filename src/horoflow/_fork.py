@@ -1,9 +1,10 @@
-"""Forked helpers shared by the acceptance runner and the read-ahead stream.
+"""Forked children shared by the acceptance runner and the read-ahead stream.
 
-Both find the CPUs they may spread over the same way, and both fork
-children that leave only through os._exit, so that a child never returns
-into its parent's stack.  Each caller keeps its own pipes and wire format,
-and sends an exception through portable.
+Both find the CPUs they may spread over the same way, and both start a
+child with spawn, which hands it the write end of a new pipe, and end it
+with reap.  A child leaves only through os._exit, so that it never returns
+into its parent's stack, and its pipe reaches its end when it exits.  Each
+caller keeps its own wire format, and sends an exception through portable.
 """
 
 import os
@@ -37,6 +38,38 @@ def fork(child):
         finally:
             os._exit(code)
     return pid
+
+
+def spawn(body, close=()):
+    """Fork a child that closes the descriptors `close` and runs body(out),
+    `out` the write end of a new pipe; returns (pid, pipe), `pipe` the read
+    end as a binary file, or None, with no descriptor left open, where the
+    fork fails."""
+    read, write = os.pipe()
+
+    def child():
+        for fd in (read, *close):
+            os.close(fd)
+        body(write)
+
+    pid = fork(child)
+    os.close(write)
+    if pid is None:
+        os.close(read)
+        return None
+    return pid, open(read, "rb")
+
+
+def reap(pid, pipe, kill=False):
+    """Close a spawned child's pipe, so that a child still writing into it
+    stops, after killing the child if `kill`, and wait for it; returns its
+    exit code, or minus the signal that ended it."""
+    if kill:
+        import signal  # here, as a stream read to its end has no use for it
+
+        os.kill(pid, signal.SIGKILL)
+    pipe.close()
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
 def portable(exc):

@@ -1,18 +1,19 @@
 """Read a streamed orbit ahead: its kernel calls in a forked producer.
 
 flows.orbit_chunks(..., ahead=True) hands a run of two or more kernel calls
-here.  On first read, read_ahead forks a producer, pins it to one usable
+here.  On first read, read_ahead spawns a producer, pins it to one usable
 CPU and this process to its neighbour, and the producer runs the chunks
 while this process renders or bins the ones already sent.  The pair of
 CPUs is picked by this process's pid, so runs started side by side on a
 host of four or more CPUs spread over them in pairs.  Each chunk crosses a
 pipe as a header of two int64s, (doubles, offset), followed by the chunk's
 coordinate buffer, written from the array itself and read with readinto
-into an array allocated here.  The stream ends with an END header, or
-with an ERROR header, whose second field counts the bytes of the pickled
-exception that follow.  That exception is raised here after the chunks
-before it, so a failing run fails at the same chunk, with the same type,
-message and step, as in one process.
+into an array allocated here.  A run that fails sends an ERROR header,
+whose second field counts the bytes of the pickled exception that follow.
+That exception is raised here after the chunks before it, so a failing run
+fails at the same chunk, with the same type, message and step, as in one
+process.  The pipe's end ends the stream: a producer that exits 0 has sent
+the whole run, and any other exit status raises a RuntimeError.
 
 The parent always reaps the producer and restores its CPU set before the
 stream ends or raises.  A stream that is left before its end closes the
@@ -25,10 +26,9 @@ import os
 from array import array
 from functools import partial
 
-from horoflow._fork import fork, portable, usable_cpus
+from horoflow._fork import portable, reap, spawn, usable_cpus
 
-END = -1
-ERROR = -2
+ERROR = -1
 
 
 def read_ahead(chunks, make, first):
@@ -44,16 +44,12 @@ def read_ahead(chunks, make, first):
         yield from chunks()
         return
     here, there = _cpu_pair(cpus, os.getpid())
-    read, write = os.pipe()
-    pid = fork(partial(_produce, read, write, chunks, there))
-    if pid is None:
-        os.close(read)
-        os.close(write)
+    producer = spawn(partial(_produce, chunks, there))
+    if producer is None:
         yield from chunks()
         return
-    os.close(write)
+    pid, pipe = producer
     ended = False
-    pipe = open(read, "rb")
     try:
         _pin((here,))
         while True:
@@ -61,31 +57,24 @@ def read_ahead(chunks, make, first):
             if pipe.readinto(header) != header.itemsize * 2:
                 break
             size, offset = header
-            if size == END:
-                ended = True
-                return
             if size == ERROR:
                 import pickle
 
-                ended = True
                 raise pickle.loads(pipe.read(offset))
             values = array("d", (0.0,)) * size
             if pipe.readinto(values) != values.itemsize * size:
                 break
             yield (make(values, start=first) if offset == 0
                    else make(values, offset=offset))
+        ended = True
     finally:
-        pipe.close()
         try:
-            if not ended:
-                import signal
-
-                os.kill(pid, signal.SIGKILL)
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            status = reap(pid, pipe, kill=not ended)
         finally:
             _pin(cpus)
-    raise RuntimeError("the orbit producer ended before its stream did "
-                       "(exit status %d)" % status)
+    if status:
+        raise RuntimeError("the orbit producer ended before its stream did "
+                           "(exit status %d)" % status)
 
 
 def _cpu_pair(cpus, pid):
@@ -95,17 +84,16 @@ def _cpu_pair(cpus, pid):
     return cpus[first], cpus[first + 1]
 
 
-def _produce(read, out, chunks, cpu):
-    """The producer, in the forked process: send each chunk, then END or
-    the pickled exception that ended the run.  A send into a pipe the
-    reader has closed raises, which ends the producer with status 1."""
-    os.close(read)
+def _produce(chunks, cpu, out):
+    """The producer, in the forked process: send each chunk, or the pickled
+    exception that ended the run after the chunks before it.  A send into a
+    pipe the reader has closed raises, which ends the producer with status
+    1."""
     _pin((cpu,))
     try:
         for chunk in chunks():
             _send(out, array("q", (len(chunk.values), chunk.offset)))
             _send(out, chunk.values)
-        _send(out, array("q", (END, 0)))
     except Exception as exc:  # a closed pipe fails this send too
         import pickle
 

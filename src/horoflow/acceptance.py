@@ -20,11 +20,10 @@ import math
 import os
 import pickle
 import random
-import select
 import time
 from functools import partial, wraps
 
-from horoflow._fork import fork, portable, usable_cpus
+from horoflow._fork import portable, reap, spawn, usable_cpus
 from horoflow._record import Record
 from horoflow.diagnostics import (
     BinningSpec,
@@ -415,12 +414,13 @@ def run_suite(name="all", report=print):
     A suite of two or more criteria, with two or more usable CPUs, runs in
     min(len(suite), usable CPUs) forked workers.  They pull the criteria one
     at a time from one queue, a pipe holding the suite's numbers in
-    LONGEST_FIRST order, and each sends every result, or the exception its
-    criterion raised, back through its own pipe; one that does not survive
-    pickling comes as a RuntimeError naming it.  This process runs no
-    criterion then: it waits on the workers' pipes, reports each line once
-    the lines before it are in, and empties the queue at the first failure,
-    so that no criterion starts after it.  With one criterion or one usable
+    LONGEST_FIRST order, and each pickles every result, or the exception its
+    criterion raised, into its own pipe; one that does not survive pickling
+    comes as a RuntimeError naming it.  A worker whose criterion raises
+    empties the queue, so that no criterion starts after it, and sends the
+    numbers it took with the outcome None.  This process runs no criterion
+    then: it reads each worker's pipe to its end in turn and reports each
+    line once the lines before it are in.  With one criterion or one usable
     CPU, without fork, or when no worker starts, this process runs the
     suite itself, in suite order, and stops at the first failure.
 
@@ -442,26 +442,22 @@ def run_suite(name="all", report=print):
         queue, feed = os.pipe()
         try:
             _start_workers(queue, feed, suite, count, workers)
-            while _collect(workers, outcomes) and not any(
-                    isinstance(o, BaseException) for o in outcomes.values()):
-                shown = _report_ready(suite, outcomes, shown, report)
+            for _, pipe in workers:
+                while True:
+                    try:
+                        number, outcome = pickle.load(pipe)
+                    except Exception:  # its end, or a result cut short
+                        break
+                    outcomes[number] = outcome
+                    shown = _report_ready(suite, outcomes, shown, report)
         finally:
-            # Empty the queue, so that no criterion starts after this; those
-            # running finish first.  One read takes all a pipe holds, and a
-            # criterion taken from it unstarted has the outcome None.
-            outcomes.update(dict.fromkeys(os.read(queue, len(suite))))
             os.close(queue)
-            try:
-                while _collect(workers, outcomes):
-                    pass
-            finally:
-                statuses = [worker.reap() for worker in workers]
+            statuses = [reap(pid, pipe) for pid, pipe in workers]
     if not workers:
         for number in suite:
             outcomes[number] = _outcome(number)
             shown = _report_ready(suite, outcomes, shown, report)
         return [outcomes[n] for n in suite]
-    _report_ready(suite, outcomes, shown, report)
     lost = [n for n in suite if outcomes.get(n) is None]
     if lost:
         raise RuntimeError(
@@ -495,93 +491,41 @@ def _report_ready(suite, outcomes, shown, report):
 
 
 def _start_workers(queue, feed, suite, count, workers):
-    """Fork up to `count` workers on the queue, each added to `workers` as
+    """Spawn up to `count` workers on the queue, each added to `workers` as
     it starts; a fork that fails starts no more of them.  Then write the
     suite's numbers into the queue, longest first, if any worker started,
     and close `feed`, the queue's write end."""
-    parent = os.getpid()
     try:
         for _ in range(count):
-            read, write = os.pipe()
-            pid = fork(partial(_work, queue, write, parent,
-                               [feed, read] + [w.fd for w in workers]))
-            if pid is None:
-                os.close(read)
-                os.close(write)
+            worker = spawn(partial(_work, queue, os.getpid()),
+                           [feed] + [pipe.fileno() for _, pipe in workers])
+            if worker is None:
                 break
-            os.close(write)
-            workers.append(_Worker(pid, read))
+            workers.append(worker)
         if workers:
             os.write(feed, bytes(n for n in LONGEST_FIRST if n in suite))
     finally:
         os.close(feed)
 
 
-def _work(queue, out, parent, others):
-    """A worker's loop, in the forked worker: close the pipe ends `others`
-    it has no use for, then pull, run and send back criteria until the
-    queue is empty, a criterion fails or the parent is gone."""
-    for fd in others:
-        os.close(fd)
-    while os.getppid() == parent:
-        pulled = os.read(queue, 1)
-        if not pulled:
-            break
-        number = pulled[0]
-        outcome = _outcome(number)
-        failed = isinstance(outcome, BaseException)
-        data = pickle.dumps((number, portable(outcome) if failed else outcome))
-        data = len(data).to_bytes(4, "big") + data
-        while data:
-            data = data[os.write(out, data):]
-        if failed:
-            break
-
-
-class _Worker:
-    """A forked worker as the parent sees it: its pid, the pipe it sends
-    results through, and what has come through but not yet whole."""
-
-    def __init__(self, pid, fd):
-        self.pid = pid
-        self.fd = fd
-        self.pending = b""
-
-    def receive(self, outcomes):
-        """Read once from the pipe into `outcomes`; closes it at its end."""
-        data = os.read(self.fd, 1 << 16)
-        if not data:
-            os.close(self.fd)
-            self.fd = None
-            return
-        self.pending += data
-        while len(self.pending) >= 4:
-            size = 4 + int.from_bytes(self.pending[:4], "big")
-            if len(self.pending) < size:
+def _work(queue, parent, out):
+    """A worker's loop, in the forked worker: pull, run and send back
+    criteria until the queue is empty, a criterion fails or the parent is
+    gone.  A failed criterion empties the queue, whose numbers go back with
+    the outcome None."""
+    with open(out, "wb") as pipe:
+        while os.getppid() == parent:
+            pulled = os.read(queue, 1)
+            if not pulled:
                 break
-            number, outcome = pickle.loads(self.pending[4:size])
-            outcomes[number] = outcome
-            self.pending = self.pending[size:]
-
-    def reap(self):
-        """Close the pipe, so a worker still sending stops, and wait for
-        the worker; returns its exit code, or minus the signal that ended
-        it."""
-        if self.fd is not None:
-            os.close(self.fd)
-            self.fd = None
-        return os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-
-
-def _collect(workers, outcomes):
-    """Wait until a worker sends something or closes its pipe, and read
-    what has come into `outcomes`; returns False, without waiting, once
-    every worker has closed its pipe."""
-    fds = [worker.fd for worker in workers if worker.fd is not None]
-    if not fds:
-        return False
-    ready = select.select(fds, [], [])[0]
-    for worker in workers:
-        if worker.fd in ready:
-            worker.receive(outcomes)
-    return True
+            number = pulled[0]
+            outcome = _outcome(number)
+            failed = isinstance(outcome, BaseException)
+            pickle.dump((number, portable(outcome) if failed else outcome),
+                        pipe)
+            pipe.flush()
+            if failed:
+                # One read takes all a pipe holds.
+                for number in os.read(queue, len(LONGEST_FIRST)):
+                    pickle.dump((number, None), pipe)
+                break

@@ -14,7 +14,7 @@ import tracemalloc
 
 import pytest
 
-from horoflow import acceptance
+from horoflow import _fork, acceptance
 from horoflow._fork import fork
 from horoflow.acceptance import CriterionResult
 
@@ -235,7 +235,7 @@ def test_workers_start_the_longest_criteria_first(monkeypatch, cpus, tmp_path):
         return fork(child) if len(forks) == 1 else None
 
     monkeypatch.setattr(acceptance, "ALL_CRITERIA", stub_criteria(behave))
-    monkeypatch.setattr(acceptance, "fork", one_fork)
+    monkeypatch.setattr(_fork, "fork", one_fork)
     monkeypatch.setitem(acceptance.SUITES, "some", (2, 5, 7, 8))
     cpus(2)
     assert sorted(acceptance.LONGEST_FIRST) == list(acceptance.SUITES["all"])
@@ -269,7 +269,7 @@ def test_one_usable_cpu_forks_no_worker(monkeypatch, cpus):
 def test_the_parent_only_collects(monkeypatch, cpus):
     # With two usable CPUs the real criteria run in two workers, and the
     # test process, traced by tracemalloc, holds only the results they send
-    # back: about 70 KiB at its peak, where criteria 3, 5, 6 and 8 each
+    # back: about 18 KiB at its peak, where criteria 3, 5, 6 and 8 each
     # peak at 0.2 to 0.6 MiB in the process that runs them.  Each worker
     # stops tracing as it starts, so that the criteria run at full speed.
     work = acceptance._work
@@ -289,7 +289,7 @@ def test_the_parent_only_collects(monkeypatch, cpus):
     assert [r.number for r in results] == list(range(1, 11))
     assert all(r.passed for r in results)
     assert no_child_left()
-    assert peak < 160 * 1024
+    assert peak < 48 * 1024
 
 
 @pytest.mark.parametrize("where", ["parent", "worker"])
@@ -400,6 +400,33 @@ def test_a_dead_worker_names_the_criteria_left_without_result(
         "no result for criteria 1, 2, 3, 4, 5, 6, 7, 8, 9, 10"
         " (worker exit statuses 3, 3)")
     assert len(lines) == 4
+    assert no_child_left()
+
+
+class Dies:
+    """Ends the process that pickles it, with status 3."""
+
+    def __reduce__(self):
+        os._exit(3)
+
+
+def test_a_worker_dying_mid_result_names_its_criterion(monkeypatch, cpus):
+    # Criterion 6's details are 200 KB, more than a pipe holds, ahead of an
+    # object that ends the worker while it pickles them: the test process
+    # reads a result cut short.
+    def behave(n, _):
+        if n == 6:
+            return CriterionResult(6, "stub_6", True, 0.0, 1.0,
+                                   {"text": "x" * 200_000, "dies": Dies()})
+
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", stub_criteria(behave))
+    cpus(2)
+    lines = []
+    with pytest.raises(RuntimeError) as info:
+        acceptance.run_suite("all", report=lines.append)
+    assert str(info.value) == (
+        "no result for criteria 6 (worker exit statuses 3)")
+    assert [line.split()[1] for line in lines] == ["1", "2", "3", "4", "5"]
     assert no_child_left()
 
 

@@ -1,0 +1,35 @@
+"""spawn and reap, the fork-and-pipe pair behind the acceptance workers and
+the read-ahead producer."""
+
+import os
+import signal
+
+import pytest
+
+from horoflow._fork import reap, spawn
+
+pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+
+
+def write_forever(out):
+    while True:
+        os.write(out, b"x" * 4096)
+
+
+def test_reap_kills_a_child_still_writing():
+    pid, pipe = spawn(write_forever)
+    assert pipe.read(4096)  # it has started
+    assert reap(pid, pipe, kill=True) == -signal.SIGKILL
+
+
+def test_a_failed_fork_leaves_no_descriptor_open(monkeypatch):
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc to list open descriptors")
+
+    def no_fork():
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    before = os.listdir("/proc/self/fd")
+    assert spawn(write_forever) is None
+    assert os.listdir("/proc/self/fd") == before
