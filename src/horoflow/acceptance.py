@@ -32,12 +32,12 @@ from horoflow.diagnostics import (
     coverage,
     minimal_set_residual,
 )
+from horoflow.divergence import detect_divergence
 from horoflow.flows import (
     DualBoundaryIterate,
     GeodesicD,
     HorocycleU,
     Sol3U,
-    detect_divergence,
     integrate_orbit,
     orbit_chunks,
 )

@@ -21,8 +21,6 @@ the point at infinity of the boundary circle sits in an ordinary cell.
 
 import math
 import random
-from bisect import bisect_right
-from itertools import repeat
 
 from horoflow._record import FrozenRecord
 from horoflow.flows import OrbitSegment, flow_label
@@ -54,9 +52,6 @@ COORD_PERIODS = {
 
 # Rows coverage bins per pass: its column lists hold this many rows at once.
 BIN_CHUNK_ROWS = 4096
-
-# Largest cell count of an axis that coverage bins through its cell edges.
-EDGE_MAX_CELLS = 32
 
 DEFAULT_GAMMA_COUNT = 50
 DEFAULT_GRID_COUNT = 50
@@ -100,49 +95,6 @@ class DensityReport(FrozenRecord):
                     fraction, samples)
 
 
-def _cell_edges(lo, hi, n):
-    """[lo, e_1 ... e_{n-1}, nextafter(hi, inf)], e_k the smallest double
-    whose cell int((v - lo) / span * n) is k or more.
-
-    Cell 0 holds lo and cell n holds hi, so e_k lies in (lo, hi].  It is
-    found in two monotone steps, each from a guess a few ulps off and
-    walked to the edge with math.nextafter.  First d, the smallest offset
-    with d / span * n >= k, from span * (k / n).  Then e_k, the smallest v
-    with v - lo >= d.  The difference v - lo rounds up to d from halfway
-    below d, and where v has far more bits than d, as near 0 when lo < 0,
-    that halfway point lies up to 2**62 doubles below lo + d.  The guess
-    lo + d - (d - d')/2, d' the double below d, starts there: for such v
-    the sum lo + d is exact (Sterbenz), and so is the subtraction.
-    """
-    span = hi - lo
-    nextafter, inf = math.nextafter, math.inf
-    edges = [lo]
-    for k in range(1, n):
-        d = span * (k / n)
-        if d / span * n >= k:
-            below = nextafter(d, 0.0)
-            while below / span * n >= k:
-                d = below
-                below = nextafter(d, 0.0)
-        else:
-            d = nextafter(d, inf)
-            while d / span * n < k:
-                d = nextafter(d, inf)
-        e = lo + d - (d - nextafter(d, 0.0)) * 0.5
-        if e - lo >= d:
-            below = nextafter(e, -inf)
-            while below - lo >= d:
-                e = below
-                below = nextafter(e, -inf)
-        else:
-            e = nextafter(e, inf)
-            while e - lo < d:
-                e = nextafter(e, inf)
-        edges.append(e)
-    edges.append(nextafter(hi, inf))
-    return edges
-
-
 def coverage(orbit, binning, axes=None):
     """Fraction of grid cells visited by the orbit's samples.
 
@@ -153,24 +105,9 @@ def coverage(orbit, binning, axes=None):
     value v in the closed range [lo, hi] of an axis with n cells falls in
     cell min(int((v - lo) / span * n), n - 1), span = hi - lo; samples
     outside the box, NaN included, are skipped, so the fraction is monotone
-    in orbit length.
-
-    On [lo, hi] that cell is a non-decreasing function of v: IEEE
-    subtraction, and division or multiplication by a positive number, round
-    monotonically, and int truncates non-negative values monotonically.  So
-    each cell is one run of doubles [e_k, e_{k+1}), and an axis of at most
-    EDGE_MAX_CELLS cells is binned through its list of cell edges
-    (_cell_edges): bisect_right on the list [lo, e_1 ... e_{n-1},
-    nextafter(hi, inf)] gives 0 below lo or for -inf, n + 1 above hi or for
-    +inf and NaN, and cell i - 1 for any index i in between, bit for bit
-    the cell of the formula.  Building the edges costs O(n) nextafter steps
-    per axis, a few per edge, and holds n + 1 floats; the binning then runs
-    no bytecode per value.  It costs about log2(n) float comparisons per
-    value, though, more than the formula from some 40 to 100 cells on, so
-    a larger axis is binned by the formula itself, whose memory does not
-    grow with n.  Each flat sample buffer is binned column by column,
-    BIN_CHUNK_ROWS rows at a time, so the memory it takes beyond the edges
-    and the visited cells does not grow with the orbit.
+    in orbit length.  Each flat sample buffer is binned column by column,
+    BIN_CHUNK_ROWS rows at a time, so the memory it takes beyond the
+    visited cells does not grow with the orbit.
     """
     if binning.total < 1:
         raise ValueError("empty binning")
@@ -180,11 +117,8 @@ def coverage(orbit, binning, axes=None):
     elif len(axes) != k:
         raise ValueError("%d axes for %d binning ranges" % (len(axes), k))
     top = max(axes)
-    bins = [
-        (a, lo, hi, hi - lo, n,
-         _cell_edges(lo, hi, n) if n <= EDGE_MAX_CELLS else None)
-        for a, (lo, hi), n in zip(axes, binning.ranges, binning.counts)
-    ]
+    bins = [(a, lo, hi, hi - lo, n)
+            for a, (lo, hi), n in zip(axes, binning.ranges, binning.counts)]
     # Only the distinct index tuples are kept, and flattened at the end.
     keys = set()
     first = None
@@ -202,29 +136,19 @@ def coverage(orbit, binning, axes=None):
         for start in range(0, rows, BIN_CHUNK_ROWS):
             chunk = values[start * w:(start + BIN_CHUNK_ROWS) * w]
             keys.update(zip(*[
-                map(bisect_right, repeat(edges), chunk[a::w])
-                if edges is not None else
                 [int((v - lo) / span * n) if lo <= v <= hi else None
                  for v in chunk[a::w]]
-                for a, lo, hi, span, n, edges in bins
+                for a, lo, hi, span, n in bins
             ]))
-    # An edge index i is cell i - 1 if 0 < i <= n and outside the box
-    # otherwise.  A formula index is None outside the closed range and n on
-    # its upper edge, which is clamped into cell n - 1.
-    shapes = [(n, edges is not None) for _, _, _, _, n, edges in bins]
+    # An index is None outside the closed range and n on its upper edge,
+    # which is clamped into cell n - 1.
     visited = set()
     for key in keys:
         cell = 0
-        for k, (n, edged) in zip(key, shapes):
-            if edged:
-                if not 0 < k <= n:
-                    break
-                k -= 1
-            elif k is None:
+        for k, n in zip(key, binning.counts):
+            if k is None:
                 break
-            elif k == n:
-                k = n - 1
-            cell = cell * n + k
+            cell = cell * n + (k if k < n else n - 1)
         else:
             visited.add(cell)
     total = binning.total

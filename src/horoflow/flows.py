@@ -43,7 +43,6 @@ from itertools import chain
 from horoflow import _kernels
 from horoflow._record import FrozenRecord
 from horoflow.models import (
-    ModularModel,
     ProductModel,
     SurfaceModel,
     TorusBundleModel,
@@ -59,10 +58,10 @@ from horoflow.moebius import (
 )
 
 MAX_STEPS = 10 ** 8
-# Samples one run may keep: each row is 8 B per coordinate, 24 to 40 B, so
-# the coordinates of one integrate_orbit buffer stay below 400 MB.  The cap
-# holds for streamed runs too, such as the CLI's, though they keep one
-# chunk at a time.
+# Samples one integrate_orbit buffer may hold: each row is 8 B per
+# coordinate, 24 to 40 B, so a whole-run buffer stays below 400 MB.  A
+# stream (orbit_chunks), such as the CLI's, keeps one chunk at a time and
+# is capped by MAX_STEPS alone.
 MAX_SAMPLES = 10 ** 7
 # Sample rows per kernel call of orbit_chunks: 64 * 32, a multiple of the
 # kernels' renormalisation interval.
@@ -274,17 +273,17 @@ def _sample_time_step(flow, sample_every, last):
     return time_step
 
 
-def _validate_counts(steps, sample_every):
+def _validate_counts(steps, sample_every, whole):
     if not isinstance(steps, int) or steps < 0:
         raise ValueError("steps must be a nonnegative integer")
     if steps > MAX_STEPS:
         raise ValueError("steps capped at %d" % MAX_STEPS)
     if not isinstance(sample_every, int) or sample_every < 1:
         raise ValueError("sample_every must be a positive integer")
-    if steps // sample_every + 1 > MAX_SAMPLES:
+    if whole and steps // sample_every + 1 > MAX_SAMPLES:
         raise ValueError(
-            "a run keeps steps // sample_every + 1 samples, capped at %d; "
-            "raise sample_every" % MAX_SAMPLES
+            "one buffer keeps steps // sample_every + 1 samples, capped at "
+            "%d; raise sample_every or stream the run" % MAX_SAMPLES
         )
 
 
@@ -380,12 +379,13 @@ def _orbit_setup(model, start, flow, rng):
             point, model.name, model.coord_names())
 
 
-def _begin(model, start, flow, steps, seed, sample_every):
+def _begin(model, start, flow, steps, seed, sample_every, whole=True):
     """Check a run's arguments, draw and reduce its start, and return the
-    `resume` of its first integrate_orbit call."""
+    `resume` of its first integrate_orbit call.  A `whole` run, held in one
+    buffer, keeps at most MAX_SAMPLES samples."""
     if not isinstance(flow, FLOW_KINDS):
         raise TypeError("unknown flow kind: %r" % (flow,))
-    _validate_counts(steps, sample_every)
+    _validate_counts(steps, sample_every, whole)
     kernel, state, head, first, point, name, names = _orbit_setup(
         model, start, flow, random.Random(seed))
     _sample_time_step(flow, sample_every, steps // sample_every)
@@ -415,7 +415,7 @@ def orbit_chunks(model, start, flow, steps, seed=None, sample_every=1,
     The chunks and any error are the same; only the chunks' `resume` is
     left unset.
     """
-    run = _begin(model, start, flow, steps, seed, sample_every)
+    run = _begin(model, start, flow, steps, seed, sample_every, whole=False)
     per_call = CHUNK_ROWS * sample_every
     chunks = partial(_chunks, model, flow, steps, seed, sample_every,
                      per_call, run)
@@ -452,7 +452,8 @@ def integrate_orbit(model, start, flow, steps, seed=None, sample_every=1,
     The segment's `resume` lets the run go on: given as `resume`, the
     kernel makes `steps` more steps from where that segment's run stopped,
     start and seed are not read, and the segment holds the new samples
-    only.  orbit_chunks streams a run this way.
+    only.  orbit_chunks streams a run this way.  A run that starts here
+    keeps at most MAX_SAMPLES samples; a stream's calls keep a chunk each.
     """
     if resume is None:
         resume = _begin(model, start, flow, steps, seed, sample_every)
@@ -465,53 +466,3 @@ def integrate_orbit(model, start, flow, steps, seed=None, sample_every=1,
         segment = make(values, start=first)
     segment.resume = (kernel, state, done + steps, head, first, make)
     return segment
-
-
-# -- divergence detection -----------------------------------------------------
-
-
-def escape_functional(model, flow):
-    """The escape height used to flag divergent orbits, as a function of a
-    sample's coordinate row.
-
-    Modular-base models escape into the cusp, measured by the imaginary part
-    of the reduced base point; the dual boundary iteration escapes toward
-    (infinity, 0), measured by the inverted distance to it; every compact
-    model reports constant zero.
-    """
-    if isinstance(flow, DualBoundaryIterate):
-
-        def dual_escape(coords):
-            theta, y_prime = coords
-            gap = max(BoundaryPoint(theta).chordal(BoundaryPoint.infinity()),
-                      abs(y_prime))
-            return math.inf if gap == 0.0 else 1.0 / gap
-
-        return dual_escape
-    base = model.base if isinstance(model, ProductModel) else model
-    if isinstance(base, ModularModel):
-        return lambda coords: coords[1]
-    return lambda coords: 0.0
-
-
-def detect_divergence(model, start, flow, horizon, threshold, seed=None):
-    """Scan an orbit for escape beyond the threshold within the horizon.
-
-    horizon counts steps; the report carries the first sample time at which
-    the escape functional exceeded the threshold, or None.  It reads the
-    segment's rows and builds no sample point.
-    """
-    segment = integrate_orbit(model, start, flow, horizon, seed=seed)
-    escape = escape_functional(model, flow)
-    first_passage = None
-    peak = -math.inf
-    for time, coords in zip(segment.times(), segment.rows()):
-        value = escape(coords)
-        peak = max(peak, value)
-        if first_passage is None and value > threshold:
-            first_passage = time
-    return {
-        "diverged": first_passage is not None,
-        "first_passage": first_passage,
-        "max_escape": peak,
-    }

@@ -2,16 +2,15 @@
 
 import math
 import random
+import struct
 import tracemalloc
 from array import array
-from bisect import bisect_right
 from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from horoflow import diagnostics
 from horoflow.diagnostics import (
     BIN_CHUNK_ROWS,
     BinningSpec,
@@ -92,7 +91,7 @@ def test_binning_indices():
     assert visited((1.01, 0.0), (0.5, -2.5)) == 0
 
 
-# -- cell edges ---------------------------------------------------------------
+# -- cell boundaries ----------------------------------------------------------
 
 
 def reference_cell_of(lo, hi, n, v):
@@ -102,9 +101,52 @@ def reference_cell_of(lo, hi, n, v):
     return min(int((v - lo) / (hi - lo) * n), n - 1)
 
 
-def edge_cell(edges, n, v):
-    i = bisect_right(edges, v)
-    return i - 1 if 0 < i <= n else None
+def _ordinal(x):
+    """The place of a double in their order, +0.0 and -0.0 both at 0."""
+    (bits,) = struct.unpack("<Q", struct.pack("<d", x))
+    return -(bits & ~(1 << 63)) if bits >> 63 else bits
+
+
+def _double(k):
+    return struct.unpack("<d", struct.pack("<Q", -k | 1 << 63 if k < 0 else k))[0]
+
+
+def cell_boundaries(lo, hi, n):
+    """The smallest double of cell k or above, for k = 1 .. n - 1.
+
+    The formula's cell never falls as the value grows, so each boundary is
+    bracketed by steps that double away from the guess lo + span * (k / n),
+    then bisected in the order of doubles.  The bracket can reach far: near
+    0 inside a range with lo < 0, v - lo rounds up to a boundary from up to
+    2**62 doubles below it.
+    """
+    bottom, top = _ordinal(lo), _ordinal(hi)
+
+    def cell(k):
+        return reference_cell_of(lo, hi, n, _double(k))
+
+    out = []
+    for k in range(1, n):
+        # cell(below) < k <= cell(above); cell(bottom) is 0, cell(top) n - 1
+        guess = min(max(_ordinal(lo + (hi - lo) * (k / n)), bottom), top)
+        below = above = guess
+        step = 1
+        if cell(guess) >= k:
+            while cell(below) >= k:
+                above, below = below, max(below - step, bottom)
+                step *= 2
+        else:
+            while cell(above) < k:
+                below, above = above, min(above + step, top)
+                step *= 2
+        while above - below > 1:
+            mid = (below + above) // 2
+            if cell(mid) >= k:
+                above = mid
+            else:
+                below = mid
+        out.append(_double(above))
+    return out
 
 
 SPECIAL_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -113,12 +155,23 @@ SPECIAL_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                   -1.7976931348623157e308)
 
 
-def probe_values(edges, lo, hi):
-    """Each edge and one ulp either side, lo, hi and the special values."""
+def probe_values(lo, hi, n):
+    """Each cell boundary and one ulp either side, lo, hi and the special
+    values."""
     out = [lo, hi, *SPECIAL_VALUES]
-    for e in edges:
+    for e in cell_boundaries(lo, hi, n):
         out += [math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf)]
     return out
+
+
+def tagged_visits(lo, hi, n, groups):
+    """The cells coverage visits when each group of values is binned on the
+    axis (lo, hi) of n cells beside a tag of its own on a second axis: one
+    per group whose values share a cell, none for a group it skips."""
+    tags = max(len(groups), 1)
+    rows = [(v, i + 0.5) for i, group in enumerate(groups) for v in group]
+    spec = BinningSpec(((lo, hi), (0.0, float(tags))), (n, tags))
+    return coverage(segment_of(rows), spec).visited
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -146,30 +199,42 @@ def axis_ranges(draw):
 @settings(max_examples=300, deadline=None)
 @given(axis_ranges(),
        st.one_of(st.integers(1, 64), st.integers(65, 3000)))
-@example((-1.0, 1.0), 2)  # an edge at -2**-54, 2**62 doubles below 0.0
+@example((-1.0, 1.0), 2)  # a boundary at -2**-54, 2**62 doubles below 0.0
 @example((0.0, 1.0), 1)
 @example((-3.0, 1e-300), 1000)
 @example((1e6, 1e6 + 1e-4), 3000)
-@example((-2.0, 3.7), 100_000)
-def test_cell_edges_match_the_closed_range_formula(bounds, n):
+def test_coverage_bins_each_value_by_the_closed_range_formula(bounds, n):
+    """coverage reports how many cells it visits, not which, so it is held
+    to the formula's partition of the probes: the same values skipped, and
+    neighbours in value order in one cell exactly where the formula puts
+    them in one."""
     lo, hi = bounds
-    edges = diagnostics._cell_edges(lo, hi, n)
-    assert len(edges) == n + 1
-    assert edges[0] == lo and edges[-1] == math.nextafter(hi, math.inf)
-    for v in probe_values(edges, lo, hi):
-        assert edge_cell(edges, n, v) == reference_cell_of(lo, hi, n, v), v
+    probes = probe_values(lo, hi, n)
+    cells = [reference_cell_of(lo, hi, n, v) for v in probes]
+    spec = BinningSpec(((lo, hi),), (n,))
+    assert (coverage(segment_of([(v,) for v in probes]), spec).visited
+            == len(set(cells) - {None}))
+    outside = [[v] for v, c in zip(probes, cells) if c is None]
+    inside = sorted(v for v, c in zip(probes, cells) if c is not None)
+    assert tagged_visits(lo, hi, n, outside) == 0
+    assert tagged_visits(lo, hi, n, [[v] for v in inside]) == len(inside)
+    same, split = [], []
+    for pair in zip(inside, inside[1:]):
+        a, b = (reference_cell_of(lo, hi, n, v) for v in pair)
+        (same if a == b else split).append(pair)
+    assert tagged_visits(lo, hi, n, same) == len(same)
+    assert tagged_visits(lo, hi, n, split) == 2 * len(split)
 
 
 @pytest.mark.parametrize("xcells", [29, 97])
 def test_coverage_across_a_chunk_boundary_on_both_binning_paths(xcells):
-    # edge neighbours of a range straddling 0 and of a span of a few ulps,
-    # on the rows either side of the first chunk boundary; 29 cells are
-    # binned through edges, 97 by the per-value formula
-    assert (xcells <= diagnostics.EDGE_MAX_CELLS) == (xcells == 29)
+    # boundary neighbours of a range straddling 0 and of a span of a few
+    # ulps, on the rows either side of the first chunk boundary, at a cell
+    # count below and one above 32
     ranges = ((-1.0, 0.7), (1e6, math.nextafter(math.nextafter(1e6, 2e6), 2e6)))
     spec = BinningSpec(ranges, (xcells, 5))
-    xs = probe_values(diagnostics._cell_edges(-1.0, 0.7, xcells), -1.0, 0.7)
-    ys = probe_values(diagnostics._cell_edges(*ranges[1], 5), *ranges[1])
+    xs = probe_values(-1.0, 0.7, xcells)
+    ys = probe_values(*ranges[1], 5)
     rows = [(x, ys[i % len(ys)]) for i, x in enumerate(xs)]
     pad = BIN_CHUNK_ROWS - len(rows) // 2
     seg = segment_of([(2.0, 0.0)] * pad + rows)
@@ -185,8 +250,9 @@ def test_coverage_across_a_chunk_boundary_on_both_binning_paths(xcells):
 
 
 def test_coverage_of_many_cells_holds_no_edge_list():
-    """An axis of a million cells is binned by the per-value formula: its
-    edge list would hold a float and a list slot per cell, about 31 MiB."""
+    """An axis of a million cells costs coverage nothing per cell: a list of
+    its cell boundaries would hold a float and a list slot per cell, about
+    31 MiB."""
     n = 10**6
     rows = [(0.0,), (1.0,), (0.5,), (math.nextafter(0.5, 0.0),), (2.0,),
             (math.nan,), (1e-300,)]

@@ -8,6 +8,8 @@ from functools import partial
 import pytest
 
 from horoflow import _kernels, acceptance, keylemma
+from horoflow._kernels import _pure
+from horoflow.divergence import CUSP_ESCAPE, detect_divergence
 from horoflow.flows import (
     BorelB,
     DualBoundaryIterate,
@@ -15,7 +17,6 @@ from horoflow.flows import (
     HorocycleU,
     OrbitSegment,
     Sol3U,
-    detect_divergence,
     flow_label,
     flow_time_step,
     integrate_orbit,
@@ -299,6 +300,54 @@ def test_modular_geodesic_diverges(modular):
     )
     assert report["diverged"]
     assert report["first_passage"] <= 6.0
+
+
+@pytest.mark.parametrize("kernel", ["pure", "native"])
+def test_a_cusp_escape_is_a_divergence(kernel, modular, monkeypatch,
+                                       native_or_none):
+    # From the origin, GeodesicD(1.0) climbs the cusp until c^2 + d^2
+    # underflows at step 745, where both kernels stop the run.
+    if kernel == "native" and native_or_none is None:
+        pytest.skip("no C compiler to build _native.c")
+    module = _pure if kernel == "pure" else native_or_none
+    monkeypatch.setattr(_kernels, "modular_orbit", module.modular_orbit)
+    origin = identity_start(modular)
+    with pytest.raises(ValueError, match="^%s745$" % CUSP_ESCAPE):
+        integrate_orbit(modular, origin, GeodesicD(1.0), 2000)
+    report = detect_divergence(modular, origin, GeodesicD(1.0), 2000, 100.0)
+    assert report == {
+        "diverged": True, "first_passage": 5.0, "max_escape": math.inf}
+    # no sample passes an infinite threshold, so the escape step's end
+    # stands for the first passage
+    report = detect_divergence(modular, origin, GeodesicD(1.0), 2000, math.inf)
+    assert report == {
+        "diverged": True, "first_passage": 746.0, "max_escape": math.inf}
+
+
+def test_a_random_start_is_drawn_once_for_the_scan_to_an_escape(
+        modular, monkeypatch):
+    draws = []
+
+    def sample_point(rng):
+        draws.append(rng)
+        return identity_start(modular)
+
+    monkeypatch.setattr(modular, "sample_point", sample_point)
+    report = detect_divergence(modular, None, GeodesicD(1.0), 2000, 100.0)
+    assert report == {
+        "diverged": True, "first_passage": 5.0, "max_escape": math.inf}
+    assert len(draws) == 1
+
+
+def test_divergence_detection_raises_any_other_kernel_error(modular,
+                                                            monkeypatch):
+    def failing(*args):
+        raise ValueError("frame escaped nowhere at step 3")
+
+    monkeypatch.setattr(_kernels, "modular_orbit", failing)
+    with pytest.raises(ValueError, match="escaped nowhere at step 3"):
+        detect_divergence(modular, identity_start(modular), GeodesicD(1.0),
+                          10, 100.0)
 
 
 def test_compact_model_never_diverges(octagon):

@@ -123,7 +123,7 @@ def test_flow_run_leaves_out_acceptance_and_diagnostics(tmp_path, bare_modules):
     loaded = command_modules("flow", tmp_path, bare_modules)
     assert {"horoflow.flows", "horoflow.orbitio"} <= loaded
     assert not loaded & {"horoflow.acceptance", "horoflow.diagnostics",
-                         "horoflow._readahead", "json"}
+                         "horoflow.divergence", "horoflow._readahead", "json"}
     assert (tmp_path / "orbit.csv").exists()
 
 
@@ -145,7 +145,7 @@ def test_density_run_leaves_out_acceptance(tmp_path):
         RUN_CLI, "density", "--model", "octagon", "--flow", "u", "--steps", 10,
         "--bins", "4 4", "--out", "density.json", cwd=tmp_path)
     assert {"diagnostics", "flows", "orbitio"} <= loaded
-    assert "acceptance" not in loaded
+    assert not loaded & {"acceptance", "divergence"}
     assert (tmp_path / "density.json").exists()
 
 

@@ -14,7 +14,7 @@ from functools import partial
 
 import pytest
 
-from horoflow import _kernels, cli, diagnostics, flows
+from horoflow import _kernels, cli, diagnostics, divergence, flows
 from horoflow.diagnostics import (
     COORD_PERIODS,
     BinningSpec,
@@ -433,7 +433,8 @@ def test_divergence_scan_builds_no_sample_points(monkeypatch):
     monkeypatch.setattr(flows, "_surface_point", _point_must_not_be_built)
     modular = build_model("modular")
     start = modular.point_from_frame(MoebiusElement.identity())
-    report = flows.detect_divergence(modular, start, GeodesicD(0.01), 600, 100.0)
+    report = divergence.detect_divergence(modular, start, GeodesicD(0.01), 600,
+                                          100.0)
     # the report the per-sample scan gave
     assert report == {
         "diverged": True,
@@ -463,13 +464,51 @@ def test_runs_past_the_sample_limit_fail_before_the_kernel(monkeypatch):
         integrate_orbit(octagon, None, HorocycleU(0.01), 10 ** 8, sample_every=11)
 
 
-def test_cli_reports_the_sample_limit_as_a_run_failure(monkeypatch, tmp_path, capsys):
+def _zero_surface_orbit(frame, step, letters, trans_kind, trans_quats,
+                        trans_state, steps, sample_every, first_step=0):
+    """A surface kernel that leaves every sample row of its buffer zero."""
+    values = array("d", [0.0]) * (3 * (steps // sample_every + 1))
+    return values, frame, trans_state
+
+
+def test_a_stream_runs_past_the_sample_limit_one_chunk_at_a_time(monkeypatch):
+    # MAX_SAMPLES steps keep MAX_SAMPLES + 1 samples, which no whole-run
+    # buffer may hold; a stream holds one 2049-row chunk of 24 B rows at a
+    # time, not the 240 MB of the whole run
+    monkeypatch.setattr(_kernels, "surface_orbit", _zero_surface_orbit)
+    octagon = build_model("octagon")
+    chunks = flows.orbit_chunks(octagon, None, HorocycleU(0.01), MAX_SAMPLES,
+                                seed=1)
+    rows = 0
+    tracemalloc.start()
+    try:
+        for chunk in chunks:
+            rows += len(chunk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == MAX_SAMPLES + 1
+    assert peak < 256 * 1024
+
+
+def test_a_stream_keeps_the_step_limit_and_the_sample_times():
+    # both are refused before orbit_chunks returns
+    octagon = build_model("octagon")
+    with pytest.raises(ValueError, match="steps capped at %d" % flows.MAX_STEPS):
+        flows.orbit_chunks(octagon, None, HorocycleU(0.01), flows.MAX_STEPS + 1)
+    # times of 1e308 per step overflow to inf from row 2 on, which row 3
+    # repeats
+    with pytest.raises(ValueError, match="increase strictly"):
+        flows.orbit_chunks(octagon, None, HorocycleU(1e308), 10)
+
+
+def test_cli_reports_the_step_limit_as_a_run_failure(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(_kernels, "surface_orbit", _kernel_must_not_run)
     out = tmp_path / "orbit.csv"
     code = cli.main(["flow", "--model", "octagon", "--flow", "u",
-                     "--steps", "100000000", "--out", str(out)])
+                     "--steps", str(flows.MAX_STEPS + 1), "--out", str(out)])
     assert code == 1
-    assert "run failed" in capsys.readouterr().err
+    assert "run failed: steps capped" in capsys.readouterr().err
     assert not out.exists()
 
 
