@@ -1,8 +1,13 @@
 """Orbit kernel backend selection.
 
-The compiled backend is picked up when the extension module built from
-_native.c is importable; setting HOROFLOW_PURE=1 in the environment forces
-the pure-Python backend, which is imported only then or as the fallback.
+The compiled backend is the extension module built from _native.c: an
+installed or in-place build when one is importable, or else the one that
+_build compiles into __pycache__ the first time a source checkout imports
+this package, and loads from there afterwards.  Setting HOROFLOW_PURE=1 in
+the environment forces the pure-Python backend, which is imported only then
+or as the fallback, when no compiler, cache directory or source serves.
+ORIGIN says where the kernel came from: the extension's file, or why the
+pure backend was taken; `python -m horoflow._kernels` prints it.
 Both expose the same three functions with the same floating point
 behavior, so the choice only affects speed.  Each returns its samples as
 one flat array('d') of exactly (steps // |sample_every| + 1) rows, one row
@@ -22,18 +27,21 @@ TRANS_BOUNDARY = 1
 TRANS_ROTATION = 2
 
 if os.environ.get("HOROFLOW_PURE") == "1":
-    from horoflow._kernels import _pure as _impl
-
-    BACKEND = "pure"
+    _impl, ORIGIN = None, "HOROFLOW_PURE=1"
 else:
     try:
         from horoflow._kernels import _native as _impl
 
-        BACKEND = "native"
+        ORIGIN = _impl.__file__
     except ImportError:
-        from horoflow._kernels import _pure as _impl
+        from horoflow._kernels._build import load_native
 
-        BACKEND = "pure"
+        _impl, ORIGIN = load_native()
+BACKEND = "native"
+if _impl is None:
+    from horoflow._kernels import _pure as _impl
+
+    BACKEND = "pure"
 
 surface_orbit = _impl.surface_orbit
 modular_orbit = _impl.modular_orbit
@@ -41,6 +49,7 @@ t3a_orbit = _impl.t3a_orbit
 
 __all__ = [
     "BACKEND",
+    "ORIGIN",
     "RENORM_EVERY",
     "TRANS_BOUNDARY",
     "TRANS_NONE",

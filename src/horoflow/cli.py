@@ -188,13 +188,12 @@ def origin_point(model, flow):
 
 def _integrate(args):
     """The model and the orbit's chunks, which run the kernel as they are
-    read, ahead of the reader when the run takes several calls of the pure
-    kernel; a failure of the run, before or while the chunks come, is a
-    RunError.  The caller closes the chunks, so a read-ahead producer is
-    reaped when the command ends, whether it failed or not.  The compiled
-    kernel takes a few hundredths of a second of a dense-octagon run, too
-    little for reading ahead to pay (README, performance)."""
-    from horoflow import _kernels
+    read, ahead of the reader when the run takes several kernel calls, on
+    either backend; a failure of the run, before or while the chunks come,
+    is a RunError.  The caller closes the chunks, so a read-ahead producer
+    is reaped when the command ends, whether it failed or not.  The compiled
+    kernel leaves little time to hide, but a reader that runs no kernel
+    call itself peaks lower (README, performance)."""
     from horoflow.flows import orbit_chunks
 
     model = build_model(_require(args, "model"), args.A, args.seed)
@@ -206,7 +205,7 @@ def _integrate(args):
             model, start, flow, steps,
             seed=args.seed,
             sample_every=1 if args.sample_every is None else args.sample_every,
-            ahead=_kernels.BACKEND == "pure",
+            ahead=True,
         )
     except (ValueError, ArithmeticError) as exc:
         raise RunError(str(exc)) from None

@@ -1,43 +1,31 @@
-"""Shared fixtures: the C orbit kernel compiled from source for the tests."""
+"""Shared fixtures: the C orbit kernel compiled from source for the tests,
+and a copy of the package that has none built."""
 
 import importlib.util
-import shlex
 import shutil
-import subprocess
-import sysconfig
+from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 import pytest
 
-from horoflow import _kernels
-
-NATIVE_SOURCE = Path(_kernels.__file__).with_name("_native.c")
+import horoflow
+from horoflow._kernels import _build
 
 
 @pytest.fixture(scope="session")
 def native_or_none(tmp_path_factory):
     """The C kernel built from _native.c, or None when no C compiler exists.
 
-    It is compiled and linked the way setuptools builds extensions for this
-    interpreter, into a temporary directory, and loaded from there without
-    touching the backend horoflow._kernels chose.  A failed build is a test
-    error, not a skip.
+    It is compiled by the package's own recipe, _build.compile_native, into
+    a temporary directory, and loaded from there without touching the
+    backend horoflow._kernels chose.  A failed build is a test error, not a
+    skip.
     """
-    link = shlex.split(sysconfig.get_config_var("LDSHARED") or "cc -shared")
-    if shutil.which(link[0]) is None:
+    out = tmp_path_factory.mktemp("native") / ("_native" + EXTENSION_SUFFIXES[0])
+    reason = _build.compile_native(str(out))
+    if reason == _build.NO_COMPILER:
         return None
-    out = tmp_path_factory.mktemp("native") / (
-        "_native" + sysconfig.get_config_var("EXT_SUFFIX")
-    )
-    flags = shlex.split(sysconfig.get_config_var("CFLAGS") or "")
-    flags += shlex.split(sysconfig.get_config_var("CCSHARED") or "")
-    build = subprocess.run(
-        [*link, *flags, "-I" + sysconfig.get_paths()["include"],
-         str(NATIVE_SOURCE), "-o", str(out)],
-        capture_output=True,
-        text=True,
-    )
-    assert build.returncode == 0, build.stderr
+    assert reason is None, reason
     spec = importlib.util.spec_from_file_location("horoflow._kernels._native", out)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -50,3 +38,14 @@ def native(native_or_none):
     if native_or_none is None:
         pytest.skip("no C compiler to build _native.c")
     return native_or_none
+
+
+@pytest.fixture
+def unbuilt_checkout(tmp_path):
+    """A directory holding a copy of the horoflow package with no built
+    extension and no __pycache__, as a fresh source checkout has it."""
+    shutil.copytree(
+        Path(horoflow.__file__).parent, tmp_path / "horoflow",
+        ignore=shutil.ignore_patterns(
+            "__pycache__", *("*" + suffix for suffix in EXTENSION_SUFFIXES)))
+    return tmp_path

@@ -127,11 +127,9 @@ def test_flow_run_leaves_out_acceptance_and_diagnostics(tmp_path, bare_modules):
     assert (tmp_path / "orbit.csv").exists()
 
 
-def test_a_read_ahead_flow_run_leaves_out_pickle(monkeypatch, tmp_path,
-                                                 bare_modules):
-    # 5000 steps take three pure kernel calls, so the run reads its orbit
-    # ahead; only an error sent from the producer is pickled
-    monkeypatch.setenv("HOROFLOW_PURE", "1")
+def test_a_read_ahead_flow_run_leaves_out_pickle(tmp_path, bare_modules):
+    # 5000 steps take three kernel calls, so the run reads its orbit ahead;
+    # only an error sent from the producer is pickled
     loaded = modules_after(
         RUN_CLI, "flow", "--model", "octagon", "--flow", "u", "--steps", 5000,
         "--out", "orbit.csv", cwd=tmp_path) - bare_modules
@@ -160,6 +158,27 @@ def test_setup_probe_leaves_out_dataclasses(bare_modules):
     loaded = modules_after(setup_probe_code(), 1, *MODEL_NAMES) - bare_modules
     assert {"horoflow.cli", "horoflow.models.t3a"} <= loaded
     assert not loaded & DATACLASS_MODULES
+
+
+def test_a_cached_kernel_loads_none_of_the_compile_modules(
+    native, unbuilt_checkout, bare_modules
+):
+    # A checkout with no built extension compiles the C kernel the first
+    # time it is imported; the next command loads it from __pycache__
+    # and imports nothing a compile needs: those modules cost start-up
+    # time, and _hashlib maps OpenSSL into every process.
+    env = dict(os.environ, PYTHONPATH=str(unbuilt_checkout))
+    env.pop("HOROFLOW_PURE", None)
+    run = RUN_CLI + REPORT_MODULES
+    for _ in range(2):
+        proc = subprocess.run(
+            [sys.executable, "-c", run, *map(str, COMMANDS["flow"])],
+            capture_output=True, text=True, cwd=unbuilt_checkout, env=env)
+        assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout.splitlines()[-1])) - bare_modules
+    assert {"horoflow._kernels._build", "horoflow._kernels._native"} <= loaded
+    assert not loaded & {"subprocess", "sysconfig", "shutil", "hashlib",
+                         "_hashlib"}
 
 
 def test_classify_run_leaves_out_the_command_modules(tmp_path):

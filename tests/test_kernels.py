@@ -4,9 +4,12 @@ import math
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
+import sysconfig
 from array import array
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import pytest
 from hypothesis import given, settings
@@ -133,6 +136,129 @@ def test_pure_backend_is_imported_only_as_the_fallback():
         assert out in (["native", "False"], ["pure", "True"])
         if pure:
             assert out[0] == "pure"
+
+
+# -- the C kernel compiled on first import -----------------------------------
+# Each test runs fresh interpreters on a copy of the package that holds no
+# built extension, so their first import compiles _native.c into the copy's
+# __pycache__ (horoflow._kernels._build).  They need the C compiler of the
+# parity tests below.
+
+REPORT = [sys.executable, "-m", "horoflow._kernels"]
+
+
+def kernel_report(root, path=None, pure=None, wait=True):
+    """What `python -m horoflow._kernels` prints for the package under
+    `root`, with PATH replaced by `path` if given; or, with wait=False, the
+    running child."""
+    env = dict(os.environ, PYTHONPATH=str(root))
+    env.pop("HOROFLOW_PURE", None)
+    if path is not None:
+        env["PATH"] = path
+    if pure is not None:
+        env["HOROFLOW_PURE"] = pure
+    child = subprocess.Popen(REPORT, stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True, cwd=root,
+                             env=env)
+    if not wait:
+        return child
+    out, err = child.communicate()
+    assert child.returncode == 0 and err == "", err
+    return out
+
+
+def cached_kernels(root):
+    cache = root / "horoflow" / "_kernels" / "__pycache__"
+    return sorted(cache.glob("_native.*" + EXTENSION_SUFFIXES[0]))
+
+
+def compiler_name():
+    """The compiler the package's build runs, as PATH finds it."""
+    return shlex.split(sysconfig.get_config_var("LDSHARED") or "cc -shared")[0]
+
+
+def test_the_first_import_compiles_the_kernel_into_the_cache(
+    native, unbuilt_checkout
+):
+    assert cached_kernels(unbuilt_checkout) == []
+    report = kernel_report(unbuilt_checkout)
+    [cached] = cached_kernels(unbuilt_checkout)
+    assert report == "native: %s\n" % cached
+
+
+def test_a_cached_kernel_loads_without_a_compiler(native, unbuilt_checkout):
+    kernel_report(unbuilt_checkout)
+    [cached] = cached_kernels(unbuilt_checkout)
+    assert kernel_report(unbuilt_checkout, path="") == "native: %s\n" % cached
+
+
+def test_an_edited_source_compiles_again(native, unbuilt_checkout):
+    kernel_report(unbuilt_checkout)
+    [before] = cached_kernels(unbuilt_checkout)
+    source = unbuilt_checkout / "horoflow" / "_kernels" / "_native.c"
+    source.write_text(source.read_text() + "/* edited */\n")
+    report = kernel_report(unbuilt_checkout)
+    [after] = set(cached_kernels(unbuilt_checkout)) - {before}
+    assert report == "native: %s\n" % after
+
+
+def test_a_failed_compile_is_recorded_and_not_tried_again(
+    native, unbuilt_checkout
+):
+    # A compiler that fails, first on PATH: the backend is pure, and the
+    # second import reads the first's record instead of compiling again.
+    fake = unbuilt_checkout / "bin"
+    fake.mkdir()
+    calls = unbuilt_checkout / "calls.log"
+    script = fake / os.path.basename(compiler_name())
+    script.write_text("#!/bin/sh\necho called >> '%s'\n"
+                      "echo 'first line' >&2\necho 'no such thing' >&2\n"
+                      "exit 1\n" % calls)
+    script.chmod(0o755)
+    path = os.pathsep.join([str(fake), os.environ.get("PATH", "")])
+    first = kernel_report(unbuilt_checkout, path=path)
+    assert first == "pure: compile failed: no such thing\n"
+    second = kernel_report(unbuilt_checkout, path=path)
+    assert second.startswith("pure: compile failed: no such thing (recorded in ")
+    assert calls.read_text() == "called\n"
+    assert cached_kernels(unbuilt_checkout) == []
+
+
+def test_a_missing_compiler_is_not_recorded(native, unbuilt_checkout):
+    # An import with PATH empty compiles nothing, so it records nothing:
+    # the next import that finds a compiler builds the kernel.
+    assert kernel_report(unbuilt_checkout, path="") == "pure: no compiler on PATH\n"
+    report = kernel_report(unbuilt_checkout)
+    [cached] = cached_kernels(unbuilt_checkout)
+    assert report == "native: %s\n" % cached
+    assert not any(cached.parent.glob("*.failed"))
+    assert not any(cached.parent.glob("*.tmp"))
+
+
+def test_an_unwritable_cache_leaves_the_pure_backend(native, unbuilt_checkout):
+    # A regular file where the cache directory would be; a read-only
+    # directory would not do, since root writes there anyway.
+    (unbuilt_checkout / "horoflow" / "_kernels" / "__pycache__").write_text("")
+    report = kernel_report(unbuilt_checkout)
+    assert report.startswith("pure: cache directory not writable: ")
+
+
+def test_two_first_imports_side_by_side_both_load_the_kernel(
+    native, unbuilt_checkout
+):
+    children = [kernel_report(unbuilt_checkout, wait=False) for _ in range(2)]
+    reports = [child.communicate()[0] for child in children]
+    [cached] = cached_kernels(unbuilt_checkout)
+    assert reports == ["native: %s\n" % cached] * 2
+    assert [child.returncode for child in children] == [0, 0]
+
+
+def test_the_report_names_why_the_kernel_is_pure(unbuilt_checkout):
+    assert kernel_report(unbuilt_checkout, pure="1") == "pure: HOROFLOW_PURE=1\n"
+    assert (kernel_report(unbuilt_checkout, path="")
+            == "pure: no compiler on PATH\n")
+    (unbuilt_checkout / "horoflow" / "_kernels" / "_native.c").unlink()
+    assert kernel_report(unbuilt_checkout) == "pure: no _native.c\n"
 
 
 # -- pure vs compiled parity -------------------------------------------------

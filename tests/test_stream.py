@@ -7,7 +7,6 @@ must join to the whole run's rows bit for bit, end in the same final
 state, fail with the same message, and give the CLI the same bytes.
 """
 
-import itertools
 import os
 import re
 import tracemalloc
@@ -243,9 +242,8 @@ def test_t3a_drift_past_the_first_chunk_names_the_whole_run_step(
 def test_a_kernel_failure_after_the_first_chunk_leaves_no_file(
     tmp_path, capsys, monkeypatch, command
 ):
-    # The CLI reads ahead only as the pure backend, so the test runs it as
-    # each backend.  Read ahead, the kernel runs in the forked producer, so
-    # the stub logs the first step of each call to a file the test reads.
+    # Read ahead, the kernel runs in the forked producer, so the stub logs
+    # the first step of each call to a file the test reads.
     real = _kernels.surface_orbit
     calls = []
     log = tmp_path / "calls.log"
@@ -270,9 +268,7 @@ def test_a_kernel_failure_after_the_first_chunk_leaves_no_file(
     target = tmp_path / "target"
     target.mkdir()
     out = target / "out"
-    for backend, before in itertools.product(("native", "pure"),
-                                             (None, "kept\n")):
-        monkeypatch.setattr(_kernels, "BACKEND", backend)
+    for before in (None, "kept\n"):
         calls.clear()
         log.write_text("")
         if before is not None:
@@ -479,7 +475,6 @@ def test_a_cli_reader_that_fails_mid_stream_reaps_the_producer(
 
     monkeypatch.setattr(orbitio, "orbit_csv_text", second_text_fails)
     monkeypatch.setattr(diagnostics, "coverage", second_chunk_fails)
-    monkeypatch.setattr(_kernels, "BACKEND", "pure")  # which reads ahead
     argv = [command, "--model", "t3a", "--flow", "sol3u", "--seed", "1",
             "--steps", str(20 * ROWS), "--out", str(tmp_path / "out")]
     if command == "density":
@@ -497,20 +492,23 @@ def test_a_cli_reader_that_fails_mid_stream_reaps_the_producer(
 
 
 @pytest.mark.parametrize("backend", ["native", "pure"])
-def test_the_cli_reads_ahead_as_the_pure_backend_only(
-    monkeypatch, tmp_path, small_chunks, forks, backend
+def test_the_cli_reads_ahead_on_either_backend(
+    monkeypatch, tmp_path, small_chunks, forks, native_or_none, backend
 ):
-    # The compiled kernel is too quick for a producer to pay.  The bytes
-    # are those of a run on one usable CPU, which forks nothing.
+    # With two usable CPUs either kernel runs in a forked producer, and the
+    # bytes are those of a run on one usable CPU, which forks nothing.
+    if backend == "native" and native_or_none is None:
+        pytest.skip("no C compiler to build _native.c")
+    module = _pure if backend == "pure" else native_or_none
+    monkeypatch.setattr(_kernels, "surface_orbit", module.surface_orbit)
     argv = ["flow", "--model", "octagon", "--flow", "u", "--seed", "5",
             "--steps", str(3 * ROWS), "--out"]
-    monkeypatch.setattr(_kernels, "BACKEND", backend)
     assert cli.main(argv + [str(tmp_path / "cli.csv")]) == 0
-    assert len(forks) == (TWO_CPUS and backend == "pure")
+    assert len(forks) == TWO_CPUS
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                         raising=False)
     assert cli.main(argv + [str(tmp_path / "one-cpu.csv")]) == 0
-    assert len(forks) == (TWO_CPUS and backend == "pure")
+    assert len(forks) == TWO_CPUS
     assert ((tmp_path / "cli.csv").read_bytes()
             == (tmp_path / "one-cpu.csv").read_bytes())
     assert_no_child_left()
