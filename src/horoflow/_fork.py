@@ -1,13 +1,14 @@
-"""Forked children shared by the acceptance runner and the read-ahead stream.
+"""Forked children for the acceptance runner, the one command that forks.
 
-Both find the CPUs they may spread over the same way, and both start a
-child with spawn, which hands it the write end of a new pipe, and end it
+The runner spreads its workers over the CPUs usable_cpus finds, starts
+each with spawn, which hands it the write end of a new pipe, and ends it
 with reap.  A child leaves only through os._exit, so that it never returns
-into its parent's stack, and its pipe reaches its end when it exits.  Each
-caller keeps its own wire format, and sends an exception through portable.
+into its parent's stack, and its pipe reaches its end when it exits.  A
+child sends an exception through portable.
 """
 
 import os
+import pickle
 import sys
 
 
@@ -65,7 +66,7 @@ def reap(pid, pipe, kill=False):
     stops, after killing the child if `kill`, and wait for it; returns its
     exit code, or minus the signal that ended it."""
     if kill:
-        import signal  # here, as a stream read to its end has no use for it
+        import signal  # here, as a child reaped unkilled has no use for it
 
         os.kill(pid, signal.SIGKILL)
     pipe.close()
@@ -75,8 +76,6 @@ def reap(pid, pipe, kill=False):
 def portable(exc):
     """exc if it pickles and unpickles, so that a child can send it to its
     parent, or else a RuntimeError naming its type and message."""
-    import pickle  # here, as a flow or density child has no other use for it
-
     try:
         pickle.loads(pickle.dumps(exc))
     except Exception:

@@ -7,8 +7,10 @@ The file compiled is named for the exact bytes of _native.c and for this
 interpreter's first extension suffix, so that an edited source or another
 interpreter builds its own, and later imports load it without a compiler.
 It is written under a temporary name and moved into place, so that imports
-started side by side each load a whole file.  __pycache__ is not on the
-extension import path, so a built extension still takes precedence.
+started side by side each load a whole file; the builds and failure
+records of older sources for the same suffix are then removed.
+__pycache__ is not on the extension import path, so a built extension
+still takes precedence.
 
 A compile that fails is recorded beside the file it would have made, as
 the reason in one line, and later imports take the pure backend at once
@@ -74,6 +76,7 @@ def _build(path):
         reason = compile_native(tmp)
         if reason is None:
             os.replace(tmp, path)
+            _remove_other_builds(path)
         elif reason != NO_COMPILER:
             with open(tmp, "w") as record:
                 record.write(reason)
@@ -87,6 +90,24 @@ def _build(path):
         except OSError:
             pass
     return reason
+
+
+def _remove_other_builds(path):
+    """Remove the builds of other sources for this interpreter, and their
+    failure records, from CACHE: all but `path` and other interpreters'."""
+    suffix = EXTENSION_SUFFIXES[0]
+    try:
+        names = os.listdir(CACHE)
+    except OSError:
+        return
+    for name in names:
+        other = os.path.join(CACHE, name)
+        if (name.startswith("_native.") and other != path
+                and name.endswith((suffix, suffix + ".failed"))):
+            try:
+                os.unlink(other)
+            except OSError:
+                pass
 
 
 def compile_native(out):

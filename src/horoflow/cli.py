@@ -187,13 +187,9 @@ def origin_point(model, flow):
 
 
 def _integrate(args):
-    """The model and the orbit's chunks, which run the kernel as they are
-    read, ahead of the reader when the run takes several kernel calls, on
-    either backend; a failure of the run, before or while the chunks come,
-    is a RunError.  The caller closes the chunks, so a read-ahead producer
-    is reaped when the command ends, whether it failed or not.  The compiled
-    kernel leaves little time to hide, but a reader that runs no kernel
-    call itself peaks lower (README, performance)."""
+    """The model, the flow and the orbit's chunks, which run the kernel as
+    they are read; a failure of the run, before or while the chunks come,
+    is a RunError."""
     from horoflow.flows import orbit_chunks
 
     model = build_model(_require(args, "model"), args.A, args.seed)
@@ -205,7 +201,6 @@ def _integrate(args):
             model, start, flow, steps,
             seed=args.seed,
             sample_every=1 if args.sample_every is None else args.sample_every,
-            ahead=True,
         )
     except (ValueError, ArithmeticError) as exc:
         raise RunError(str(exc)) from None
@@ -221,8 +216,6 @@ def _run(chunks, steps):
             yield chunk
     except (ValueError, ArithmeticError) as exc:
         raise RunError(str(exc)) from None
-    finally:
-        chunks.close()
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -233,10 +226,7 @@ def cmd_flow(args):
 
     out = _require(args, "out")
     _, _, chunks = _integrate(args)
-    try:
-        write_orbit_csv(chunks, out)
-    finally:
-        chunks.close()
+    write_orbit_csv(chunks, out)
     samples = args.steps // (args.sample_every or 1) + 1 if args.steps else 0
     print("wrote %s (%d samples)" % (out, samples))
     return 0
@@ -277,13 +267,11 @@ def cmd_density(args):
         )
     else:
         ranges = _default_ranges(model, flow, len(counts))
-    try:  # the stream starts its producer only when coverage reads it
+    try:  # a kernel error reaches here as a RunError, from _run
         spec = BinningSpec(ranges, counts)
         report = coverage(chunks, spec)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    finally:
-        chunks.close()
     write_density_json(report, out)
     print(
         "wrote %s (visited %d of %d cells, fraction %.4f)"

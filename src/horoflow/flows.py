@@ -14,12 +14,10 @@ once and never copied, and a run's coordinates are held once at their peak.
 A run need not be held whole: orbit_chunks calls the kernel for CHUNK_ROWS
 samples at a time and yields each call's rows as a segment of their own,
 which coverage and the CSV writer read as they come, so the CLI's `flow`
-and `density` hold one chunk at a time.  On the pure backend the CLI reads
-such a stream ahead: when the run takes two or more kernel calls and two
-CPUs are usable, a forked producer runs the kernel on one of them while the
-CLI formats or bins the chunks already made on the other
-(horoflow._readahead).  The segment derives each row's time from the flow
-and builds sample points only when `segment.samples` is first read.
+and `density` hold one chunk at a time.  Each kernel call runs when its
+chunk is read, in the process that reads it.  The segment derives each
+row's time from the flow and builds sample points only when
+`segment.samples` is first read.
 Coverage, the CSV writer and divergence detection read only the
 coordinates and times: coverage and the CSV writer by column from
 `segment.values`, divergence detection row by row through
@@ -394,8 +392,7 @@ def _begin(model, start, flow, steps, seed, sample_every, whole=True):
     return kernel, state, 0, array("d", head), first, make
 
 
-def orbit_chunks(model, start, flow, steps, seed=None, sample_every=1,
-                 ahead=False):
+def orbit_chunks(model, start, flow, steps, seed=None, sample_every=1):
     """integrate_orbit's orbit as consecutive OrbitSegment chunks.
 
     Each chunk comes from one kernel call of CHUNK_ROWS * sample_every
@@ -407,29 +404,16 @@ def orbit_chunks(model, start, flow, steps, seed=None, sample_every=1,
     to integrate_orbit's rows bit for bit, and a kernel error names the
     step the whole-run call names.  The arguments are checked, and the
     start drawn and reduced, before this returns; the kernel runs as the
-    chunks are read.
-
-    With `ahead`, a run of two or more kernel calls is read ahead: on first
-    read, a forked producer on another usable CPU runs the kernel calls
-    while the caller reads the chunks it has sent (horoflow._readahead).
-    The chunks and any error are the same; only the chunks' `resume` is
-    left unset.
+    chunks are read, in the process that reads them.
     """
     run = _begin(model, start, flow, steps, seed, sample_every, whole=False)
-    per_call = CHUNK_ROWS * sample_every
-    chunks = partial(_chunks, model, flow, steps, seed, sample_every,
-                     per_call, run)
-    if ahead and steps > per_call:
-        from horoflow._readahead import read_ahead
-
-        *_, first, make = run
-        return read_ahead(chunks, make, first)
-    return chunks()
+    return _chunks(model, flow, steps, seed, sample_every, run)
 
 
-def _chunks(model, flow, steps, seed, sample_every, per_call, run):
+def _chunks(model, flow, steps, seed, sample_every, run):
     # Each chunk is an integrate_orbit call, so perfbench's tracer, which
     # wraps integrate_orbit, finds every kernel call of a stream inside one.
+    per_call = CHUNK_ROWS * sample_every
     for done in range(0, max(steps, 1), per_call):
         chunk = integrate_orbit(model, None, flow, min(per_call, steps - done),
                                 seed, sample_every, resume=run)

@@ -17,9 +17,9 @@ raises part way, a temp file is removed and the path is left as it was,
 while a device or FIFO target has already received the text written
 before the failure.  An orbit CSV is rendered and written CSV_CHUNK_ROWS
 rows at a time, so its whole text is never held at once; each chunk's rows
-take one `%` format call.  The CLI's stream may come from a read-ahead
-producer (flows.orbit_chunks), whose kernel makes the next chunks on
-another CPU while this module renders the ones it has.
+take one `%` format call.  The CLI's stream (flows.orbit_chunks) runs
+the kernel for each chunk as this module asks for it, so the kernel and
+the rendering take turns in one process.
 """
 
 from __future__ import annotations

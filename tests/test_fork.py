@@ -1,5 +1,4 @@
-"""spawn and reap, the fork-and-pipe pair behind the acceptance workers and
-the read-ahead producer."""
+"""spawn and reap, the fork-and-pipe pair behind the acceptance workers."""
 
 import os
 import signal

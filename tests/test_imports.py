@@ -118,24 +118,33 @@ def command_modules(command, tmp_path, bare_modules):
 
 
 def test_flow_run_leaves_out_acceptance_and_diagnostics(tmp_path, bare_modules):
-    # nor json, which only the density writer uses, nor the read-ahead
-    # producer, which only a run of several kernel calls uses
+    # nor json, which only the density writer uses, nor the fork helpers,
+    # which only `check` uses
     loaded = command_modules("flow", tmp_path, bare_modules)
     assert {"horoflow.flows", "horoflow.orbitio"} <= loaded
     assert not loaded & {"horoflow.acceptance", "horoflow.diagnostics",
-                         "horoflow.divergence", "horoflow._readahead", "json"}
+                         "horoflow.divergence", "horoflow._fork", "json"}
     assert (tmp_path / "orbit.csv").exists()
 
 
-def test_a_read_ahead_flow_run_leaves_out_pickle(tmp_path, bare_modules):
-    # 5000 steps take three kernel calls, so the run reads its orbit ahead;
-    # only an error sent from the producer is pickled
-    loaded = modules_after(
-        RUN_CLI, "flow", "--model", "octagon", "--flow", "u", "--steps", 5000,
-        "--out", "orbit.csv", cwd=tmp_path) - bare_modules
-    assert "horoflow._readahead" in loaded
-    assert "pickle" not in loaded
-    assert (tmp_path / "orbit.csv").exists()
+# Fails the run if it forks or moves itself to other CPUs.
+NO_FORK = (
+    "import os\n"
+    "def _refused(*args):\n"
+    "    raise AssertionError('the command forked or pinned itself')\n"
+    "os.fork = os.sched_setaffinity = _refused\n"
+)
+
+
+@pytest.mark.parametrize("command", ["flow", "density"])
+def test_a_multi_chunk_run_forks_nothing(tmp_path, bare_modules, command):
+    # 5000 steps take three kernel calls, each run in this process
+    argv = list(COMMANDS[command])
+    argv[argv.index("--steps") + 1] = 5000
+    loaded = modules_after(NO_FORK + RUN_CLI, *argv, cwd=tmp_path) - bare_modules
+    assert "horoflow.flows" in loaded
+    assert not loaded & {"horoflow._fork", "pickle"}
+    assert (tmp_path / argv[-1]).exists()
 
 
 def test_density_run_leaves_out_acceptance(tmp_path):

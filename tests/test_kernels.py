@@ -202,20 +202,43 @@ def test_an_edited_source_compiles_again(native, unbuilt_checkout):
     assert report == "native: %s\n" % after
 
 
+def failing_compiler_path(root):
+    """A PATH whose first entry holds a compiler that fails, logging each
+    call to root/calls.log."""
+    fake = root / "bin"
+    fake.mkdir()
+    script = fake / os.path.basename(compiler_name())
+    script.write_text("#!/bin/sh\necho called >> '%s'\n"
+                      "echo 'first line' >&2\necho 'no such thing' >&2\n"
+                      "exit 1\n" % (root / "calls.log"))
+    script.chmod(0o755)
+    return os.pathsep.join([str(fake), os.environ.get("PATH", "")])
+
+
+def test_a_new_build_removes_the_older_builds(native, unbuilt_checkout):
+    # A build, then an edit whose compile fails and is recorded, then an
+    # edit that builds: only the last build is left, and no record.
+    source = unbuilt_checkout / "horoflow" / "_kernels" / "_native.c"
+    cache = unbuilt_checkout / "horoflow" / "_kernels" / "__pycache__"
+    kernel_report(unbuilt_checkout)
+    source.write_text(source.read_text() + "/* fails */\n")
+    failing = failing_compiler_path(unbuilt_checkout)
+    assert kernel_report(unbuilt_checkout, path=failing).startswith("pure: ")
+    assert len(list(cache.glob("_native.*.failed"))) == 1
+    source.write_text(source.read_text() + "/* builds */\n")
+    report = kernel_report(unbuilt_checkout)
+    [cached] = cached_kernels(unbuilt_checkout)
+    assert report == "native: %s\n" % cached
+    assert list(cache.glob("_native.*")) == [cached]
+
+
 def test_a_failed_compile_is_recorded_and_not_tried_again(
     native, unbuilt_checkout
 ):
     # A compiler that fails, first on PATH: the backend is pure, and the
     # second import reads the first's record instead of compiling again.
-    fake = unbuilt_checkout / "bin"
-    fake.mkdir()
     calls = unbuilt_checkout / "calls.log"
-    script = fake / os.path.basename(compiler_name())
-    script.write_text("#!/bin/sh\necho called >> '%s'\n"
-                      "echo 'first line' >&2\necho 'no such thing' >&2\n"
-                      "exit 1\n" % calls)
-    script.chmod(0o755)
-    path = os.pathsep.join([str(fake), os.environ.get("PATH", "")])
+    path = failing_compiler_path(unbuilt_checkout)
     first = kernel_report(unbuilt_checkout, path=path)
     assert first == "pure: compile failed: no such thing\n"
     second = kernel_report(unbuilt_checkout, path=path)

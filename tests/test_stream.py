@@ -14,7 +14,6 @@ import tracemalloc
 import pytest
 
 from horoflow import _kernels, cli, flows
-from horoflow._fork import usable_cpus
 from horoflow._kernels import _pure
 from horoflow.diagnostics import (
     BinningSpec,
@@ -205,12 +204,6 @@ def test_cli_streams_write_the_whole_run_bytes(tmp_path, argv):
 # -- failures ----------------------------------------------------------------
 
 
-def assert_no_child_left():
-    """Every process the test started has been reaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def failure(call):
     with pytest.raises(Exception) as info:
         call()
@@ -232,28 +225,21 @@ def test_t3a_drift_past_the_first_chunk_names_the_whole_run_step(
         assert failure(lambda: integrate_orbit(model, start, flow, 10_000)) == want
         for rows in (ROWS, CHUNK_ROWS):
             monkeypatch.setattr(flows, "CHUNK_ROWS", rows)
-            for ahead in (False, True):  # in this process, then read ahead
-                assert failure(lambda: list(orbit_chunks(
-                    model, start, flow, 10_000, ahead=ahead))) == want
-    assert_no_child_left()
+            assert failure(lambda: list(orbit_chunks(
+                model, start, flow, 10_000))) == want
 
 
 @pytest.mark.parametrize("command", ["flow", "density"])
 def test_a_kernel_failure_after_the_first_chunk_leaves_no_file(
     tmp_path, capsys, monkeypatch, command
 ):
-    # Read ahead, the kernel runs in the forked producer, so the stub logs
-    # the first step of each call to a file the test reads.
     real = _kernels.surface_orbit
     calls = []
-    log = tmp_path / "calls.log"
 
     def second_call_fails(*args):
         if args[6] == 1:  # the start's reduction
             return real(*args)
         calls.append(args[-1])
-        with open(log, "a") as handle:
-            handle.write("%d\n" % args[-1])
         if len(calls) == 2:
             raise ValueError(
                 "reduction did not settle within 10000 descents at step %d"
@@ -270,7 +256,6 @@ def test_a_kernel_failure_after_the_first_chunk_leaves_no_file(
     out = target / "out"
     for before in (None, "kept\n"):
         calls.clear()
-        log.write_text("")
         if before is not None:
             out.write_text(before)
         else:
@@ -279,334 +264,11 @@ def test_a_kernel_failure_after_the_first_chunk_leaves_no_file(
         assert capsys.readouterr().err == (
             "run failed: reduction did not settle within 10000 descents "
             "at step %d\n" % CHUNK_ROWS)
-        assert log.read_text().split() == ["0", str(CHUNK_ROWS)]
+        assert calls == [0, CHUNK_ROWS]
         # no temp file is left, and a file that was there is untouched
         assert os.listdir(target) == ([] if before is None else ["out"])
         if before is not None:
             assert out.read_text() == before
-        assert_no_child_left()
-
-
-# -- reading ahead -----------------------------------------------------------
-
-# With two usable CPUs a stream read ahead forks one producer; with one it
-# runs in this process, as without `ahead`.
-TWO_CPUS = len(usable_cpus()) >= 2
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids os.fork returns to this process while the test runs."""
-    pids = []
-    real = os.fork
-
-    def fork():
-        pid = real()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
-
-
-def chunk_bits(chunks):
-    return [(c.offset, len(c), reprs(c.values), reprs(c.times()))
-            for c in chunks]
-
-
-@pytest.mark.parametrize(
-    "case", ["surface-none", "surface-boundary", "surface-rotation", "t3a-sol3u",
-             "t3a-dual"])
-def test_read_ahead_chunks_are_the_in_process_chunks(small_chunks, forks, case):
-    # widths 3, 4, 5, 3 and 2; 7 divides no call of ROWS * 7 steps' rows
-    # into the run's length, which ends in a part call
-    model, flow = CASES[case]()
-    steps = 3 * ROWS * 7 + 10
-    here = list(orbit_chunks(model, None, flow, steps, seed=SEED,
-                             sample_every=7))
-    cpus = usable_cpus()
-    ahead = []
-    for chunk in orbit_chunks(model, None, flow, steps, seed=SEED,
-                              sample_every=7, ahead=True):
-        # while it streams, this process keeps to one CPU
-        assert len(usable_cpus()) == (1 if TWO_CPUS else len(cpus))
-        ahead.append(chunk)
-    assert usable_cpus() == cpus
-    assert len(forks) == TWO_CPUS
-    assert len(ahead) == 4
-    assert chunk_bits(ahead) == chunk_bits(here)
-    assert repr(ahead[0].samples) == repr(here[0].samples)
-    assert repr(ahead[-1].samples) == repr(here[-1].samples)
-    assert_no_child_left()
-
-
-def test_one_usable_cpu_or_one_kernel_call_forks_nothing(
-    monkeypatch, small_chunks, forks
-):
-    model, flow = CASES["surface-none"]()
-    whole = chunk_bits(orbit_chunks(model, None, flow, 3 * ROWS, seed=SEED))
-    assert len(list(orbit_chunks(model, None, flow, ROWS, seed=SEED,
-                                 ahead=True))) == 1
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
-                        raising=False)
-    chunks = chunk_bits(orbit_chunks(model, None, flow, 3 * ROWS, seed=SEED,
-                                     ahead=True))
-    assert chunks == whole
-    assert forks == []
-    assert_no_child_left()
-
-
-@pytest.mark.parametrize("error", [ValueError, OverflowError, ZeroDivisionError])
-def test_a_producer_error_reaches_the_reader_after_the_chunks_before_it(
-    monkeypatch, small_chunks, forks, error
-):
-    real = _kernels.surface_orbit
-
-    def third_call_fails(*args):
-        if args[-1] == 2 * ROWS:
-            raise error("kernel failed at step %d" % args[-1])
-        return real(*args)
-
-    monkeypatch.setattr(_kernels, "surface_orbit", third_call_fails)
-    model, flow = CASES["surface-none"]()
-    cpus = usable_cpus()
-    chunks = orbit_chunks(model, None, flow, 4 * ROWS, seed=SEED, ahead=True)
-    assert [next(chunks).offset, next(chunks).offset] == [0, ROWS + 1]
-    with pytest.raises(error) as info:
-        next(chunks)
-    assert type(info.value) is error
-    assert str(info.value) == "kernel failed at step %d" % (2 * ROWS)
-    assert usable_cpus() == cpus
-    assert len(forks) == TWO_CPUS
-    assert_no_child_left()
-
-
-def test_a_producer_error_that_does_not_pickle_is_named(monkeypatch, small_chunks):
-    class LocalError(ValueError):
-        """Defined in a function, so pickle cannot name it."""
-
-    real = _kernels.surface_orbit
-
-    def second_call_fails(*args):
-        if args[-1] == ROWS:
-            raise LocalError("kernel failed")
-        return real(*args)
-
-    monkeypatch.setattr(_kernels, "surface_orbit", second_call_fails)
-    model, flow = CASES["surface-none"]()
-    with pytest.raises(RuntimeError if TWO_CPUS else LocalError,
-                       match="kernel failed"):
-        list(orbit_chunks(model, None, flow, 3 * ROWS, seed=SEED, ahead=True))
-    assert_no_child_left()
-
-
-class KeywordError(Exception):
-    """Pickles, but unpickling calls __init__ without its keyword."""
-
-    def __init__(self, message, *, code):
-        super().__init__(message)
-        self.code = code
-
-
-def test_a_producer_error_that_does_not_unpickle_is_named(monkeypatch,
-                                                          small_chunks):
-    real = _kernels.surface_orbit
-
-    def second_call_fails(*args):
-        if args[-1] == ROWS:
-            raise KeywordError("kernel failed", code=1)
-        return real(*args)
-
-    monkeypatch.setattr(_kernels, "surface_orbit", second_call_fails)
-    model, flow = CASES["surface-none"]()
-    with pytest.raises(RuntimeError if TWO_CPUS else KeywordError,
-                       match="^(KeywordError: )?kernel failed$"):
-        list(orbit_chunks(model, None, flow, 3 * ROWS, seed=SEED, ahead=True))
-    assert_no_child_left()
-
-
-def test_a_producer_that_dies_fails_the_stream(monkeypatch, small_chunks, forks):
-    real = _kernels.surface_orbit
-
-    def second_call_dies(*args):
-        if args[-1] == ROWS:
-            os._exit(3)
-        return real(*args)
-
-    if not TWO_CPUS:  # in this process the stub would end the test run
-        second_call_dies = real
-    monkeypatch.setattr(_kernels, "surface_orbit", second_call_dies)
-    model, flow = CASES["surface-none"]()
-    chunks = orbit_chunks(model, None, flow, 3 * ROWS, seed=SEED, ahead=True)
-    assert next(chunks).offset == 0
-    if TWO_CPUS:
-        with pytest.raises(RuntimeError, match=r"ended .* \(exit status 3\)"):
-            next(chunks)
-    assert len(forks) == TWO_CPUS
-    assert_no_child_left()
-
-
-def test_a_reader_that_stops_early_reaps_the_producer(small_chunks, forks):
-    model, flow = CASES["surface-none"]()
-    cpus = usable_cpus()
-    chunks = orbit_chunks(model, None, flow, 100 * ROWS, seed=SEED, ahead=True)
-    next(chunks)
-    chunks.close()
-    assert usable_cpus() == cpus
-    assert len(forks) == TWO_CPUS
-    assert_no_child_left()
-
-
-@pytest.mark.parametrize("command", ["flow", "density"])
-def test_a_cli_reader_that_fails_mid_stream_reaps_the_producer(
-    monkeypatch, tmp_path, small_chunks, forks, command
-):
-    from horoflow import diagnostics, orbitio
-
-    def second_text_fails(segment, *args, real=orbitio.orbit_csv_text):
-        if segment.offset:
-            raise OSError(28, "No space left on device")
-        return real(segment, *args)
-
-    def second_chunk_fails(chunks, spec):
-        next(iter(chunks))
-        raise OSError(28, "No space left on device")
-
-    monkeypatch.setattr(orbitio, "orbit_csv_text", second_text_fails)
-    monkeypatch.setattr(diagnostics, "coverage", second_chunk_fails)
-    argv = [command, "--model", "t3a", "--flow", "sol3u", "--seed", "1",
-            "--steps", str(20 * ROWS), "--out", str(tmp_path / "out")]
-    if command == "density":
-        argv += ["--bins", "8 8"]
-    cpus = usable_cpus()
-    # `info` keeps the traceback, and with it the command's frame and its
-    # stream, alive: the command must close the stream itself
-    with pytest.raises(OSError, match="No space left") as info:
-        cli.main(argv)
-    assert os.listdir(tmp_path) == []
-    assert usable_cpus() == cpus
-    assert len(forks) == TWO_CPUS
-    assert_no_child_left()
-    assert info.value.errno == 28
-
-
-@pytest.mark.parametrize("backend", ["native", "pure"])
-def test_the_cli_reads_ahead_on_either_backend(
-    monkeypatch, tmp_path, small_chunks, forks, native_or_none, backend
-):
-    # With two usable CPUs either kernel runs in a forked producer, and the
-    # bytes are those of a run on one usable CPU, which forks nothing.
-    if backend == "native" and native_or_none is None:
-        pytest.skip("no C compiler to build _native.c")
-    module = _pure if backend == "pure" else native_or_none
-    monkeypatch.setattr(_kernels, "surface_orbit", module.surface_orbit)
-    argv = ["flow", "--model", "octagon", "--flow", "u", "--seed", "5",
-            "--steps", str(3 * ROWS), "--out"]
-    assert cli.main(argv + [str(tmp_path / "cli.csv")]) == 0
-    assert len(forks) == TWO_CPUS
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
-                        raising=False)
-    assert cli.main(argv + [str(tmp_path / "one-cpu.csv")]) == 0
-    assert len(forks) == TWO_CPUS
-    assert ((tmp_path / "cli.csv").read_bytes()
-            == (tmp_path / "one-cpu.csv").read_bytes())
-    assert_no_child_left()
-
-
-def test_streams_started_side_by_side_read_ahead_on_other_cpus(
-    monkeypatch, tmp_path, small_chunks, forks
-):
-    # Four usable CPUs, and two streams whose readers have neighbouring
-    # pids, as two runs started together would: each stream pins its
-    # reader and its producer to two CPUs that the other stream leaves alone.
-    log = tmp_path / "pins"
-
-    def pin(pid, cpus):
-        with open(log, "a") as out:
-            out.write(" ".join(map(str, sorted(cpus))) + "\n")
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)),
-                        raising=False)
-    monkeypatch.setattr(os, "sched_setaffinity", pin, raising=False)
-    model, flow = CASES["surface-none"]()
-    pairs = []
-    for reader in (4242, 4243):
-        monkeypatch.setattr(os, "getpid", lambda reader=reader: reader)
-        log.write_text("")
-        list(orbit_chunks(model, None, flow, 3 * ROWS, seed=SEED, ahead=True))
-        *pinned, restored = log.read_text().splitlines()
-        assert restored == "0 1 2 3"
-        pairs.append({int(cpu) for cpu in pinned})
-    assert len(forks) == 2
-    assert [len(pair) for pair in pairs] == [2, 2]
-    assert not pairs[0] & pairs[1]
-    assert_no_child_left()
-
-
-# Starts a stream read ahead, prints the producer's pid and then "read"
-# once the first chunk is in, and sleeps until it is killed.
-KILLED_READER = """
-import os, time
-from horoflow import flows
-from horoflow.flows import HorocycleU
-from horoflow.models import build_octagon
-
-real_fork = os.fork
-def fork():
-    pid = real_fork()
-    if pid:
-        print(pid, flush=True)
-    return pid
-os.fork = fork
-chunks = flows.orbit_chunks(build_octagon(), None, HorocycleU(0.07),
-                            100 * flows.CHUNK_ROWS, seed=5, ahead=True)
-next(chunks)
-print("read", flush=True)
-time.sleep(120)
-"""
-
-
-def has_exited(pid):
-    """Whether the process is gone or a zombie; it is no child of ours."""
-    try:
-        with open("/proc/%d/stat" % pid) as handle:
-            return handle.read().rsplit(")", 1)[1].split()[0] in "ZX"
-    except FileNotFoundError:
-        return True
-
-
-@pytest.mark.skipif(not os.path.isdir("/proc/self"),
-                    reason="tells a process's state from /proc")
-def test_a_killed_reader_lets_the_producer_exit():
-    import signal
-    import subprocess
-    import sys
-    import time
-
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
-        os.path.dirname(os.path.dirname(flows.__file__)),
-        env.get("PYTHONPATH")]))
-    reader = subprocess.Popen([sys.executable, "-c", KILLED_READER], env=env,
-                              stdout=subprocess.PIPE, text=True)
-    try:
-        first = reader.stdout.readline().strip()
-        producer = None if first == "read" else int(first)
-        if producer is not None:
-            assert reader.stdout.readline().strip() == "read"
-    finally:
-        reader.send_signal(signal.SIGKILL)
-        reader.wait()
-        reader.stdout.close()
-    assert (producer is not None) == TWO_CPUS
-    if producer is not None:
-        # the producer's next write into the pipe fails, and it exits
-        deadline = time.monotonic() + 30
-        while not has_exited(producer) and time.monotonic() < deadline:
-            time.sleep(0.02)
-        assert has_exited(producer)
-    assert_no_child_left()
 
 
 # -- memory ------------------------------------------------------------------
@@ -635,8 +297,8 @@ def test_streamed_flow_renders_a_few_hundred_rows_at_a_time(tmp_path):
     # 100k rows of 3 doubles are 2.3 MiB of coordinates and 9.5 MB of text.
     # The CSV is rendered CSV_CHUNK_ROWS = 512 rows at a time, whose texts,
     # argument list and tuple peaked at 0.26 MB here against 0.73 MB for
-    # pieces of 2048 rows; the kernel's chunk is the same in this process
-    # and in a read-ahead producer.
+    # pieces of 2048 rows; the kernel's chunk of 2049 rows is the same
+    # either way.
     argv = ["flow", "--model", "t3a", "--flow", "sol3u", "--seed", "1",
             "--out", str(tmp_path / "orbit.csv")]
     assert cli.main(argv + ["--steps", "5000"]) == 0  # imports, first calls
@@ -650,7 +312,6 @@ def test_streamed_flow_renders_a_few_hundred_rows_at_a_time(tmp_path):
         tracemalloc.stop()
     assert peak < 400_000
     assert (tmp_path / "orbit.csv").read_text().count("\n") == 8 + 100_001
-    assert_no_child_left()
 
 
 def test_criterion_3_streams_its_orbit():
