@@ -61,14 +61,10 @@ def spawn(body, close=()):
     return pid, open(read, "rb")
 
 
-def reap(pid, pipe, kill=False):
+def reap(pid, pipe):
     """Close a spawned child's pipe, so that a child still writing into it
-    stops, after killing the child if `kill`, and wait for it; returns its
-    exit code, or minus the signal that ended it."""
-    if kill:
-        import signal  # here, as a child reaped unkilled has no use for it
-
-        os.kill(pid, signal.SIGKILL)
+    stops, and wait for it; returns its exit code, or minus the signal that
+    ended it."""
     pipe.close()
     return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 

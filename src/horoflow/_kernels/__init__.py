@@ -1,21 +1,24 @@
 """Orbit kernel backend selection.
 
 The compiled backend is the extension module built from _native.c: an
-installed or in-place build when one is importable, or else the one that
-_build compiles into __pycache__ the first time a source checkout imports
-this package, and loads from there afterwards.  Setting HOROFLOW_PURE=1 in
-the environment forces the pure-Python backend, which is imported only then
-or as the fallback, when no compiler, cache directory or source serves.
+installed or in-place build when one is importable and has every function
+in ENTRY_POINTS (a build of an older source that lacks one is passed
+over), or else the one that _build compiles into __pycache__ the first
+time a source checkout imports this package, and loads from there
+afterwards.  Setting HOROFLOW_PURE=1 in the environment forces the
+pure-Python backend, which is imported only then or as the fallback, when
+no compiler, cache directory or source serves.
 ORIGIN says where the kernel came from: the extension's file, or why the
 pure backend was taken; `python -m horoflow._kernels` prints it.
-Both expose the same three functions with the same floating point
-behavior, so the choice only affects speed.  Each returns its samples as
+Both expose the same functions with the same floating point behavior, so
+the choice only affects speed.  Each orbit kernel returns its samples as
 one flat array('d') of exactly (steps // |sample_every| + 1) rows, one row
 when steps <= 0, with the final state beside it.  Row 0 is left +0.0 for
 the caller, which writes the reduced start there in place; the samples
 follow it.  A last argument, first_step, only shifts the step index an
 error names, so that an orbit integrated in consecutive calls
 (flows.orbit_chunks) fails with the message of one whole-run call.
+csv_rows and bin_cells read such a buffer in place.
 """
 
 import os
@@ -25,6 +28,8 @@ RENORM_EVERY = 64
 TRANS_NONE = 0
 TRANS_BOUNDARY = 1
 TRANS_ROTATION = 2
+ENTRY_POINTS = ("surface_orbit", "modular_orbit", "t3a_orbit", "csv_rows",
+                "bin_cells")
 
 if os.environ.get("HOROFLOW_PURE") == "1":
     _impl, ORIGIN = None, "HOROFLOW_PURE=1"
@@ -34,6 +39,9 @@ else:
 
         ORIGIN = _impl.__file__
     except ImportError:
+        _impl = None
+    # a build of an older source that lacks an entry point is stale
+    if _impl is None or not all(hasattr(_impl, name) for name in ENTRY_POINTS):
         from horoflow._kernels._build import load_native
 
         _impl, ORIGIN = load_native()
@@ -46,6 +54,8 @@ if _impl is None:
 surface_orbit = _impl.surface_orbit
 modular_orbit = _impl.modular_orbit
 t3a_orbit = _impl.t3a_orbit
+csv_rows = _impl.csv_rows
+bin_cells = _impl.bin_cells
 
 __all__ = [
     "BACKEND",
@@ -54,6 +64,8 @@ __all__ = [
     "TRANS_BOUNDARY",
     "TRANS_NONE",
     "TRANS_ROTATION",
+    "bin_cells",
+    "csv_rows",
     "modular_orbit",
     "surface_orbit",
     "t3a_orbit",

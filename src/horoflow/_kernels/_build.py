@@ -1,16 +1,16 @@
 """The C kernel compiled on first import into the package's __pycache__.
 
 horoflow._kernels comes here when it is imported, and only when no
-built extension (an install, or `setup.py build_ext --inplace`) is
-importable and HOROFLOW_PURE is not 1.
+built extension (an install, or `setup.py build_ext --inplace`) with all
+of its entry points is importable and HOROFLOW_PURE is not 1.
 The file compiled is named for the exact bytes of _native.c and for this
 interpreter's first extension suffix, so that an edited source or another
 interpreter builds its own, and later imports load it without a compiler.
 It is written under a temporary name and moved into place, so that imports
 started side by side each load a whole file; the builds and failure
 records of older sources for the same suffix are then removed.
-__pycache__ is not on the extension import path, so a built extension
-still takes precedence.
+__pycache__ is not on the extension import path, so a current built
+extension still takes precedence.
 
 A compile that fails is recorded beside the file it would have made, as
 the reason in one line, and later imports take the pure backend at once

@@ -14,8 +14,11 @@
    start there in place, and the samples follow it, as in _pure.py.  The
    optional last argument first_step is added to the step index of every
    "at step" error, so that a run split into calls fails as a whole-run
-   call does.  Building needs only a C99 compiler and the CPython headers:
-   `python setup.py build_ext --inplace`. */
+   call does.  csv_rows and bin_cells, the output layer, read such a buffer
+   in place and return the text and add the cells that _pure.py's do.
+   Building needs only a C99 compiler and the CPython headers: the first
+   import of horoflow._kernels compiles this file into the package's
+   __pycache__ (_build.py), where no built extension is importable. */
 
 /* A fused multiply-add rounds once where Python's separate float operations
    round twice, so contraction would break bit parity.  The pragma comes
@@ -608,6 +611,333 @@ done:
     return result;
 }
 
+/* The flat array('d') of doubles `values` as a read-only buffer in *view. */
+static int double_buffer(PyObject *values, Py_buffer *view)
+{
+    if (PyObject_GetBuffer(values, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT))
+        return -1;
+    if (view->itemsize != sizeof(double) || view->format == NULL
+            || strcmp(view->format, "d") != 0) {
+        PyErr_Format(PyExc_TypeError, "expected an array('d'), not %s",
+                     Py_TYPE(values)->tp_name);
+        PyBuffer_Release(view);
+        return -1;
+    }
+    return 0;
+}
+
+/* The longest "%.17g" text, "-2.2250738585072014e-308", and a separator. */
+#define NUMBER_MAX 25
+
+#if defined(__SIZEOF_INT128__)
+typedef unsigned __int128 u128;
+
+#define E16 10000000000000000ULL
+#define E17 100000000000000000ULL
+
+static u128 pow10_128[23]; /* 10^0 .. 10^22, filled on first use */
+
+static const char DIGIT_PAIRS[] =
+    "00010203040506070809101112131415161718192021222324252627282930313233"
+    "34353637383940414243444546474849505152535455565758596061626364656667"
+    "6869707172737475767778798081828384858687888990919293949596979899";
+
+/* "%.17g" % x for 1e-6 <= |x| < 1e17, written to out; returns its length,
+   or 0 where x lies outside that range or its decade is below 1e-6.
+   x = m * 2^e exactly, and its 17 digits D are x * 10^(16 - X) rounded
+   half to even, X the decade with 10^X <= x < 10^(X + 1).  The quotient
+   q = floor(m * 10^(16 - X) / 2^-e) settles X: 10^16 <= q < 10^17 holds
+   exactly when X is the decade.  m < 2^53 and 16 - X <= 22 keep
+   m * 10^(16 - X) below 2^127. */
+static int format_exact(double x, char *out)
+{
+    double ax = fabs(x);
+    if (!(ax >= 1e-6 && ax < 1e17))
+        return 0;
+    if (pow10_128[0] == 0) {
+        u128 p = 1;
+        for (int i = 0; i < 23; i++, p *= 10)
+            pow10_128[i] = p;
+    }
+    int E;
+    uint64_t m = (uint64_t)ldexp(frexp(ax, &E), 53);
+    int e = E - 53;
+    /* ax >= 2^(E - 1): floor((E - 1) log10 2) is X or X - 1 */
+    int X = (int)floor((E - 1) * 0.30102999566398120);
+    if (X < -6)
+        X = -6;
+    u128 n, q;
+    for (;;) {
+        n = (u128)m * pow10_128[16 - X];
+        q = e >= 0 ? n << e : n >> -e;
+        if (q < E16)
+            return 0; /* the decade is 10^-7: ax rounds to 1e-6 */
+        if (q < E17)
+            break;
+        X++;
+    }
+    if (e < 0) {
+        u128 rest = n & (((u128)1 << -e) - 1), half = (u128)1 << (-e - 1);
+        if (rest > half || (rest == half && (q & 1)))
+            q++;
+    }
+    /* no double in range lies close enough below a power of ten to round
+       up to it, but the carry keeps the digits right if one did */
+    if (q == E17) {
+        q = E16;
+        X++;
+    }
+    char digits[17];
+    uint64_t d = (uint64_t)q;
+    for (int i = 15; i >= 1; i -= 2, d /= 100)
+        memcpy(digits + i, DIGIT_PAIRS + 2 * (d % 100), 2);
+    digits[0] = (char)('0' + d);
+    int nd = 17;
+    while (digits[nd - 1] == '0')
+        nd--;
+    char *p = out;
+    if (x < 0)
+        *p++ = '-';
+    if (X < -4 || X >= 17) {
+        *p++ = digits[0];
+        if (nd > 1) {
+            *p++ = '.';
+            memcpy(p, digits + 1, nd - 1);
+            p += nd - 1;
+        }
+        int ex = X < 0 ? -X : X;
+        *p++ = 'e';
+        *p++ = X < 0 ? '-' : '+';
+        memcpy(p, DIGIT_PAIRS + 2 * (ex % 100), 2);
+        p += 2;
+    }
+    else if (X < 0) {
+        *p++ = '0';
+        *p++ = '.';
+        memset(p, '0', -X - 1);
+        p += -X - 1;
+        memcpy(p, digits, nd);
+        p += nd;
+    }
+    else if (X + 1 >= nd) {
+        memcpy(p, digits, nd);
+        p += nd;
+        memset(p, '0', X + 1 - nd);
+        p += X + 1 - nd;
+    }
+    else {
+        memcpy(p, digits, X + 1);
+        p += X + 1;
+        *p++ = '.';
+        memcpy(p, digits + X + 1, nd - X - 1);
+        p += nd - X - 1;
+    }
+    return (int)(p - out);
+}
+#else
+static int format_exact(double x, char *out)
+{
+    (void)x;
+    (void)out;
+    return 0;
+}
+#endif
+
+/* "%.17g" % x written to out, at most NUMBER_MAX - 1 chars; returns its
+   length, or -1 with an exception set. */
+static int format_g17(double x, char *out)
+{
+    int len = format_exact(x, out);
+    if (len > 0)
+        return len;
+    char *text = PyOS_double_to_string(x, 'g', 17, 0, NULL);
+    if (text == NULL)
+        return -1;
+    len = (int)strlen(text);
+    memcpy(out, text, len);
+    PyMem_Free(text);
+    return len;
+}
+
+static PyObject *csv_rows(PyObject *self, PyObject *args)
+{
+    PyObject *values, *text = NULL;
+    Py_ssize_t width, first, start, stop;
+    double step;
+    Py_buffer view;
+    if (!PyArg_ParseTuple(args, "Ondnnn", &values, &width, &step, &first,
+                          &start, &stop))
+        return NULL;
+    if (stop <= start)
+        return PyUnicode_FromStringAndSize(NULL, 0);
+    if (double_buffer(values, &view))
+        return NULL;
+    Py_ssize_t count = stop - start;
+    if (width < 1) {
+        PyErr_Format(PyExc_ValueError,
+                     "rows need at least one coordinate, not %zd", width);
+        goto done;
+    }
+    Py_ssize_t rows = view.len / (Py_ssize_t)sizeof(double) / width;
+    if (start < 0 || stop > rows) {
+        PyErr_Format(PyExc_ValueError, "rows %zd..%zd are not among the "
+                     "%zd rows", start, stop, rows);
+        goto done;
+    }
+    if (count > PY_SSIZE_T_MAX / NUMBER_MAX / (width + 1)) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    /* the longest text the rows can take, cut to its length at the end */
+    text = PyUnicode_New(count * (width + 1) * NUMBER_MAX, 127);
+    if (text == NULL)
+        goto done;
+    char *begin = (char *)PyUnicode_1BYTE_DATA(text), *p = begin;
+    const double *row = (const double *)view.buf + start * width;
+    for (Py_ssize_t r = first + start; r < first + stop; r++, row += width) {
+        int len = format_g17(r == 0 ? 0.0 : step * (double)r, p);
+        if (len < 0)
+            goto fail;
+        p += len;
+        for (Py_ssize_t c = 0; c < width; c++) {
+            *p++ = ',';
+            if ((len = format_g17(row[c], p)) < 0)
+                goto fail;
+            p += len;
+        }
+        *p++ = '\n';
+    }
+    if (PyUnicode_Resize(&text, p - begin) == 0)
+        goto done;
+fail:
+    Py_CLEAR(text);
+done:
+    PyBuffer_Release(&view);
+    return text;
+}
+
+/* A grid of more cells than a long long holds is binned by _pure.py's
+   bin_cells, which counts cells in Python ints; this one counts them in a
+   long long. */
+static PyObject *bin_cells(PyObject *self, PyObject *args)
+{
+    PyObject *values, *bins, *visited, *seq = NULL, *result = NULL;
+    Py_ssize_t width;
+    Py_buffer view = {0};
+    if (!PyArg_ParseTuple(args, "OnOO!", &values, &width, &bins, &PySet_Type,
+                          &visited))
+        return NULL;
+    if (width < 1) {
+        PyErr_Format(PyExc_ValueError,
+                     "rows need at least one coordinate, not %zd", width);
+        return NULL;
+    }
+    seq = PySequence_Fast(bins, "bins must be a sequence");
+    if (seq == NULL)
+        return NULL;
+    Py_ssize_t k = PySequence_Fast_GET_SIZE(seq);
+    /* per axis: its coordinate, lo, hi, span and n as a double, and n */
+    Py_ssize_t *axis = PyMem_New(Py_ssize_t, k + 1);
+    double *lim = PyMem_New(double, 4 * k + 1);
+    long long *ni = PyMem_New(long long, k + 1);
+    if (axis == NULL || lim == NULL || ni == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    long long total = 1;
+    for (Py_ssize_t j = 0; j < k; j++) {
+        double *l = lim + 4 * j;
+        PyObject *n;
+        if (!PyArg_ParseTuple(PySequence_Fast_GET_ITEM(seq, j), "ndd"
+                              "O!;a bin is (axis, lo, hi, n)", &axis[j], &l[0],
+                              &l[1], &PyLong_Type, &n))
+            goto done;
+        l[2] = l[1] - l[0];
+        if (!(isfinite(l[0]) && isfinite(l[1]) && l[0] < l[1]
+              && isfinite(l[2]))) {
+            PyObject *lo = PyFloat_FromDouble(l[0]);
+            PyObject *hi = PyFloat_FromDouble(l[1]);
+            if (lo != NULL && hi != NULL)
+                PyErr_Format(PyExc_ValueError, "bad range (%R, %R)", lo, hi);
+            Py_XDECREF(lo);
+            Py_XDECREF(hi);
+            goto done;
+        }
+        int over;
+        ni[j] = PyLong_AsLongLongAndOverflow(n, &over);
+        if (over < 0 || (!over && ni[j] < 1)) {
+            PyErr_Format(PyExc_ValueError,
+                         "cell counts must be positive, not %S", n);
+            goto done;
+        }
+        if (over || total > LLONG_MAX / ni[j]) {
+            PyObject *pure = PyImport_ImportModule("horoflow._kernels._pure");
+            if (pure != NULL)
+                result = PyObject_CallMethod(pure, "bin_cells", "OnOO",
+                                             values, width, seq, visited);
+            Py_XDECREF(pure);
+            goto done;
+        }
+        total *= ni[j];
+        l[3] = (double)ni[j]; /* rounded to nearest, as float(n) */
+    }
+    if (double_buffer(values, &view))
+        goto done;
+    const double *buf = view.buf;
+    Py_ssize_t rows = view.len / (Py_ssize_t)sizeof(double) / width;
+    if (rows == 0 || k == 0) {
+        result = Py_NewRef(Py_None);
+        goto done;
+    }
+    Py_ssize_t top = 0, low = 0;
+    for (Py_ssize_t j = 0; j < k; j++) {
+        top = axis[j] > top ? axis[j] : top;
+        low = axis[j] < low ? axis[j] : low;
+    }
+    if (top >= width) {
+        PyErr_Format(PyExc_ValueError,
+                     "sample has %zd coordinates, axes need %zd", width,
+                     top + 1);
+        goto done;
+    }
+    if (low < 0) {
+        PyErr_SetString(PyExc_ValueError, "axes must not be negative");
+        goto done;
+    }
+    for (Py_ssize_t r = 0; r < rows; r++) {
+        const double *row = buf + r * width;
+        long long cell = 0;
+        Py_ssize_t j;
+        for (j = 0; j < k; j++) {
+            const double *l = lim + 4 * j;
+            double v = row[axis[j]];
+            if (!(l[0] <= v && v <= l[1]))
+                break;
+            /* 0 <= q <= n as a double, which may round up past 2^63 - 1 */
+            double q = (v - l[0]) / l[2] * l[3];
+            long long c = q < 9223372036854775808.0 ? (long long)q : ni[j];
+            cell = cell * ni[j] + (c < ni[j] ? c : ni[j] - 1);
+        }
+        if (j < k)
+            continue;
+        PyObject *key = PyLong_FromLongLong(cell);
+        if (key == NULL)
+            goto done;
+        int added = PySet_Add(visited, key);
+        Py_DECREF(key);
+        if (added)
+            goto done;
+    }
+    result = Py_NewRef(Py_None);
+done:
+    PyBuffer_Release(&view);
+    PyMem_Free(axis);
+    PyMem_Free(lim);
+    PyMem_Free(ni);
+    Py_DECREF(seq);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"surface_orbit", (PyCFunction)(void (*)(void))surface_orbit,
      METH_VARARGS | METH_KEYWORDS, "See _pure.surface_orbit."},
@@ -615,6 +945,8 @@ static PyMethodDef methods[] = {
      METH_VARARGS | METH_KEYWORDS, "See _pure.modular_orbit."},
     {"t3a_orbit", (PyCFunction)(void (*)(void))t3a_orbit,
      METH_VARARGS | METH_KEYWORDS, "See _pure.t3a_orbit."},
+    {"csv_rows", csv_rows, METH_VARARGS, "See _pure.csv_rows."},
+    {"bin_cells", bin_cells, METH_VARARGS, "See _pure.bin_cells."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -67,6 +67,7 @@ _native.c does the same, expression for expression.
 import math
 from array import array
 from functools import lru_cache
+from itertools import chain
 
 from horoflow._kernels import RENORM_EVERY, TRANS_BOUNDARY, TRANS_ROTATION
 from horoflow.moebius import boundary_angle
@@ -503,3 +504,92 @@ def t3a_orbit(state, lam, eigen, sol_step, steps, sample_every, first_step=0):
             samples[j + 2] = tp
             j += 3
     return (samples, (xp, yp, tp))
+
+
+# -- output layer ------------------------------------------------------------
+# _native.c renders the same text digit for digit and adds the same cells.
+
+FLOAT_FMT = "%.17g"
+# Rows bin_cells bins per pass: its column lists hold this many rows at once.
+BIN_CHUNK_ROWS = 4096
+
+
+def csv_rows(values, width, time_step, first_row, start, stop):
+    """The CSV text of rows start..stop-1 of the flat rows `values`, each
+    row's time then its coordinates, comma separated and printed "%.17g".
+    Row j is orbit row first_row + j, whose time is time_step * (first_row
+    + j), or +0.0 for orbit row 0 (flows.OrbitSegment.times).
+
+    The rows are rendered by one format call: the row format repeated once
+    per row, applied to the times and the coordinate columns interleaved
+    into one flat tuple.
+    """
+    count = stop - start
+    if count <= 0:
+        return ""
+    if width < 1:
+        raise ValueError("rows need at least one coordinate, not %d" % width)
+    if start < 0 or stop > len(values) // width:
+        raise ValueError("rows %d..%d are not among the %d rows"
+                         % (start, stop, len(values) // width))
+    w = width
+    first = first_row + start
+    later = map(time_step.__mul__, range(max(first, 1), first_row + stop))
+    args = [None] * (count * (w + 1))
+    args[::w + 1] = chain((0.0,), later) if first == 0 else later
+    chunk = values[start * w:stop * w].tolist()
+    for c in range(w):
+        args[c + 1::w + 1] = chunk[c::w]
+    row_fmt = ",".join([FLOAT_FMT] * (w + 1)) + "\n"
+    return (row_fmt * count) % tuple(args)
+
+
+def bin_cells(values, width, bins, visited):
+    """Add to the set `visited` the flat cell index of each row of the flat
+    rows `values` that falls in the box of `bins`, one (axis, lo, hi, n)
+    per binned axis: coordinate `axis` of a row, v, must lie in the closed
+    range [lo, hi], NaN never does, and falls in cell min(int((v - lo) /
+    span * n), n - 1) of that axis, span = hi - lo.  The cells of the axes
+    are flattened in order, the first axis the most significant.
+
+    A range must be finite, as must its span, and n at least 1.  The rows
+    are binned BIN_CHUNK_ROWS at a time, column by column, and only the
+    distinct index tuples of a call are flattened, once, at its end.
+    """
+    if width < 1:
+        raise ValueError("rows need at least one coordinate, not %d" % width)
+    bins = [(a, lo, hi, hi - lo, n) for a, lo, hi, n in bins]
+    for a, lo, hi, span, n in bins:
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi
+                and math.isfinite(span)):
+            raise ValueError("bad range (%r, %r)" % (lo, hi))
+        if n < 1:
+            raise ValueError("cell counts must be positive, not %d" % n)
+    rows = len(values) // width
+    if not rows or not bins:
+        return
+    top = max(a for a, _, _, _, _ in bins)
+    if top >= width:
+        raise ValueError(
+            "sample has %d coordinates, axes need %d" % (width, top + 1))
+    if min(a for a, _, _, _, _ in bins) < 0:
+        raise ValueError("axes must not be negative")
+    keys = set()
+    for start in range(0, rows, BIN_CHUNK_ROWS):
+        chunk = values[start * width:(start + BIN_CHUNK_ROWS) * width]
+        keys.update(zip(*[
+            [int((v - lo) / span * n) if lo <= v <= hi else None
+             for v in chunk[a::width]]
+            for a, lo, hi, span, n in bins
+        ]))
+    # An index is None outside the closed range and n on its upper edge,
+    # which is clamped into cell n - 1.
+    counts = [n for _, _, _, _, n in bins]
+    for key in keys:
+        cell = 0
+        for k, n in zip(key, counts):
+            if k is None:
+                break
+            cell = cell * n + (k if k < n else n - 1)
+        else:
+            visited.add(cell)

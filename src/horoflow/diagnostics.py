@@ -22,6 +22,7 @@ the point at infinity of the boundary circle sits in an ordinary cell.
 import math
 import random
 
+from horoflow._kernels import bin_cells
 from horoflow._record import FrozenRecord
 from horoflow.flows import OrbitSegment, flow_label
 from horoflow.groups import word_ball
@@ -49,9 +50,6 @@ COORD_PERIODS = {
     "xi_theta": _TAU,
     "pole_azimuth": _TAU,
 }
-
-# Rows coverage bins per pass: its column lists hold this many rows at once.
-BIN_CHUNK_ROWS = 4096
 
 DEFAULT_GAMMA_COUNT = 50
 DEFAULT_GRID_COUNT = 50
@@ -105,9 +103,11 @@ def coverage(orbit, binning, axes=None):
     value v in the closed range [lo, hi] of an axis with n cells falls in
     cell min(int((v - lo) / span * n), n - 1), span = hi - lo; samples
     outside the box, NaN included, are skipped, so the fraction is monotone
-    in orbit length.  Each flat sample buffer is binned column by column,
-    BIN_CHUNK_ROWS rows at a time, so the memory it takes beyond the
-    visited cells does not grow with the orbit.
+    in orbit length.  The kernel backend's bin_cells adds the flat index of
+    each segment's samples' cells to one set of visited cells.  Beyond that
+    set, the memory it takes does not grow with the orbit: _native.c reads
+    the flat sample buffer in place, and the pure backend bins it
+    BIN_CHUNK_ROWS rows at a time.
     """
     if binning.total < 1:
         raise ValueError("empty binning")
@@ -116,41 +116,16 @@ def coverage(orbit, binning, axes=None):
         axes = tuple(range(k))
     elif len(axes) != k:
         raise ValueError("%d axes for %d binning ranges" % (len(axes), k))
-    top = max(axes)
-    bins = [(a, lo, hi, hi - lo, n)
-            for a, (lo, hi), n in zip(axes, binning.ranges, binning.counts)]
-    # Only the distinct index tuples are kept, and flattened at the end.
-    keys = set()
+    bins = tuple((a, lo, hi, n)
+                 for a, (lo, hi), n in zip(axes, binning.ranges, binning.counts))
+    visited = set()
     first = None
     samples = 0
     for segment in (orbit,) if isinstance(orbit, OrbitSegment) else orbit:
         if first is None:
             first = segment
-        rows, w = len(segment), segment.width
-        if rows and top >= w:
-            raise ValueError(
-                "sample has %d coordinates, axes need %d" % (w, top + 1)
-            )
-        samples += rows
-        values = segment.values
-        for start in range(0, rows, BIN_CHUNK_ROWS):
-            chunk = values[start * w:(start + BIN_CHUNK_ROWS) * w]
-            keys.update(zip(*[
-                [int((v - lo) / span * n) if lo <= v <= hi else None
-                 for v in chunk[a::w]]
-                for a, lo, hi, span, n in bins
-            ]))
-    # An index is None outside the closed range and n on its upper edge,
-    # which is clamped into cell n - 1.
-    visited = set()
-    for key in keys:
-        cell = 0
-        for k, n in zip(key, binning.counts):
-            if k is None:
-                break
-            cell = cell * n + (k if k < n else n - 1)
-        else:
-            visited.add(cell)
+        samples += len(segment)
+        bin_cells(segment.values, segment.width, bins, visited)
     total = binning.total
     return DensityReport(
         model=first.model,

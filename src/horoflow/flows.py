@@ -200,11 +200,11 @@ class OrbitSegment:
     len(coord_names)` of them per row.  Its row j is orbit row offset + j;
     a whole orbit and the first chunk of a stream have offset 0, and their
     row 0 is the reduced start.  Orbit row k is sampled at time
-    (flow_time_step(flow) * sample_every) * k, row 0 at 0.0.  `steps` is
-    the whole run's.  `point(row)` builds the QuotientPoint of one row when
-    `samples`, the (time, point) pairs, is first read; `start`, if given,
-    is the point of row 0 itself.  integrate_orbit sets `resume`, which
-    continues the run.
+    time_step * k, time_step = flow_time_step(flow) * sample_every, and
+    row 0 at 0.0.  `steps` is the whole run's.  `point(row)` builds the
+    QuotientPoint of one row when `samples`, the (time, point) pairs, is
+    first read; `start`, if given, is the point of row 0 itself.
+    integrate_orbit sets `resume`, which continues the run.
     """
 
     def __init__(self, model, flow, values, seed, steps, coord_names,
@@ -213,7 +213,7 @@ class OrbitSegment:
         if width < 1 or len(values) % width:
             raise ValueError("%d values do not fill rows of %d coordinates"
                              % (len(values), width))
-        self._time_step = _sample_time_step(
+        self.time_step = _sample_time_step(
             flow, sample_every, offset + len(values) // width - 1)
         self.model = model
         self.flow = flow
@@ -238,7 +238,7 @@ class OrbitSegment:
         """An iterator over the sample times of rows start..stop-1."""
         stop = self.offset + (len(self) if stop is None else stop)
         start += self.offset
-        later = map(self._time_step.__mul__, range(max(start, 1), stop))
+        later = map(self.time_step.__mul__, range(max(start, 1), stop))
         return chain((0.0,), later) if start == 0 < stop else later
 
     @property

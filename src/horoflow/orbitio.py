@@ -17,9 +17,10 @@ raises part way, a temp file is removed and the path is left as it was,
 while a device or FIFO target has already received the text written
 before the failure.  An orbit CSV is rendered and written CSV_CHUNK_ROWS
 rows at a time, so its whole text is never held at once; each chunk's rows
-take one `%` format call.  The CLI's stream (flows.orbit_chunks) runs
-the kernel for each chunk as this module asks for it, so the kernel and
-the rendering take turns in one process.
+are rendered by the kernel backend's csv_rows, straight from the flat
+sample buffer.  The CLI's stream (flows.orbit_chunks) runs the kernel for
+each chunk as this module asks for it, so the kernel and the rendering
+take turns in one process.
 """
 
 from __future__ import annotations
@@ -27,12 +28,11 @@ from __future__ import annotations
 import os
 import stat
 
+from horoflow._kernels import csv_rows
 from horoflow.flows import OrbitSegment, flow_label
 
-FLOAT_FMT = "%.17g"
-# Rows rendered per text: each text's rows pass through a flat argument
-# list, a tuple and the text itself, so a smaller piece keeps less at once
-# and costs no time, as one `%` call still formats hundreds of rows.
+# Rows rendered per text: a smaller piece keeps less of the file at once,
+# and hundreds of rows still take one csv_rows call.
 CSV_CHUNK_ROWS = 512
 # Names tried for a temp file before giving up, as tempfile.TMP_MAX.
 TEMP_NAME_ATTEMPTS = 10000
@@ -84,11 +84,8 @@ def orbit_csv_text(segment, start=0, stop=None):
     """Render rows start..stop-1 of one orbit segment in the CSV layout
     described above; the legend and the header come only with orbit row 0,
     so the texts of consecutive ranges, and of consecutive chunks of a
-    stream (flows.orbit_chunks), concatenate to the whole file.
-
-    The rows are rendered by one format call: the row format repeated once
-    per row, applied to the times and the coordinate columns interleaved
-    into one flat tuple.
+    stream (flows.orbit_chunks), concatenate to the whole file.  The rows
+    are the backend's csv_rows of the segment's flat values.
     """
     lines = []
     if segment.offset + start == 0:
@@ -102,18 +99,9 @@ def orbit_csv_text(segment, start=0, stop=None):
         lines.extend("# c%d = %s" % (i + 1, name) for i, name in enumerate(names))
         lines.append("time," + ",".join("c%d" % (i + 1) for i in range(len(names))))
     head = "\n".join(lines) + "\n" if lines else ""
-    w = segment.width
     stop = len(segment) if stop is None else min(stop, len(segment))
-    count = stop - start
-    if count <= 0:
-        return head
-    args = [None] * (count * (w + 1))
-    args[::w + 1] = segment.times(start, stop)
-    chunk = segment.values[start * w:stop * w].tolist()
-    for c in range(w):
-        args[c + 1::w + 1] = chunk[c::w]
-    row_fmt = ",".join([FLOAT_FMT] * (w + 1)) + "\n"
-    return head + (row_fmt * count) % tuple(args)
+    return head + csv_rows(segment.values, segment.width, segment.time_step,
+                           segment.offset, start, stop)
 
 
 def write_orbit_csv(orbit, path):

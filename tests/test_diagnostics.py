@@ -11,8 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from horoflow._kernels._pure import BIN_CHUNK_ROWS
 from horoflow.diagnostics import (
-    BIN_CHUNK_ROWS,
     BinningSpec,
     DensityReport,
     borel_grid,

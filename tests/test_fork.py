@@ -15,10 +15,13 @@ def write_forever(out):
         os.write(out, b"x" * 4096)
 
 
-def test_reap_kills_a_child_still_writing():
+def test_reap_stops_a_child_still_writing_by_closing_its_pipe():
     pid, pipe = spawn(write_forever)
     assert pipe.read(4096)  # it has started
-    assert reap(pid, pipe, kill=True) == -signal.SIGKILL
+    # its next write into the closed pipe raises BrokenPipeError, as Python
+    # ignores SIGPIPE, and the child leaves through os._exit(1)
+    assert signal.getsignal(signal.SIGPIPE) == signal.SIG_IGN
+    assert reap(pid, pipe) == 1
 
 
 def test_a_failed_fork_leaves_no_descriptor_open(monkeypatch):

@@ -202,6 +202,25 @@ def test_an_edited_source_compiles_again(native, unbuilt_checkout):
     assert report == "native: %s\n" % after
 
 
+def test_a_build_missing_an_entry_point_is_passed_over(native, unbuilt_checkout):
+    # An importable _native with the orbit kernels but not the output layer,
+    # as an in-place build of an older source has it: the import compiles
+    # the current source instead of failing on the missing names.
+    stub = unbuilt_checkout / "horoflow" / "_kernels" / "_native.py"
+    stub.write_text("def surface_orbit(): pass\n"
+                    "def modular_orbit(): pass\n"
+                    "def t3a_orbit(): pass\n")
+    report = kernel_report(unbuilt_checkout)
+    [cached] = cached_kernels(unbuilt_checkout)
+    assert report == "native: %s\n" % cached
+    code = ("from horoflow import _kernels; "
+            "print(all(hasattr(_kernels, n) for n in _kernels.ENTRY_POINTS))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, cwd=unbuilt_checkout, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(unbuilt_checkout)))
+    assert out.stdout == "True\n"
+
+
 def failing_compiler_path(root):
     """A PATH whose first entry holds a compiler that fails, logging each
     call to root/calls.log."""

@@ -14,7 +14,8 @@ from functools import partial
 
 import pytest
 
-from horoflow import _kernels, cli, diagnostics, divergence, flows
+from horoflow import _kernels, cli, divergence, flows
+from horoflow._kernels import _pure
 from horoflow.diagnostics import (
     COORD_PERIODS,
     BinningSpec,
@@ -260,7 +261,7 @@ def test_coverage_matches_binning_indices_across_chunks():
     the first axis so that every chunk has cells of its own, with
     out-of-box, NaN and upper-edge rows on both sides of a chunk
     boundary."""
-    chunk = diagnostics.BIN_CHUNK_ROWS
+    chunk = _pure.BIN_CHUNK_ROWS
     rng = random.Random(11)
     rows = [((first // chunk) / 4.0 + rng.uniform(0.0, 0.25),
              rng.uniform(-0.1, 2.1), rng.uniform(0.0, 1.0))
@@ -283,7 +284,7 @@ def test_coverage_matches_binning_indices_across_chunks():
 def test_coverage_holds_one_chunk_not_the_columns():
     """Binning keeps O(BIN_CHUNK_ROWS) memory, not O(rows): whole-orbit
     column lists of 64 chunks would hold 8 B per row per axis, 4 MiB here."""
-    chunk = diagnostics.BIN_CHUNK_ROWS
+    chunk = _pure.BIN_CHUNK_ROWS
     rows = 64 * chunk
     values = array("d", [0.1, 0.6, 0.35, 0.85]) * (rows // 2)
     seg = OrbitSegment("wide", HorocycleU(1.0), values, None, rows - 1,
