@@ -8,9 +8,11 @@ the heavy loops live in horoflow._kernels behind a compiled/pure switch.
 
 An orbit segment is built from the flat array('d') of coordinates a
 kernel returns and the sampling interval.  The kernel leaves row 0 zero and
-writes its samples after it; the integrator writes the reduced start into
-row 0 in place, a same-length slice assignment, so the orbit is allocated
-once and never copied, and a run's coordinates are held once at their peak.
+writes its samples after it.  The integrator writes the reduced start into
+row 0 in place, a same-length slice assignment; a resumed call, whose row 0
+is no orbit row, deletes it in place instead.  So every buffer, a whole
+run's or a chunk's, is allocated once and never copied into another, and
+its coordinates are held once at their peak.
 A run need not be held whole: orbit_chunks calls the kernel for CHUNK_ROWS
 samples at a time and yields each call's rows as a segment of their own,
 which coverage and the CSV writer read as they come, so the CLI's `flow`
@@ -443,8 +445,9 @@ def integrate_orbit(model, start, flow, steps, seed=None, sample_every=1,
         resume = _begin(model, start, flow, steps, seed, sample_every)
     kernel, state, done, head, first, make = resume
     values, state = kernel(state, steps, sample_every, done)
-    if done:  # the kernel's zero row 0 is no orbit row
-        segment = make(values[len(head):], offset=done // sample_every + 1)
+    if done:  # the kernel's zero row 0 is no orbit row; drop it in place
+        del values[:len(head)]
+        segment = make(values, offset=done // sample_every + 1)
     else:
         values[:len(head)] = head
         segment = make(values, start=first)

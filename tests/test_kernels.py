@@ -221,6 +221,16 @@ def test_a_build_missing_an_entry_point_is_passed_over(native, unbuilt_checkout)
     assert out.stdout == "True\n"
 
 
+def test_a_complete_build_takes_precedence_over_the_cache(unbuilt_checkout):
+    # An importable _native with every entry point, as an install or an
+    # in-place build has it, is loaded as it is, and nothing is compiled.
+    stub = unbuilt_checkout / "horoflow" / "_kernels" / "_native.py"
+    stub.write_text("".join("def %s(): pass\n" % name
+                            for name in _kernels.ENTRY_POINTS))
+    assert kernel_report(unbuilt_checkout) == "native: %s\n" % stub
+    assert cached_kernels(unbuilt_checkout) == []
+
+
 def failing_compiler_path(root):
     """A PATH whose first entry holds a compiler that fails, logging each
     call to root/calls.log."""

@@ -388,6 +388,24 @@ def test_integrate_orbit_holds_its_buffer_once():
     assert peak < 1.25 * 8 * len(seg.values) + 64 * 1024
 
 
+def test_a_resumed_integrate_orbit_holds_its_buffer_once():
+    # A resumed call drops the kernel's zero row 0 in place, so each chunk
+    # of a stream is held once, not copied.
+    model = build_model("octagon")
+    flow = HorocycleU(0.11)
+    first = integrate_orbit(model, None, flow, 10, seed=1)
+    integrate_orbit(model, None, flow, 10, resume=first.resume)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        seg = integrate_orbit(model, None, flow, 50_000, resume=first.resume)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(seg) == 50_000 and seg.offset == 11
+    assert peak < 1.25 * 8 * len(seg.values) + 64 * 1024
+
+
 # -- the density path builds no sample points ---------------------------------
 
 # `horoflow density` with the argv below, as written before samples were kept
