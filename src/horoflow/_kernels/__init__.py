@@ -1,11 +1,9 @@
 """Orbit kernel backend selection.
 
-The compiled backend is the extension module built from _native.c: an
-installed or in-place build when one is importable and has every function
-in ENTRY_POINTS (a build of an older source that lacks one is passed
-over), or else the one that _build compiles into __pycache__ the first
-time a source checkout imports this package, and loads from there
-afterwards.  Setting HOROFLOW_PURE=1 in the environment forces the
+The compiled backend is the extension module that _build compiles from
+_native.c into __pycache__ on the first import of this package, and loads
+from there afterwards; a built extension beside the source is never
+loaded.  Setting HOROFLOW_PURE=1 in the environment forces the
 pure-Python backend, which is imported only then or as the fallback, when
 no compiler, cache directory or source serves.
 ORIGIN says where the kernel came from: the extension's file, or why the
@@ -28,23 +26,13 @@ RENORM_EVERY = 64
 TRANS_NONE = 0
 TRANS_BOUNDARY = 1
 TRANS_ROTATION = 2
-ENTRY_POINTS = ("surface_orbit", "modular_orbit", "t3a_orbit", "csv_rows",
-                "bin_cells")
 
 if os.environ.get("HOROFLOW_PURE") == "1":
     _impl, ORIGIN = None, "HOROFLOW_PURE=1"
 else:
-    try:
-        from horoflow._kernels import _native as _impl
+    from horoflow._kernels._build import load_native
 
-        ORIGIN = _impl.__file__
-    except ImportError:
-        _impl = None
-    # a build of an older source that lacks an entry point is stale
-    if _impl is None or not all(hasattr(_impl, name) for name in ENTRY_POINTS):
-        from horoflow._kernels._build import load_native
-
-        _impl, ORIGIN = load_native()
+    _impl, ORIGIN = load_native()
 BACKEND = "native"
 if _impl is None:
     from horoflow._kernels import _pure as _impl

@@ -1,16 +1,13 @@
 """The C kernel compiled on first import into the package's __pycache__.
 
-horoflow._kernels comes here when it is imported, and only when no
-built extension (an install, or `setup.py build_ext --inplace`) with all
-of its entry points is importable and HOROFLOW_PURE is not 1.
+horoflow._kernels comes here when it is imported, unless HOROFLOW_PURE
+is 1; this is the only way it reaches the C kernel.
 The file compiled is named for the exact bytes of _native.c and for this
 interpreter's first extension suffix, so that an edited source or another
 interpreter builds its own, and later imports load it without a compiler.
 It is written under a temporary name and moved into place, so that imports
 started side by side each load a whole file; the builds and failure
 records of older sources for the same suffix are then removed.
-__pycache__ is not on the extension import path, so a current built
-extension still takes precedence.
 
 A compile that fails is recorded beside the file it would have made, as
 the reason in one line, and later imports take the pure backend at once
@@ -142,7 +139,8 @@ def compile_native(out):
 
 def _load(path):
     """The extension module in `path`, entered in sys.modules as the
-    package's _native, where an in-place build would be imported."""
+    package's _native, so that `from horoflow._kernels import _native`
+    finds it."""
     loader = ExtensionFileLoader(NAME, path)
     spec = ModuleSpec(NAME, loader, origin=path)
     module = loader.create_module(spec)

@@ -24,12 +24,14 @@ flags win over the file, unknown keys are a usage error.  Exit codes:
 
 Generator files for `classify`: one generator per line, `name kind args`,
 blank lines and `#` comments ignored.  Kinds: `mat a b c d` (entries are
-scaled to unit determinant), `u t`, `geo lam`, `rot theta`, `b alpha beta`.
+scaled to unit determinant), `u t`, `geo lam`, `rot theta`, `b alpha beta`;
+every number must be finite.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 # Every command loads these modules anyway.  `acceptance`, `diagnostics`,
@@ -316,6 +318,8 @@ def parse_generator_file(path):
             )
         try:
             values = [float(p) for p in rest]
+            if not all(map(math.isfinite, values)):
+                raise ValueError("numbers must be finite, got %r" % " ".join(rest))
             element = maker(values)
         except ValueError as exc:
             raise UsageError("%s:%d: %s" % (path, lineno, exc)) from None
@@ -329,6 +333,8 @@ def cmd_classify(args):
     generators = parse_generator_file(_require(args, "generators"))
     radius = args.radius if args.radius is not None else 6
     tol = args.tol if args.tol is not None else 0.05
+    if not 0 < tol < math.inf:  # false for nan too
+        raise UsageError("--tol must be a finite number > 0, got %r" % tol)
     try:
         group = GeneratedGroup.from_moebius(generators)
         report = classify_psl_projection(group, radius=radius, tol=tol)
@@ -377,6 +383,11 @@ def cmd_plot(args):
     xi, yi = columns.index(xcol), columns.index(ycol)
     xs = [row[xi] for row in rows]
     ys = [row[yi] for row in rows]
+    for col, values in ((xcol, xs), (ycol, ys)):
+        if not all(map(math.isfinite, values)):
+            raise UsageError(
+                "cannot plot %s: column %s has a non-finite value" % (infile, col)
+            )
     title = "%s / %s" % (legend.get("model", "orbit"), legend.get("flow", ""))
     svg = render_scatter_svg(
         xs, ys, legend.get(xcol, xcol), legend.get(ycol, ycol), title.strip(" /")

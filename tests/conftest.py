@@ -42,10 +42,8 @@ def native(native_or_none):
 
 @pytest.fixture
 def unbuilt_checkout(tmp_path):
-    """A directory holding a copy of the horoflow package with no built
-    extension and no __pycache__, as a fresh source checkout has it."""
-    shutil.copytree(
-        Path(horoflow.__file__).parent, tmp_path / "horoflow",
-        ignore=shutil.ignore_patterns(
-            "__pycache__", *("*" + suffix for suffix in EXTENSION_SUFFIXES)))
+    """A directory holding a copy of the horoflow package with no
+    __pycache__, as a fresh source checkout has it."""
+    shutil.copytree(Path(horoflow.__file__).parent, tmp_path / "horoflow",
+                    ignore=shutil.ignore_patterns("__pycache__"))
     return tmp_path

@@ -365,6 +365,20 @@ def test_plot_rejects_missing_column_and_bad_csv(tmp_path, capsys):
     assert "cannot plot" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("column", ["c1", "c2"])
+@pytest.mark.parametrize("cell", ["inf", "nan", "-inf"])
+def test_plot_refuses_a_non_finite_cell(tmp_path, capsys, column, cell):
+    # an SVG with cx="nan" or an axis label "inf" is not a plot
+    orbit = tmp_path / "odd.csv"
+    values = {"c1": "0.25", "c2": "0.75", column: cell}
+    orbit.write_text("time,c1,c2\n0,0.5,0.5\n1,%(c1)s,%(c2)s\n" % values)
+    out = tmp_path / "odd.svg"
+    assert run(["plot", "--in", orbit, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert str(orbit) in err and "column %s has a non-finite value" % column in err
+    assert not out.exists()
+
+
 def test_plot_empty_orbit_is_an_error(tmp_path, capsys):
     orbit = tmp_path / "empty.csv"
     assert run(["flow", "--model", "modular", "--flow", "u",
@@ -411,6 +425,36 @@ def test_classify_parse_error_names_the_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert ":3:" in err
     assert "spin" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.05"])
+@pytest.mark.parametrize("from_config", [False, True])
+def test_classify_refuses_a_tol_not_finite_and_positive(
+    tmp_path, capsys, tol, from_config
+):
+    # `gap > nan` is false, so a nan tolerance would call any group dense
+    gens = tmp_path / "modular.gens"
+    gens.write_text("T u 1\nS rot 1.5707963267948966\n")
+    argv = ["classify", "--generators", gens]
+    if from_config:
+        config = tmp_path / "run.conf"
+        config.write_text("tol = %s\n" % tol)
+        argv += ["--config", config]
+    else:
+        argv += ["--tol", tol]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert "--tol must be a finite number > 0" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("line", ["M mat 1 0 0 inf", "T u nan", "B b 1 -inf"])
+def test_classify_refuses_non_finite_generator_numbers(tmp_path, capsys, line):
+    gens = tmp_path / "odd.gens"
+    gens.write_text("S rot 1.5707963267948966\n%s\n" % line)
+    assert run(["classify", "--generators", gens]) == 2
+    err = capsys.readouterr().err
+    assert "%s:2: numbers must be finite" % gens in err
 
 
 # -- check ---------------------------------------------------------------------

@@ -202,33 +202,18 @@ def test_an_edited_source_compiles_again(native, unbuilt_checkout):
     assert report == "native: %s\n" % after
 
 
-def test_a_build_missing_an_entry_point_is_passed_over(native, unbuilt_checkout):
-    # An importable _native with the orbit kernels but not the output layer,
-    # as an in-place build of an older source has it: the import compiles
-    # the current source instead of failing on the missing names.
+def test_a_built_extension_beside_the_source_is_never_loaded(
+    native, unbuilt_checkout
+):
+    # An importable _native with every kernel, as an extension built from
+    # an older source and left beside it would be: the import compiles the
+    # current source into the cache and loads that instead.
     stub = unbuilt_checkout / "horoflow" / "_kernels" / "_native.py"
-    stub.write_text("def surface_orbit(): pass\n"
-                    "def modular_orbit(): pass\n"
-                    "def t3a_orbit(): pass\n")
+    stub.write_text("".join("def %s(): pass\n" % name for name in (
+        "surface_orbit", "modular_orbit", "t3a_orbit", "csv_rows", "bin_cells")))
     report = kernel_report(unbuilt_checkout)
     [cached] = cached_kernels(unbuilt_checkout)
     assert report == "native: %s\n" % cached
-    code = ("from horoflow import _kernels; "
-            "print(all(hasattr(_kernels, n) for n in _kernels.ENTRY_POINTS))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, cwd=unbuilt_checkout, check=True,
-                         env=dict(os.environ, PYTHONPATH=str(unbuilt_checkout)))
-    assert out.stdout == "True\n"
-
-
-def test_a_complete_build_takes_precedence_over_the_cache(unbuilt_checkout):
-    # An importable _native with every entry point, as an install or an
-    # in-place build has it, is loaded as it is, and nothing is compiled.
-    stub = unbuilt_checkout / "horoflow" / "_kernels" / "_native.py"
-    stub.write_text("".join("def %s(): pass\n" % name
-                            for name in _kernels.ENTRY_POINTS))
-    assert kernel_report(unbuilt_checkout) == "native: %s\n" % stub
-    assert cached_kernels(unbuilt_checkout) == []
 
 
 def failing_compiler_path(root):
