@@ -16,7 +16,8 @@ the caller, which writes the reduced start there in place; the samples
 follow it.  A last argument, first_step, only shifts the step index an
 error names, so that an orbit integrated in consecutive calls
 (flows.orbit_chunks) fails with the message of one whole-run call.
-csv_rows and bin_cells read such a buffer in place.
+csv_rows and bin_cells read such a buffer in place.  boundary_residual
+and boundary_track are the group-side loops of criteria 5 and 1.
 """
 
 import os
@@ -44,6 +45,8 @@ modular_orbit = _impl.modular_orbit
 t3a_orbit = _impl.t3a_orbit
 csv_rows = _impl.csv_rows
 bin_cells = _impl.bin_cells
+boundary_residual = _impl.boundary_residual
+boundary_track = _impl.boundary_track
 
 __all__ = [
     "BACKEND",
@@ -53,6 +56,8 @@ __all__ = [
     "TRANS_NONE",
     "TRANS_ROTATION",
     "bin_cells",
+    "boundary_residual",
+    "boundary_track",
     "csv_rows",
     "modular_orbit",
     "surface_orbit",

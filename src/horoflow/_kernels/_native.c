@@ -50,6 +50,8 @@
 #define INNER_MARGIN 1e-4
 #define TRANS_BOUNDARY 1
 #define TRANS_ROTATION 2
+#define RENORM_TOL 1e-12
+#define SIGN_TOL 1e-12
 
 static const double PI = 3.141592653589793;
 static const double HALF_PI = 0.5 * 3.141592653589793;
@@ -258,23 +260,27 @@ static double inner_bound(const double *quick, Py_ssize_t n)
     return 2.0 * sqrt((0.5 * norm + 1.0) * 0.5) * (1.0 - INNER_MARGIN);
 }
 
-/* moebius.boundary_angle of (a, b; c, d) at *theta, in place.  An
-   infinite theta raises math.sin's own error, where C's sin would go on
-   with a NaN. */
-static int boundary_apply(double a, double b, double c, double d,
-                          double *theta)
+/* math.sin: an infinite x raises math.sin's own error, where C's sin would
+   go on with a NaN. */
+static int py_sin(double x, double *out)
 {
-    double half = 0.5 * *theta;
-    if (isinf(half)) {
+    if (isinf(x)) {
         PyObject *math = PyImport_ImportModule("math");
         if (math != NULL) {
-            Py_XDECREF(PyObject_CallMethod(math, "sin", "d", half)); /* raises */
+            Py_XDECREF(PyObject_CallMethod(math, "sin", "d", x)); /* raises */
             Py_DECREF(math);
         }
         return -1;
     }
-    double p = sin(half);
-    double q = cos(half);
+    *out = sin(x);
+    return 0;
+}
+
+/* The angle moebius.boundary_angle gives (a, b; c, d) at theta, from
+   (p, q) = (sin(theta / 2), cos(theta / 2)). */
+static double boundary_fold(double a, double b, double c, double d,
+                            double p, double q)
+{
     double pp = a * p + b * q;
     double qp = c * p + d * q;
     double phi = atan2(pp, qp);
@@ -282,7 +288,18 @@ static int boundary_apply(double a, double b, double c, double d,
         phi += PI;
     else if (phi > HALF_PI)
         phi -= PI;
-    *theta = 2.0 * phi;
+    return 2.0 * phi;
+}
+
+/* moebius.boundary_angle of (a, b; c, d) at *theta, in place; an infinite
+   theta raises as math.sin does. */
+static int boundary_apply(double a, double b, double c, double d,
+                          double *theta)
+{
+    double half = 0.5 * *theta, p;
+    if (py_sin(half, &p))
+        return -1;
+    *theta = boundary_fold(a, b, c, d, p, cos(half));
     return 0;
 }
 
@@ -608,6 +625,168 @@ static PyObject *t3a_orbit(PyObject *self, PyObject *args, PyObject *kwargs)
 done:
     PyBuffer_Release(&view);
     Py_DECREF(samples);
+    return result;
+}
+
+/* The flat sequence of numbers `seq`, `per` to an item, as *count whole
+   items in a new PyMem buffer; a partial last item is dropped. */
+static double *read_items(PyObject *seq, Py_ssize_t per, Py_ssize_t *count)
+{
+    Py_ssize_t size = PySequence_Size(seq);
+    if (size < 0)
+        return NULL;
+    *count = size / per;
+    double *out = PyMem_New(double, per * *count + 1);
+    if (out == NULL)
+        return (double *)PyErr_NoMemory();
+    if (read_doubles(seq, out, per * *count)) {
+        PyMem_Free(out);
+        return NULL;
+    }
+    return out;
+}
+
+/* _pure.boundary_residual: canonical_entries' determinant and sign rules
+   on each product, then boundary_apply's fold at theta = pi, taking its
+   (p, q) once: the inline form's bits, since sin(pi/2) is exactly 1.0. */
+static PyObject *boundary_residual(PyObject *self, PyObject *args)
+{
+    PyObject *pushed_seq, *grid_seq, *result = NULL;
+    double *pushed = NULL, *grid = NULL, worst = 0.0;
+    double p_inf = sin(HALF_PI), q_inf = cos(HALF_PI);
+    Py_ssize_t rows, count;
+    if (!PyArg_ParseTuple(args, "OO", &pushed_seq, &grid_seq)
+            || (pushed = read_items(pushed_seq, 5, &rows)) == NULL
+            || (grid = read_items(grid_seq, 4, &count)) == NULL)
+        goto done;
+    for (Py_ssize_t r = 0; r < rows; r++) {
+        const double *p = pushed + 5 * r;
+        for (Py_ssize_t k = 0; k < count; k++) {
+            const double *g = grid + 4 * k;
+            double a = p[0] * g[0] + p[1] * g[2];
+            double b = p[0] * g[1] + p[1] * g[3];
+            double c = p[2] * g[0] + p[3] * g[2];
+            double d = p[2] * g[1] + p[3] * g[3];
+            double det = a * d - b * c;
+            if (!(det > 0.0)) {
+                value_error_g(
+                    "matrix must have positive determinant, got det=%s", det);
+                goto done;
+            }
+            if (fabs(det - 1.0) > RENORM_TOL) {
+                double s = sqrt(det);
+                a /= s;
+                b /= s;
+                c /= s;
+                d /= s;
+            }
+            if (c < -SIGN_TOL || (fabs(c) <= SIGN_TOL && a < 0.0)) {
+                a = -a;
+                b = -b;
+                c = -c;
+                d = -d;
+            }
+            double t = boundary_fold(a, b, c, d, p_inf, q_inf), dist;
+            if (py_sin(0.5 * (p[4] - t), &dist))
+                goto done;
+            dist = fabs(2.0 * dist);
+            if (dist > worst)
+                worst = dist;
+        }
+    }
+    result = PyFloat_FromDouble(worst);
+done:
+    PyMem_Free(pushed);
+    PyMem_Free(grid);
+    return result;
+}
+
+/* An index as a Python int, or None when it is negative. */
+static PyObject *index_or_none(Py_ssize_t index)
+{
+    return index < 0 ? Py_NewRef(Py_None) : PyLong_FromSsize_t(index);
+}
+
+/* _pure.boundary_track.  current[] holds the angles of the last iteration,
+   passage[] each point's first passage, -1 for none yet. */
+static PyObject *boundary_track(PyObject *self, PyObject *args)
+{
+    PyObject *start_seq, *maps_seq, *angles = NULL, *history = NULL;
+    PyObject *passages = NULL, *result = NULL;
+    double *start = NULL, *maps = NULL, *current = NULL, plus, tol;
+    Py_ssize_t *passage = NULL, n, iterations;
+    int restart;
+    if (!PyArg_ParseTuple(args, "OOpdd", &start_seq, &maps_seq, &restart,
+                          &plus, &tol)
+            || (start = read_items(start_seq, 1, &n)) == NULL
+            || (maps = read_items(maps_seq, 4, &iterations)) == NULL)
+        goto done;
+    current = PyMem_New(double, n + 1);
+    passage = PyMem_New(Py_ssize_t, n + 1);
+    if (current == NULL || passage == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    memcpy(current, start, n * sizeof(double));
+    for (Py_ssize_t j = 0; j < n; j++)
+        passage[j] = -1;
+    if ((history = PyTuple_New(iterations)) == NULL)
+        goto done;
+    for (Py_ssize_t i = 0; i < iterations; i++) {
+        const double *m = maps + 4 * i;
+        double worst = 0.0;
+        for (Py_ssize_t j = 0; j < n; j++) {
+            double t = restart ? start[j] : current[j], s;
+            if (boundary_apply(m[0], m[1], m[2], m[3], &t)
+                    || py_sin(0.5 * (t - plus), &s))
+                goto done;
+            current[j] = t;
+            double residual = fabs(2.0 * s);
+            if (residual > worst)
+                worst = residual;
+            if (residual < tol && passage[j] < 0)
+                passage[j] = i + 1;
+        }
+        PyObject *item = PyFloat_FromDouble(worst);
+        if (item == NULL)
+            goto done;
+        PyTuple_SET_ITEM(history, i, item);
+    }
+    double max_residual = 0.0;
+    Py_ssize_t worst_index = -1;
+    for (Py_ssize_t j = 0; j < n; j++) {
+        double s;
+        if (py_sin(0.5 * (current[j] - plus), &s))
+            goto done;
+        double residual = fabs(2.0 * s);
+        if (residual >= max_residual) {
+            max_residual = residual;
+            worst_index = j;
+        }
+    }
+    if ((angles = PyList_New(n)) == NULL || (passages = PyTuple_New(n)) == NULL)
+        goto done;
+    for (Py_ssize_t j = 0; j < n; j++) {
+        PyObject *angle = PyFloat_FromDouble(current[j]);
+        PyObject *first = index_or_none(passage[j]);
+        if (angle == NULL || first == NULL) {
+            Py_XDECREF(angle);
+            Py_XDECREF(first);
+            goto done;
+        }
+        PyList_SET_ITEM(angles, j, angle);
+        PyTuple_SET_ITEM(passages, j, first);
+    }
+    result = Py_BuildValue("(OOOdN)", angles, history, passages, max_residual,
+                           index_or_none(worst_index));
+done:
+    PyMem_Free(start);
+    PyMem_Free(maps);
+    PyMem_Free(current);
+    PyMem_Free(passage);
+    Py_XDECREF(angles);
+    Py_XDECREF(history);
+    Py_XDECREF(passages);
     return result;
 }
 
@@ -947,6 +1126,10 @@ static PyMethodDef methods[] = {
      METH_VARARGS | METH_KEYWORDS, "See _pure.t3a_orbit."},
     {"csv_rows", csv_rows, METH_VARARGS, "See _pure.csv_rows."},
     {"bin_cells", bin_cells, METH_VARARGS, "See _pure.bin_cells."},
+    {"boundary_residual", boundary_residual, METH_VARARGS,
+     "See _pure.boundary_residual."},
+    {"boundary_track", boundary_track, METH_VARARGS,
+     "See _pure.boundary_track."},
     {NULL, NULL, 0, NULL},
 };
 

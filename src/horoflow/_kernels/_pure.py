@@ -62,6 +62,14 @@ own cosh argument is taken only once a letter loop runs.  A letter that
 may not be quick-rejected, or an empty letter list, turns the skip off.
 None of these filters changes a decision, a result or an error, and
 _native.c does the same, expression for expression.
+
+Two kernels serve the group side rather than an orbit: boundary_residual,
+the inner loop of diagnostics.minimal_set_residual's product branch
+(criterion 5), and boundary_track, keylemma_converge's per-point loop
+(criterion 1).  boundary_residual writes canonical_entries and
+boundary_angle at theta = pi out inline; _native.c folds through
+boundary_apply's boundary_fold with sin(pi/2) and cos(pi/2) taken once,
+which gives the same bits because sin(pi/2) is exactly 1.0.
 """
 
 import math
@@ -70,7 +78,12 @@ from functools import lru_cache
 from itertools import chain
 
 from horoflow._kernels import RENORM_EVERY, TRANS_BOUNDARY, TRANS_ROTATION
-from horoflow.moebius import boundary_angle
+from horoflow.moebius import (
+    RENORM_TOL,
+    SIGN_TOL,
+    boundary_angle,
+    canonical_entries,
+)
 
 _DET_TOL = 1e-12
 _DESCENT_SLACK = 1e-12
@@ -504,6 +517,97 @@ def t3a_orbit(state, lam, eigen, sol_step, steps, sample_every, first_step=0):
             samples[j + 2] = tp
             j += 3
     return (samples, (xp, yp, tp))
+
+
+# -- boundary kernels --------------------------------------------------------
+
+def boundary_residual(pushed, grid):
+    """Worst chordal distance of a pushed frame's image of infinity, after
+    each triangular step, from the transverse angle it carries.
+
+    `pushed` is flat, five per row: the entries (a, b, c, d) of a frame and
+    its angle theta; `grid` is flat, four per element.  For each row and
+    element b, in order, the product m = (a, b; c, d) * b is put in the
+    form canonical_entries gives it, m's image of infinity is
+    boundary_angle(*m, pi) and its distance |2 sin((theta - angle) / 2)|
+    from theta; the largest of these above 0.0 is returned, so a NaN
+    distance is passed over.  A product whose determinant is not positive
+    raises canonical_entries' ValueError.
+    """
+    rows = zip(*[iter(pushed)] * 5)
+    grid = list(zip(*[iter(grid)] * 4))
+    # cos(pi/2) is 6.1e-17, not 0, and stays
+    q_inf = math.cos(0.5 * math.pi)
+    half_pi = 0.5 * math.pi
+    atan2, sin, sqrt = math.atan2, math.sin, math.sqrt
+    worst = 0.0
+    for pa, pb, pc, pd, theta in rows:
+        for ba, bb, bc, bd in grid:
+            a = pa * ba + pb * bc
+            b = pa * bb + pb * bd
+            c = pc * ba + pd * bc
+            d = pc * bb + pd * bd
+            det = a * d - b * c
+            if not det > 0.0:
+                canonical_entries(a, b, c, d)  # raises
+            if abs(det - 1.0) > RENORM_TOL:
+                s = sqrt(det)
+                a, b, c, d = a / s, b / s, c / s, d / s
+            if c < -SIGN_TOL or (abs(c) <= SIGN_TOL and a < 0.0):
+                a, b, c, d = -a, -b, -c, -d
+            phi = atan2(a + b * q_inf, c + d * q_inf)
+            if phi <= -half_pi:
+                phi += math.pi
+            elif phi > half_pi:
+                phi -= math.pi
+            dist = abs(2.0 * sin(0.5 * (theta - 2.0 * phi)))
+            if dist > worst:
+                worst = dist
+    return worst
+
+
+def boundary_track(start, maps, restart, plus, passage_tol):
+    """Move boundary angles through a sequence of maps and measure how they
+    approach the angle `plus`.
+
+    `maps` is flat, four entries (a, b, c, d) per iteration.  Iteration n =
+    1, 2, ... moves every angle by boundary_angle under map n: the angles
+    of iteration n - 1, or those of `start` when `restart` is true.  A moved
+    angle t lies at residual |2 sin((t - plus) / 2)| from plus.  Returns
+    (angles, history, passages, max_residual, worst): the final angles, a
+    list; each iteration's largest residual, or 0.0, a tuple; each point's
+    first iteration whose residual is below passage_tol, or None, a tuple;
+    and the largest final residual, or 0.0, with the index of the last
+    point that attains it, or None.  A NaN residual is passed over
+    throughout, since `>` and `>=` never take it.
+    """
+    start = list(start)
+    current = start
+    history = []
+    first_passage = [None] * len(current)
+    sin = math.sin
+    for n in range(1, len(maps) // 4 + 1):
+        a, b, c, d = maps[4 * n - 4:4 * n]
+        moved = []
+        worst = 0.0
+        for idx, t in enumerate(start if restart else current):
+            t = boundary_angle(a, b, c, d, t)
+            moved.append(t)
+            residual = abs(2.0 * sin(0.5 * (t - plus)))
+            if residual > worst:
+                worst = residual
+            if residual < passage_tol and first_passage[idx] is None:
+                first_passage[idx] = n
+        current = moved
+        history.append(worst)
+    max_residual = 0.0
+    worst = None
+    for idx, t in enumerate(current):
+        residual = abs(2.0 * sin(0.5 * (t - plus)))
+        if residual >= max_residual:
+            max_residual = residual
+            worst = idx
+    return (current, tuple(history), tuple(first_passage), max_residual, worst)
 
 
 # -- output layer ------------------------------------------------------------

@@ -399,9 +399,12 @@ SUITES = {
 }
 
 
-# The order in which workers start a suite's criteria: the longest on the
-# pure backend first, so that no CPU idles while the last one runs.
-LONGEST_FIRST = (8, 5, 9, 1, 3, 6, 2, 4, 10, 7)
+# The order in which workers start a suite's criteria: the longest first, so
+# that no CPU idles while the last one runs.  Measured on the C backend, each
+# criterion alone in a fresh interpreter on one CPU, median of 21 rounds:
+# 9 takes about 70 ms, 5 26 ms, 3, 8 and 1 13-18 ms, 4, 6 and 2 9 ms, 10
+# 7 ms and 7 1 ms.
+LONGEST_FIRST = (9, 5, 3, 8, 1, 4, 6, 2, 10, 7)
 
 
 class UnknownSuite(KeyError):

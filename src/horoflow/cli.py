@@ -332,6 +332,8 @@ def parse_generator_file(path):
 def cmd_classify(args):
     generators = parse_generator_file(_require(args, "generators"))
     radius = args.radius if args.radius is not None else 6
+    if radius < 1:  # ball(0) holds the identity alone
+        raise UsageError("--radius must be an integer >= 1, got %r" % radius)
     tol = args.tol if args.tol is not None else 0.05
     if not 0 < tol < math.inf:  # false for nan too
         raise UsageError("--tol must be a finite number > 0, got %r" % tol)

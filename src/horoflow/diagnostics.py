@@ -22,15 +22,14 @@ the point at infinity of the boundary circle sits in an ordinary cell.
 import math
 import random
 
-from horoflow._kernels import bin_cells
+from horoflow._kernels import bin_cells, boundary_residual
 from horoflow._record import FrozenRecord
 from horoflow.flows import OrbitSegment, flow_label
 from horoflow.groups import word_ball
 from horoflow.moebius import (
-    RENORM_TOL,
-    SIGN_TOL,
     BoundaryPoint,
     MoebiusElement,
+    boundary_angle,
     canonical_entries,
 )
 from horoflow.models.base import QuotientPoint
@@ -271,43 +270,28 @@ def minimal_set_residual(model, sample_count, group_radius, action_grid=None,
         gammas = _sample_gammas(
             word_ball(model.base.group(), group_radius), gamma_count, rng
         )
-        grid = [b.entries for b in action_grid]
-        # The loop is minimal_set_distance(model, (pushed.mul(b), xi)) on raw
-        # floats, with the same bits: canonical_entries of pushed * b and
-        # boundary_angle(a, b, c, d, pi) written out (sin(pi/2) is exactly
-        # 1.0; cos(pi/2) is 6.1e-17, not 0, and stays), then the chordal
-        # distance to xi.
-        q_inf = math.cos(0.5 * math.pi)
-        half_pi = 0.5 * math.pi
-        atan2, sin, sqrt = math.atan2, math.sin, math.sqrt
+        moves = [gamma.m.entries for gamma in gammas]
+        grid = [v for b in action_grid for v in b.entries]
+        # The pushes are gamma.m.mul(frame) and gamma.m.apply_boundary(xi)
+        # on raw floats, with the same bits; one boundary_residual call per
+        # on-set point then takes minimal_set_distance(model,
+        # (pushed.mul(b), pushed xi)) over the grid.
         worst = 0.0
         for _ in range(sample_count):
             frame = model.base.sample_point(rng).frame
             on_set = model.graph_point(frame)
-            for gamma in gammas:
-                pa, pb, pc, pd = gamma.m.mul(on_set.frame).entries
-                theta = gamma.m.apply_boundary(on_set.transverse).theta
-                for ba, bb, bc, bd in grid:
-                    a = pa * ba + pb * bc
-                    b = pa * bb + pb * bd
-                    c = pc * ba + pd * bc
-                    d = pc * bb + pd * bd
-                    det = a * d - b * c
-                    if not det > 0.0:
-                        canonical_entries(a, b, c, d)  # raises
-                    if abs(det - 1.0) > RENORM_TOL:
-                        s = sqrt(det)
-                        a, b, c, d = a / s, b / s, c / s, d / s
-                    if c < -SIGN_TOL or (abs(c) <= SIGN_TOL and a < 0.0):
-                        a, b, c, d = -a, -b, -c, -d
-                    phi = atan2(a + b * q_inf, c + d * q_inf)
-                    if phi <= -half_pi:
-                        phi += math.pi
-                    elif phi > half_pi:
-                        phi -= math.pi
-                    dist = abs(2.0 * sin(0.5 * (theta - 2.0 * phi)))
-                    if dist > worst:
-                        worst = dist
+            fa, fb, fc, fd = on_set.frame.entries
+            theta = on_set.transverse.theta
+            pushed = []
+            for ga, gb, gc, gd in moves:
+                pushed += canonical_entries(
+                    ga * fa + gb * fc, ga * fb + gb * fd,
+                    gc * fa + gd * fc, gc * fb + gd * fd,
+                )
+                pushed.append(boundary_angle(ga, gb, gc, gd, theta))
+            dist = boundary_residual(pushed, grid)
+            if dist > worst:
+                worst = dist
         return worst
     raise ValueError("no distinguished minimal set wired up for this model")
 

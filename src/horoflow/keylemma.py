@@ -10,7 +10,8 @@ module.
 
 import math
 
-from horoflow.moebius import BoundaryPoint, MoebiusElement, boundary_angle
+from horoflow._kernels import boundary_track
+from horoflow.moebius import BoundaryPoint, MoebiusElement
 
 ESTIMATE_FLOOR = 100_000
 EXCLUSION_RADIUS = 0.01
@@ -106,50 +107,28 @@ def keylemma_converge(
     xi_minus, minus_steps = _limit_on_boundary(backward, z0, budget, tol)
 
     tracked = [xi for xi in grid if xi.chordal(xi_minus) >= exclusion]
-    # The grid moves as raw angles, one boundary_angle per point and power,
-    # and the residual is BoundaryPoint.chordal against xi_plus, written out.
-    start = [xi.theta for xi in tracked]
-    current = start
-    plus = xi_plus.theta
-    history = []
-    first_passage = [None] * len(tracked)
-    passage_tol = -math.inf if pass_tol is None else pass_tol
-    sin = math.sin
-    if not explicit:
-        a, b, c, d = generator.entries
-    for n in range(1, n_max + 1):
-        if explicit:
-            a, b, c, d = seq[n - 1].entries
-            current = start
-        moved = []
-        worst = 0.0
-        for idx, t in enumerate(current):
-            t = boundary_angle(a, b, c, d, t)
-            moved.append(t)
-            residual = abs(2.0 * sin(0.5 * (t - plus)))
-            if residual > worst:
-                worst = residual
-            if residual < passage_tol and first_passage[idx] is None:
-                first_passage[idx] = n
-        current = moved
-        history.append(worst)
-    max_residual = 0.0
-    worst_xi = None
-    for start_xi, t in zip(tracked, current):
-        residual = abs(2.0 * math.sin(0.5 * (t - plus)))
-        if residual >= max_residual:
-            max_residual = residual
-            worst_xi = start_xi
+    # The grid moves as raw angles, in one kernel call: n_max powers of the
+    # generator from the previous iteration's angles, or each map of the
+    # sequence from the start; residuals are BoundaryPoint.chordal against
+    # xi_plus, written out.
+    if explicit:
+        maps = [v for f in seq[:max(n_max, 0)] for v in f.entries]
+    else:
+        maps = generator.entries * n_max
+    _, history, first_passage, max_residual, worst = boundary_track(
+        [xi.theta for xi in tracked], maps, explicit, xi_plus.theta,
+        -math.inf if pass_tol is None else pass_tol,
+    )
     report = {
         "xi_plus": xi_plus,
         "xi_minus": xi_minus,
         "max_residual": max_residual,
-        "worst_xi": worst_xi,
-        "residual_history": tuple(history),
+        "worst_xi": None if worst is None else tracked[worst],
+        "residual_history": history,
         "plus_steps": plus_steps,
         "minus_steps": minus_steps,
         "tracked_grid": tuple(tracked),
     }
     if pass_tol is not None:
-        report["first_passage"] = tuple(first_passage)
+        report["first_passage"] = first_passage
     return report

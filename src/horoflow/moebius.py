@@ -42,8 +42,8 @@ def canonical_entries(a, b, c, d):
 
     The determinant must be positive; a drift above RENORM_TOL is divided
     out, and the sign is chosen so that c > 0, or a >= 0 when |c| is within
-    SIGN_TOL of zero.  The product branch of diagnostics.minimal_set_residual
-    writes these rules out inline and must change with them.
+    SIGN_TOL of zero.  The kernels' boundary_residual (_kernels/_pure.py and
+    _native.c) writes these rules out inline and must change with them.
     """
     det = a * d - b * c
     if not det > 0.0:
@@ -67,8 +67,8 @@ def boundary_angle(a, b, c, d, theta):
     the matrix sign, though its last bits are those of apply_boundary only
     for canonical_entries.  The fold puts phi in (-pi/2, pi/2], so 2 * phi
     is already in (-pi, pi] and BoundaryPoint stores it unchanged.
-    diagnostics.minimal_set_residual writes it out inline at theta = pi
-    and must change with it.
+    _pure.boundary_residual writes it out inline at theta = pi, and
+    _native.c's boundary_apply is its C twin; both must change with it.
     """
     half = 0.5 * theta
     p = math.sin(half)

@@ -448,6 +448,34 @@ def test_classify_refuses_a_tol_not_finite_and_positive(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("radius", ["0", "-1"])
+@pytest.mark.parametrize("from_config", [False, True])
+def test_classify_refuses_a_radius_below_one(tmp_path, capsys, radius,
+                                             from_config):
+    # ball(0) holds the identity alone, so radius 0 would call any group
+    # discrete (gap=inf); a negative one failed the run with exit 1
+    gens = tmp_path / "modular.gens"
+    gens.write_text("T u 1\nS rot 1.5707963267948966\n")
+    argv = ["classify", "--generators", gens]
+    if from_config:
+        config = tmp_path / "run.conf"
+        config.write_text("radius = %s\n" % radius)
+        argv += ["--config", config]
+    else:
+        argv += ["--radius", radius]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert "--radius must be an integer >= 1, got %s" % radius in captured.err
+    assert captured.out == ""
+
+
+def test_classify_takes_radius_one(tmp_path, capsys):
+    gens = tmp_path / "modular.gens"
+    gens.write_text("T u 1\nS rot 1.5707963267948966\n")
+    assert run(["classify", "--generators", gens, "--radius", "1"]) == 0
+    assert "semi-parabolic words in ball(1):" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("line", ["M mat 1 0 0 inf", "T u nan", "B b 1 -inf"])
 def test_classify_refuses_non_finite_generator_numbers(tmp_path, capsys, line):
     gens = tmp_path / "odd.gens"

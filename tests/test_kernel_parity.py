@@ -1,10 +1,15 @@
-"""Hypothesis parity of the modular and t3a kernels across the backends.
+"""Hypothesis parity of the modular, t3a and boundary kernels across the
+backends.
 
 Each drawn call runs on both backends, and the repr of what they return,
 or the (type, message) of what they raise, must be the same.  The draws
 include the inputs the kernels must fail on alike: non-finite and
 collapsed frames, infinite boundary angles, zero quaternions, a zero
 sampling interval, and for t3a a zero or NaN lam ** t' and a level guard.
+For boundary_residual and boundary_track they include products whose
+determinant is not positive or NaN or drifts past RENORM_TOL, lower-left
+entries within SIGN_TOL of zero, infinite and NaN angles, and no rows,
+grid elements, points or maps at all.
 
 `reference_t3a_orbit` is t3a_orbit as _native.c runs it, every expression
 on every step: the pure kernel, which takes lam ** t' and floors t' only
@@ -16,13 +21,15 @@ way of skipping the floor is taken.
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from horoflow._kernels import TRANS_BOUNDARY, TRANS_ROTATION, _pure
 from horoflow._kernels._pure import _sample_buffer
-from horoflow.models import build_t3a
-from horoflow.moebius import MoebiusElement
+from horoflow.groups import BOUNDARY_CIRCLE
+from horoflow.models import build_octagon, build_product, build_t3a
+from horoflow.models.product import minimal_set_distance
+from horoflow.moebius import BoundaryPoint, MoebiusElement, canonical_entries
 
 IDENTITY = (1.0, 0.0, 0.0, 1.0)
 NO_TRANS = (0.0, 0.0, 0.0, 0.0)
@@ -194,3 +201,139 @@ def test_native_modular_matches_pure(native):
         )
 
     check()
+
+
+@st.composite
+def angles(draw):
+    """An angle on the circle, or one time in six pi, -0.0, +-inf or NaN."""
+    if draw(st.integers(0, 5)):
+        return draw(st.floats(-math.pi, math.pi))
+    return draw(st.sampled_from([math.pi, -0.0, math.inf, -math.inf, math.nan]))
+
+
+def some(draw, items, most):
+    """A list of up to `most` items, empty one time in eight."""
+    return draw(st.lists(items, min_size=min(1, draw(st.integers(0, 7))),
+                         max_size=most))
+
+
+@st.composite
+def boundary_frames(draw):
+    """A frame near i, rescaled so that its determinant drifts or its sign
+    flips; a triangular frame of either sign whose c is within about
+    SIGN_TOL of zero; or a fixed frame: det -1, 0, NaN or infinite, a zero
+    diagonal, or c just below -SIGN_TOL."""
+    special = draw(st.sampled_from([None] * 12 + ["triangular"] * 4 + [
+        (1.0, 0.0, 0.0, -1.0),  # det -1
+        (0.0, 0.0, 0.0, 0.0),  # det 0
+        (-0.0, -1.0, 1.0, -0.0),
+        (math.nan, 0.0, 0.0, 1.0),  # NaN det
+        (math.inf, 0.0, 0.0, 1.0),  # infinite det
+        (1.0, 0.5, -2e-12, 1.0),  # c just below -SIGN_TOL
+    ]))
+    if special == "triangular":
+        alpha = draw(st.floats(0.5, 2.0)) * draw(st.sampled_from([1.0, -1.0]))
+        return (alpha, draw(st.floats(-1.0, 1.0)),
+                draw(st.floats(-1.5e-12, 1.5e-12)), 1.0 / alpha)
+    if special is not None:
+        return special
+    theta = draw(st.floats(-math.pi, math.pi))
+    t = draw(st.floats(-4.0, 4.0))
+    x = draw(st.floats(-3.0, 3.0))
+    g = MoebiusElement.rot(theta).mul(MoebiusElement.geo(math.exp(0.5 * t)))
+    # det 1 with either sign, 1 + 4e-13 (within RENORM_TOL), 1 + 2e-12,
+    # 2.25 and about 1e-320
+    scale = draw(st.sampled_from([1.0, 1.0, -1.0, 1.0 + 2e-13, 1.0 + 1e-12,
+                                  1.5, 1e-160]))
+    return tuple(scale * v for v in g.mul(MoebiusElement.u(x)).entries)
+
+
+def flat(rows):
+    return [v for row in rows for v in row]
+
+
+@st.composite
+def residual_cases(draw):
+    rows = some(draw, st.tuples(boundary_frames(), angles()), 4)
+    pushed = flat(frame + (theta,) for frame, theta in rows)
+    # a partial last row, which both backends drop
+    pushed += draw(st.lists(st.floats(-1.0, 1.0), max_size=4))
+    # upper triangular steps, as borel_grid's, keep a pushed frame's small c
+    # small; others mix the entries
+    steps = st.one_of(boundary_frames(), st.builds(
+        lambda alpha, beta: MoebiusElement.b_el(alpha, beta).entries,
+        st.floats(0.5, 2.0), st.floats(-1.0, 1.0)))
+    return (pushed, flat(some(draw, steps, 4)))
+
+
+@st.composite
+def track_cases(draw):
+    start = some(draw, angles(), 6)
+    if draw(st.booleans()):  # the powers of one map
+        maps = draw(boundary_frames()) * draw(st.integers(0, 40))
+    else:
+        maps = flat(some(draw, boundary_frames(), 8))
+    passage_tol = draw(st.sampled_from(
+        [-math.inf, 1e-4, 0.5, 2.1, math.inf, math.nan]))
+    return (start, maps, draw(st.booleans()), draw(angles()), passage_tol)
+
+
+def test_native_boundary_residual_matches_pure(native):
+    @settings(max_examples=400, deadline=None)
+    @given(residual_cases())
+    # |c| within SIGN_TOL and a < 0, where the sign rule moves the last bit
+    @example(([-1.643420123686913, -0.9957878932977786, -1.0922561189039719e-13,
+               -0.6084871333792365, 1.3919770761556958], [1.0, 0.0, 0.0, 1.0]))
+    def check(args):
+        assert outcome(native.boundary_residual, args) == outcome(
+            _pure.boundary_residual, args
+        )
+
+    check()
+
+
+def test_native_boundary_track_matches_pure(native):
+    @settings(max_examples=400, deadline=None)
+    @given(track_cases())
+    def check(args):
+        assert outcome(native.boundary_track, args) == outcome(
+            _pure.boundary_track, args
+        )
+
+    check()
+
+
+DIAGONAL = build_product(build_octagon(), BOUNDARY_CIRCLE)
+
+
+def canonical_frames():
+    """The entries of a MoebiusElement, as minimal_set_residual pushes: a
+    frame that canonical_entries leaves as it is."""
+    return boundary_frames().filter(
+        lambda f: f[0] * f[3] - f[1] * f[2] > 0.0
+        and all(map(math.isfinite, f))
+        and canonical_entries(*f) == f
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(canonical_frames(),
+                          st.floats(-math.pi, math.pi, exclude_min=True)),
+                max_size=3),
+       st.lists(canonical_frames(), max_size=3))
+def test_pure_boundary_residual_is_the_minimal_set_distance(rows, grid):
+    # the element form of minimal_set_residual's product branch: the
+    # distance of (pushed.mul(b), xi) from the graph set, for every pushed
+    # frame and angle and every grid element b
+    want = 0.0
+    for frame, theta in rows:
+        for b in grid:
+            dist = minimal_set_distance(DIAGONAL, (
+                MoebiusElement(*frame).mul(MoebiusElement(*b)),
+                BoundaryPoint(theta),
+            ))
+            if dist > want:
+                want = dist
+    got = _pure.boundary_residual(
+        flat(frame + (theta,) for frame, theta in rows), flat(grid))
+    assert repr(got) == repr(want)

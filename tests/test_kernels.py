@@ -1,5 +1,6 @@
 """Orbit kernel tests: backend parity, model agreement, guard behavior."""
 
+import ast
 import math
 import os
 import random
@@ -10,6 +11,7 @@ import sys
 import sysconfig
 from array import array
 from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -136,6 +138,20 @@ def test_pure_backend_is_imported_only_as_the_fallback():
         assert out in (["native", "False"], ["pure", "True"])
         if pure:
             assert out[0] == "pure"
+
+
+def test_every_bound_entry_point_exists_in_both_backends(native):
+    # each `name = _impl.name` of _kernels/__init__.py, so that a kernel
+    # added to one backend only fails here rather than at a user's import
+    tree = ast.parse(Path(_kernels.__file__).read_text())
+    bound = [node.value.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Assign)
+             and isinstance(node.value, ast.Attribute)
+             and isinstance(node.value.value, ast.Name)
+             and node.value.value.id == "_impl"]
+    assert {"surface_orbit", "boundary_residual", "boundary_track"} <= set(bound)
+    assert [name for name in bound if not hasattr(_pure, name)] == []
+    assert [name for name in bound if not hasattr(native, name)] == []
 
 
 # -- the C kernel compiled on first import -----------------------------------
