@@ -37,6 +37,7 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <float.h>
 #include <math.h>
 #include <string.h>
 
@@ -668,6 +669,16 @@ static PyObject *boundary_residual(PyObject *self, PyObject *args)
             double c = p[2] * g[0] + p[3] * g[2];
             double d = p[2] * g[1] + p[3] * g[3];
             double det = a * d - b * c;
+            if (det > 0.0 && det < DBL_MIN) {
+                /* a subnormal det: scale by a power of two, exactly */
+                int e;
+                frexp(det, &e);
+                a = ldexp(a, -e / 2);
+                b = ldexp(b, -e / 2);
+                c = ldexp(c, -e / 2);
+                d = ldexp(d, -e / 2);
+                det = a * d - b * c;
+            }
             if (!(det > 0.0)) {
                 value_error_g(
                     "matrix must have positive determinant, got det=%s", det);

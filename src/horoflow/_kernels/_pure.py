@@ -79,6 +79,7 @@ from itertools import chain
 
 from horoflow._kernels import RENORM_EVERY, TRANS_BOUNDARY, TRANS_ROTATION
 from horoflow.moebius import (
+    NORMAL_MIN,
     RENORM_TOL,
     SIGN_TOL,
     boundary_angle,
@@ -548,13 +549,15 @@ def boundary_residual(pushed, grid):
             c = pc * ba + pd * bc
             d = pc * bb + pd * bd
             det = a * d - b * c
-            if not det > 0.0:
-                canonical_entries(a, b, c, d)  # raises
-            if abs(det - 1.0) > RENORM_TOL:
-                s = sqrt(det)
-                a, b, c, d = a / s, b / s, c / s, d / s
-            if c < -SIGN_TOL or (abs(c) <= SIGN_TOL and a < 0.0):
-                a, b, c, d = -a, -b, -c, -d
+            if not det >= NORMAL_MIN:
+                # raises, or scales a subnormal det by a power of two first
+                a, b, c, d = canonical_entries(a, b, c, d)
+            else:
+                if abs(det - 1.0) > RENORM_TOL:
+                    s = sqrt(det)
+                    a, b, c, d = a / s, b / s, c / s, d / s
+                if c < -SIGN_TOL or (abs(c) <= SIGN_TOL and a < 0.0):
+                    a, b, c, d = -a, -b, -c, -d
             phi = atan2(a + b * q_inf, c + d * q_inf)
             if phi <= -half_pi:
                 phi += math.pi

@@ -19,8 +19,11 @@ model's origin (identity frame, zero coordinates, or the unit dual pair);
 with --seed both the start and any seeded holonomy are drawn reproducibly.
 
 Options may come from a `key = value` config file (--config); explicit
-flags win over the file, unknown keys are a usage error.  Exit codes:
-0 success, 1 dynamics or criterion failure, 2 usage or parse error.
+flags win over the file, unknown keys are a usage error.  DOMAINS gives
+each option its cast and the values it takes; a value set outside them, by
+flag or by config key, is a usage error before anything runs.  So is an
+--out that cannot be written, found when the command opens it.  Exit
+codes: 0 success, 1 dynamics or criterion failure, 2 usage or parse error.
 
 Generator files for `classify`: one generator per line, `name kind args`,
 blank lines and `#` comments ignored.  Kinds: `mat a b c d` (entries are
@@ -41,6 +44,7 @@ import sys
 from horoflow import models
 from horoflow.groups import (
     BOUNDARY_CIRCLE,
+    WORD_BALL_RADIUS_CAP,
     GeneratedGroup,
     classify_psl_projection,
     detect_semi_parabolic,
@@ -61,21 +65,84 @@ class RunError(Exception):
     pass
 
 
+# -- option domains -------------------------------------------------------------
+
+
+def ints(text):
+    return tuple(int(p) for p in text.split())
+
+
+def floats(text):
+    return tuple(float(p) for p in text.split())
+
+
+def _max_steps():
+    from horoflow.flows import MAX_STEPS  # only --steps loads flows here
+
+    return MAX_STEPS
+
+
+# Each option's cast, domain test and domain in words, by dest; an option
+# not listed is text.  argparse casts a flag with `type=` and _merge_config a
+# config value with the same cast; then _check_domains refuses a value set
+# outside its domain, and _merge_config one that does not cast, as the usage
+# error "--OPTION must be WORDS, got VALUE".  The words for --steps are a
+# function so that flows, which holds the cap, loads only when they are
+# needed.  Checks that need two options stay with the commands.
+DOMAINS = {
+    "model": (str, MODEL_NAMES.__contains__, "one of " + ", ".join(MODEL_NAMES)),
+    "A": (ints, lambda v: len(v) == 4, "four integers"),
+    "flow": (str, FLOW_NAMES.__contains__, "one of " + ", ".join(FLOW_NAMES)),
+    "dt": (float, lambda v: 0 < abs(v) < math.inf, "a finite nonzero number"),
+    "dalpha": (float, math.isfinite, "a finite number"),
+    "dbeta": (float, math.isfinite, "a finite number"),
+    "steps": (int, lambda v: 0 <= v <= _max_steps(),
+              lambda: "an integer from 0 to %d" % _max_steps()),
+    "sample_every": (int, lambda v: v >= 1, "an integer >= 1"),
+    "seed": (int, lambda v: True, "an integer"),
+    "bins": (ints, lambda v: v and min(v) >= 1, "one or more integers >= 1"),
+    "box": (floats, lambda v: all(map(math.isfinite, v)), "finite numbers"),
+    "radius": (int, lambda v: 1 <= v <= WORD_BALL_RADIUS_CAP,
+               "an integer from 1 to %d" % WORD_BALL_RADIUS_CAP),
+    "tol": (float, lambda v: 0 < v < math.inf, "a finite number > 0"),
+}
+
+
+def _outside(dest, value):
+    words = DOMAINS[dest][2]
+    if isinstance(value, tuple):  # as typed
+        value = " ".join(map(str, value))
+    return UsageError("--%s must be %s, got %r" % (
+        dest.replace("_", "-"), words() if callable(words) else words, value))
+
+
+def _check_domains(args):
+    for dest, (_, test, _) in DOMAINS.items():
+        value = getattr(args, dest, None)
+        if value == []:  # argparse leaves the value of `--flag=--` uncast
+            raise _outside(dest, "--")
+        if value is not None and not test(value):
+            raise _outside(dest, value)
+
+
 # -- config handling ----------------------------------------------------------
+
+
+def _lines(path, what):
+    """The numbered lines of a text file that are not blank or a `#` comment."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except OSError as exc:
+        raise UsageError("cannot read %s: %s" % (what, exc)) from None
+    numbered = ((n, raw.split("#", 1)[0].strip()) for n, raw in enumerate(lines, 1))
+    return [(lineno, line) for lineno, line in numbered if line]
 
 
 def read_config_file(path):
     """Parse `key = value` lines; `#` comments and blank lines are skipped."""
     values = {}
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError as exc:
-        raise UsageError("cannot read config file: %s" % exc) from None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _lines(path, "config file"):
         if "=" not in line:
             raise UsageError("%s:%d: expected key = value" % (path, lineno))
         key, _, value = line.partition("=")
@@ -88,19 +155,15 @@ def _merge_config(args):
     args.config_keys; flags always win."""
     if not getattr(args, "config", None):
         return
-    values = read_config_file(args.config)
-    for key, text in values.items():
+    for key, text in read_config_file(args.config).items():
         dest = key.replace("-", "_")
         if dest not in args.config_keys:
             raise UsageError("unknown config key %r" % key)
         if getattr(args, dest) is None:
-            caster = args.config_keys[dest]
             try:
-                setattr(args, dest, caster(text))
+                setattr(args, dest, args.config_keys[dest](text))
             except ValueError:
-                raise UsageError(
-                    "config key %r: cannot parse %r" % (key, text)
-                ) from None
+                raise _outside(dest, text) from None
 
 
 def _require(args, name):
@@ -110,31 +173,24 @@ def _require(args, name):
     return value
 
 
+def _write(out, write):
+    """Run write(), which writes `out`; an OSError is a usage error."""
+    try:
+        write()
+    except OSError as exc:
+        raise UsageError("cannot write %s: %s" % (out, exc.strerror or exc)) from None
+
+
 # -- model and flow construction ----------------------------------------------
 
 
-def _parse_int_matrix(text):
-    parts = text.split()
-    if len(parts) != 4:
-        raise UsageError("--A needs four integers, e.g. \"2 1 1 1\"")
-    try:
-        a, b, c, d = (int(p) for p in parts)
-    except ValueError:
-        raise UsageError("--A entries must be integers") from None
-    return ((a, b), (c, d))
-
-
-def build_model(name, a_text, seed):
+def build_model(name, a, seed):
     """Build a model through horoflow.models.build_model.
 
-    --A is parsed for t3a only; without --seed the octagon_so3 holonomy
+    --A is used for t3a only; without --seed the octagon_so3 holonomy
     seed is 0, where the library's default is 7.
     """
-    if name not in MODEL_NAMES:
-        raise UsageError(
-            "unknown model %r; choose from %s" % (name, ", ".join(MODEL_NAMES))
-        )
-    a_mat = _parse_int_matrix(a_text) if name == "t3a" and a_text else None
+    a_mat = (a[:2], a[2:]) if name == "t3a" and a else None
     try:
         return models.build_model(name, a_mat, seed=seed or 0)
     except ValueError as exc:
@@ -151,24 +207,16 @@ def build_flow(args):
     )
 
     kind = _require(args, "flow")
-    if kind in ("u", "geo", "sol3u"):
-        dt = args.dt if args.dt is not None else DEFAULT_DT[kind]
-        try:
-            return {"u": HorocycleU, "geo": GeodesicD, "sol3u": Sol3U}[kind](dt)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-    if kind == "b":
-        da = args.dalpha if args.dalpha is not None else 0.01
-        db = args.dbeta if args.dbeta is not None else 0.01
-        try:
-            return BorelB(da, db)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
     if kind == "dual":
         return DualBoundaryIterate()
-    raise UsageError(
-        "unknown flow %r; choose from %s" % (kind, ", ".join(FLOW_NAMES))
-    )
+    if kind != "b":
+        dt = args.dt if args.dt is not None else DEFAULT_DT[kind]
+        return {"u": HorocycleU, "geo": GeodesicD, "sol3u": Sol3U}[kind](dt)
+    try:
+        return BorelB(0.01 if args.dalpha is None else args.dalpha,
+                      0.01 if args.dbeta is None else args.dbeta)
+    except ValueError as exc:  # both steps zero
+        raise UsageError(str(exc)) from None
 
 
 def origin_point(model, flow):
@@ -189,29 +237,21 @@ def origin_point(model, flow):
 
 
 def _integrate(args):
-    """The model, the flow and the orbit's chunks, which run the kernel as
-    they are read; a failure of the run, before or while the chunks come,
-    is a RunError."""
-    from horoflow.flows import orbit_chunks
-
+    """The model, the flow and the orbit's chunks, which start the run as
+    they are read; a failure of the run is a RunError."""
     model = build_model(_require(args, "model"), args.A, args.seed)
     flow = build_flow(args)
-    steps = _require(args, "steps")
     start = None if args.seed is not None else origin_point(model, flow)
-    try:
-        chunks = orbit_chunks(
-            model, start, flow, steps,
-            seed=args.seed,
-            sample_every=1 if args.sample_every is None else args.sample_every,
-        )
-    except (ValueError, ArithmeticError) as exc:
-        raise RunError(str(exc)) from None
-    return model, flow, _run(chunks, steps)
+    return model, flow, _run(model, start, flow, _require(args, "steps"),
+                             args.seed, args.sample_every or 1)
 
 
-def _run(chunks, steps):
+def _run(model, start, flow, steps, seed, sample_every):
+    from horoflow.flows import orbit_chunks
+
     try:
-        for chunk in chunks:
+        for chunk in orbit_chunks(model, start, flow, steps, seed=seed,
+                                  sample_every=sample_every):
             if steps == 0:
                 # zero steps means "emit the format, integrate nothing"
                 chunk.values = chunk.values[:0]
@@ -228,7 +268,7 @@ def cmd_flow(args):
 
     out = _require(args, "out")
     _, _, chunks = _integrate(args)
-    write_orbit_csv(chunks, out)
+    _write(out, lambda: write_orbit_csv(chunks, out))
     samples = args.steps // (args.sample_every or 1) + 1 if args.steps else 0
     print("wrote %s (%d samples)" % (out, samples))
     return 0
@@ -249,32 +289,20 @@ def cmd_density(args):
     from horoflow.orbitio import write_density_json
 
     out = _require(args, "out")
-    bins_text = _require(args, "bins")
-    try:
-        counts = tuple(int(p) for p in bins_text.split())
-    except ValueError:
-        raise UsageError("--bins must be whitespace-separated integers") from None
-    if not counts:
-        raise UsageError("--bins must name at least one axis")
+    counts = _require(args, "bins")
     model, flow, chunks = _integrate(args)
-    if args.box is not None:
-        try:
-            edges = tuple(float(p) for p in args.box.split())
-        except ValueError:
-            raise UsageError("--box must be whitespace-separated numbers") from None
-        if len(edges) != 2 * len(counts):
-            raise UsageError("--box needs two numbers per binned axis")
-        ranges = tuple(
-            (edges[2 * i], edges[2 * i + 1]) for i in range(len(counts))
-        )
-    else:
+    if args.box is None:
         ranges = _default_ranges(model, flow, len(counts))
+    elif len(args.box) != 2 * len(counts):
+        raise UsageError("--box needs two numbers per binned axis")
+    else:
+        ranges = tuple(zip(args.box[::2], args.box[1::2]))
     try:  # a kernel error reaches here as a RunError, from _run
         spec = BinningSpec(ranges, counts)
         report = coverage(chunks, spec)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    write_density_json(report, out)
+    _write(out, lambda: write_density_json(report, out))
     print(
         "wrote %s (visited %d of %d cells, fraction %.4f)"
         % (out, report.visited, report.total, report.fraction)
@@ -283,29 +311,21 @@ def cmd_density(args):
 
 
 _GENERATOR_KINDS = {
-    "mat": (4, lambda v: MoebiusElement(v[0], v[1], v[2], v[3])),
-    "u": (1, lambda v: MoebiusElement.u(v[0])),
-    "geo": (1, lambda v: MoebiusElement.geo(v[0])),
-    "rot": (1, lambda v: MoebiusElement.rot(v[0])),
-    "b": (2, lambda v: MoebiusElement.b_el(v[0], v[1])),
+    "mat": (4, MoebiusElement),
+    "u": (1, MoebiusElement.u),
+    "geo": (1, MoebiusElement.geo),
+    "rot": (1, MoebiusElement.rot),
+    "b": (2, MoebiusElement.b_el),
 }
 
 
 def parse_generator_file(path):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError as exc:
-        raise UsageError("cannot read generator file: %s" % exc) from None
     generators = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _lines(path, "generator file"):
         parts = line.split()
         if len(parts) < 2:
             raise UsageError("%s:%d: expected `name kind args`" % (path, lineno))
-        name, kind, rest = parts[0], parts[1], parts[2:]
+        name, kind, *rest = parts
         if kind not in _GENERATOR_KINDS:
             raise UsageError(
                 "%s:%d: unknown kind %r (known: %s)"
@@ -320,7 +340,7 @@ def parse_generator_file(path):
             values = [float(p) for p in rest]
             if not all(map(math.isfinite, values)):
                 raise ValueError("numbers must be finite, got %r" % " ".join(rest))
-            element = maker(values)
+            element = maker(*values)
         except ValueError as exc:
             raise UsageError("%s:%d: %s" % (path, lineno, exc)) from None
         generators.append((name, element))
@@ -332,11 +352,7 @@ def parse_generator_file(path):
 def cmd_classify(args):
     generators = parse_generator_file(_require(args, "generators"))
     radius = args.radius if args.radius is not None else 6
-    if radius < 1:  # ball(0) holds the identity alone
-        raise UsageError("--radius must be an integer >= 1, got %r" % radius)
     tol = args.tol if args.tol is not None else 0.05
-    if not 0 < tol < math.inf:  # false for nan too
-        raise UsageError("--tol must be a finite number > 0, got %r" % tol)
     try:
         group = GeneratedGroup.from_moebius(generators)
         report = classify_psl_projection(group, radius=radius, tol=tol)
@@ -394,7 +410,7 @@ def cmd_plot(args):
     svg = render_scatter_svg(
         xs, ys, legend.get(xcol, xcol), legend.get(ycol, ycol), title.strip(" /")
     )
-    _atomic_write(out, (svg,))
+    _write(out, lambda: _atomic_write(out, (svg,)))
     print("wrote %s (%d points)" % (out, len(xs)))
     return 0
 
@@ -402,28 +418,23 @@ def cmd_plot(args):
 # -- argument plumbing ---------------------------------------------------------
 
 
-def _add_orbit_options(sub):
-    """Add the orbit options, then --config; returns the orbit options."""
-    options = [
-        sub.add_argument("--model", type=str, default=None),
-        sub.add_argument("--A", type=str, default=None,
-                         help='integer matrix for t3a, e.g. "2 1 1 1"'),
-        sub.add_argument("--flow", type=str, default=None),
-        sub.add_argument("--dt", type=float, default=None),
-        sub.add_argument("--dalpha", type=float, default=None),
-        sub.add_argument("--dbeta", type=float, default=None),
-        sub.add_argument("--steps", type=int, default=None),
-        sub.add_argument("--sample-every", type=int, default=None),
-        sub.add_argument("--seed", type=int, default=None),
-        sub.add_argument("--out", type=str, default=None),
-    ]
-    sub.add_argument("--config", type=str, default=None)
-    return options
+ORBIT_OPTIONS = ("model", "A", "flow", "dt", "dalpha", "dbeta", "steps",
+                 "sample-every", "seed", "out")
 
+# Each subcommand's help and options; all but check take --config too.
+COMMANDS = {
+    "flow": ("integrate an orbit, write CSV", ORBIT_OPTIONS),
+    "density": ("orbit grid coverage as JSON", ORBIT_OPTIONS + ("bins", "box")),
+    "classify": ("classify a generator file", ("generators", "radius", "tol")),
+    "check": ("run an acceptance suite", None),
+    "plot": ("render an orbit CSV as SVG", ("in", "x", "y", "out")),
+}
 
-def _config_keys(sub, options):
-    """Let a config file set `options`, the actions add_argument returned."""
-    sub.set_defaults(config_keys={o.dest: o.type for o in options})
+OPTION_HELP = {
+    "A": 'integer matrix for t3a, e.g. "2 1 1 1"',
+    "bins": 'cells per axis, e.g. "50 50"',
+    "box": 'explicit ranges "lo hi" per axis',
+}
 
 
 def build_parser():
@@ -432,37 +443,20 @@ def build_parser():
         description="orbit experiments on foliated homogeneous quotients",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    flow = subs.add_parser("flow", help="integrate an orbit, write CSV")
-    _config_keys(flow, _add_orbit_options(flow))
-
-    density = subs.add_parser("density", help="orbit grid coverage as JSON")
-    _config_keys(density, _add_orbit_options(density) + [
-        density.add_argument("--bins", type=str, default=None,
-                             help='cells per axis, e.g. "50 50"'),
-        density.add_argument("--box", type=str, default=None,
-                             help='explicit ranges "lo hi" per axis'),
-    ])
-
-    classify = subs.add_parser("classify", help="classify a generator file")
-    _config_keys(classify, [
-        classify.add_argument("--generators", type=str, default=None),
-        classify.add_argument("--radius", type=int, default=None),
-        classify.add_argument("--tol", type=float, default=None),
-    ])
-    classify.add_argument("--config", type=str, default=None)
-
-    check = subs.add_parser("check", help="run an acceptance suite")
-    check.add_argument("suite", nargs="?", default="all")
-
-    plot = subs.add_parser("plot", help="render an orbit CSV as SVG")
-    _config_keys(plot, [
-        plot.add_argument("--in", dest="infile", type=str, default=None),
-        plot.add_argument("--x", type=str, default=None),
-        plot.add_argument("--y", type=str, default=None),
-        plot.add_argument("--out", type=str, default=None),
-    ])
-    plot.add_argument("--config", type=str, default=None)
+    for command, (text, flags) in COMMANDS.items():
+        sub = subs.add_parser(command, help=text)
+        if flags is None:
+            sub.add_argument("suite", nargs="?", default="all")
+            continue
+        options = []
+        for flag in flags:
+            dest = "infile" if flag == "in" else flag.replace("-", "_")
+            options.append(sub.add_argument(
+                "--" + flag, dest=dest, help=OPTION_HELP.get(flag),
+                type=DOMAINS[dest][0] if dest in DOMAINS else str))
+        sub.add_argument("--config", type=str)
+        # a config file may set every option but --config
+        sub.set_defaults(config_keys={o.dest: o.type for o in options})
     return parser
 
 
@@ -476,10 +470,10 @@ _HANDLERS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _merge_config(args)
+        _check_domains(args)
         return _HANDLERS[args.command](args)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)

@@ -22,9 +22,13 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 
 SIGN_TOL = 1e-12
 RENORM_TOL = 1e-12
+# The least normal double: a determinant below it is subnormal and has too
+# few significant bits to divide out.
+NORMAL_MIN = sys.float_info.min
 CLASSIFY_TOL = 1e-9
 KEY_QUANTUM = 1e-9
 
@@ -42,10 +46,16 @@ def canonical_entries(a, b, c, d):
 
     The determinant must be positive; a drift above RENORM_TOL is divided
     out, and the sign is chosen so that c > 0, or a >= 0 when |c| is within
-    SIGN_TOL of zero.  The kernels' boundary_residual (_kernels/_pure.py and
-    _native.c) writes these rules out inline and must change with them.
+    SIGN_TOL of zero.  A subnormal determinant is first brought near 1 by
+    scaling the entries by a power of two, which is exact.  The kernels'
+    boundary_residual (_kernels/_pure.py and _native.c) writes these rules
+    out inline and must change with them.
     """
     det = a * d - b * c
+    if 0.0 < det < NORMAL_MIN:
+        k = -math.frexp(det)[1] // 2
+        a, b, c, d = (math.ldexp(v, k) for v in (a, b, c, d))
+        det = a * d - b * c
     if not det > 0.0:
         raise ValueError(
             "matrix must have positive determinant, got det=%g" % det

@@ -5,6 +5,8 @@ and captured output.  One subprocess test exercises the real ``-m`` entry
 point so the module guard and console wiring stay honest.
 """
 
+import argparse
+import errno
 import json
 import math
 import os
@@ -14,17 +16,30 @@ from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import horoflow
 from horoflow import _kernels, acceptance, cli, models
 from horoflow._kernels import _pure
 from horoflow.cli import main
-from horoflow.flows import DualBoundaryIterate, GeodesicD, HorocycleU, Sol3U
+from horoflow.flows import (
+    MAX_STEPS,
+    DualBoundaryIterate,
+    GeodesicD,
+    HorocycleU,
+    Sol3U,
+)
+from horoflow.groups import WORD_BALL_RADIUS_CAP
 from horoflow.orbitio import read_orbit_csv
 
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def must_not_run(*args, **kwargs):
+    raise AssertionError("a kernel or the group search ran")
 
 
 # -- flow ----------------------------------------------------------------------
@@ -107,10 +122,14 @@ def test_flow_unknown_model_and_flow(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert run(["flow", "--model", "klein", "--flow", "u",
                 "--steps", 1, "--out", out]) == 2
-    assert "unknown model" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "usage error: --model must be one of modular, octagon, "
+        "octagon_boundary, octagon_so3, t3a, got 'klein'\n")
     assert run(["flow", "--model", "modular", "--flow", "warp",
                 "--steps", 1, "--out", out]) == 2
-    assert "unknown flow" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "usage error: --flow must be one of u, geo, b, sol3u, dual, "
+        "got 'warp'\n")
 
 
 def _holonomy(model):
@@ -206,7 +225,11 @@ def test_density_bad_bins_and_box(tmp_path, capsys):
     out = tmp_path / "x.json"
     base = ["density", "--model", "modular", "--flow", "u", "--steps", 1,
             "--out", out]
-    assert run(base + ["--bins", "four four"]) == 2
+    # argparse casts --bins, and refuses what does not cast as it refuses
+    # any flag: with exit status 2
+    with pytest.raises(SystemExit) as excinfo:
+        run(base + ["--bins", "four four"])
+    assert excinfo.value.code == 2
     assert "--bins" in capsys.readouterr().err
     assert run(base + ["--bins", "4 4", "--box", "0 1 0"]) == 2
     assert "--box" in capsys.readouterr().err
@@ -243,16 +266,16 @@ def test_config_unknown_key(tmp_path, capsys):
 
 
 ORBIT_CONFIG = {
-    "model": "octagon", "A": "2 1 1 1", "flow": "u", "dt": 0.5,
+    "model": "octagon", "A": (2, 1, 1, 1), "flow": "u", "dt": 0.5,
     "dalpha": 0.25, "dbeta": 0.125, "steps": 7, "sample_every": 3, "seed": 11,
     "out": "orbit.csv",
 }
 
 # Every option of each subcommand but --config, by dest, with a value of
-# the option's type.
+# the option's type; a tuple is written as its items.
 CONFIG_VALUES = {
     "flow": ORBIT_CONFIG,
-    "density": dict(ORBIT_CONFIG, bins="4 4", box="0 1 0 1"),
+    "density": dict(ORBIT_CONFIG, bins=(4, 4), box=(0.0, 1.0, 0.0, 1.0)),
     "classify": {"generators": "modular.gens", "radius": 3, "tol": 0.25},
     "plot": {"infile": "orbit.csv", "x": "c1", "y": "c3", "out": "plot.svg"},
 }
@@ -262,7 +285,10 @@ CONFIG_VALUES = {
 def test_a_config_file_sets_every_option(monkeypatch, tmp_path, command):
     values = CONFIG_VALUES[command]
     config = tmp_path / "run.conf"
-    config.write_text("".join("%s = %s\n" % item for item in values.items()))
+    config.write_text("".join(
+        "%s = %s\n" % (key, " ".join(map(str, value)) if type(value) is tuple
+                       else value)
+        for key, value in values.items()))
     seen = {}
 
     def handler(args):
@@ -280,8 +306,8 @@ def test_a_config_file_sets_every_option(monkeypatch, tmp_path, command):
 @pytest.mark.parametrize("command", ["flow", "density"])
 @pytest.mark.parametrize("from_config", [False, True])
 def test_sample_every_zero_is_refused(tmp_path, capsys, command, from_config):
-    # 0 is a value given, not a missing option: it must fail as -3 does
-    # instead of falling back to sampling every step.
+    # 0 is a value given, not a missing option: it must be refused as -3 is
+    # instead of falling back to sampling every step, and before the run.
     argv = [command, "--model", "octagon", "--flow", "u", "--steps", 10,
             "--out", tmp_path / "out"]
     if command == "density":
@@ -292,9 +318,162 @@ def test_sample_every_zero_is_refused(tmp_path, capsys, command, from_config):
         argv += ["--config", config]
     else:
         argv += ["--sample-every", 0]
-    assert run(argv) == 1
-    assert "sample_every must be a positive integer" in capsys.readouterr().err
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        "usage error: --sample-every must be an integer >= 1, got 0\n")
     assert not (tmp_path / "out").exists()
+
+
+# -- option domains ------------------------------------------------------------
+
+
+def parser_options():
+    """(command, dest, flag) for every option of every subcommand of
+    cli.build_parser() but --help and --config."""
+    parser = cli.build_parser()
+    [subs] = [action for action in parser._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    return [(command, action.dest, action.option_strings[0])
+            for command, sub in subs.choices.items()
+            for action in sub._actions
+            if action.option_strings and action.dest not in ("help", "config")]
+
+
+NOT_AN_INTEGER = st.sampled_from(["", "x", "1.5", "1e3", "0x10", "nan", "inf", "2 3"])
+NOT_A_NUMBER = st.sampled_from(["", "x", "1,5", "one", "--", "1 2"])
+NOT_FINITE = st.sampled_from(["nan", "-nan", "NaN", "inf", "-inf", "Infinity",
+                              "1e999", "-1e999"])
+NAME = st.text("abcdefghijklmnopqrstuvwxyz_0123456789", max_size=12)
+
+
+def integers_outside(low, high=None):
+    """Integers below low or above high, and text that is no integer."""
+    above = st.nothing() if high is None else st.integers(min_value=high + 1)
+    return st.one_of(st.integers(max_value=low - 1).map(str), above.map(str),
+                     NOT_AN_INTEGER)
+
+
+def numbers_outside(*numbers):
+    """NaN, +-inf, text that is no number, and the texts `numbers` draws."""
+    return st.one_of(NOT_FINITE, NOT_A_NUMBER, *numbers)
+
+
+def one_bad_among(good, bad, least=0, most=3):
+    """Between least and most `good` words and one `bad` word, in any order."""
+    return st.tuples(st.lists(good, min_size=least, max_size=most), bad).flatmap(
+        lambda drawn: st.permutations(drawn[0] + [drawn[1]])).map(" ".join)
+
+
+INTEGER = st.integers().map(str)
+BAD_INTEGER_WORD = st.sampled_from(["x", "1.5", "1e3", "nan", "inf"])
+
+# Values outside each option's domain, as the text of a flag or a config
+# line, by dest; None for an option that takes any text.
+OUTSIDE = {
+    "model": NAME.filter(lambda name: name not in models.MODEL_NAMES),
+    "A": st.one_of(
+        st.lists(INTEGER, max_size=8).filter(lambda v: len(v) != 4).map(" ".join),
+        one_bad_among(INTEGER, BAD_INTEGER_WORD, 3, 3)),
+    "flow": NAME.filter(lambda name: name not in cli.FLOW_NAMES),
+    "dt": numbers_outside(st.sampled_from(["0", "-0.0", "0e9", "+0"])),
+    "dalpha": numbers_outside(),
+    "dbeta": numbers_outside(),
+    "steps": integers_outside(0, MAX_STEPS),
+    "sample_every": integers_outside(1),
+    "seed": NOT_AN_INTEGER,
+    "bins": st.one_of(st.just(""), one_bad_among(
+        st.integers(1, 50).map(str),
+        st.one_of(st.integers(max_value=0).map(str), BAD_INTEGER_WORD))),
+    "box": one_bad_among(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.sampled_from(["nan", "inf", "-inf", "1e999", "x", "1,5"])),
+    "radius": integers_outside(1, WORD_BALL_RADIUS_CAP),
+    "tol": numbers_outside(st.floats(max_value=0.0, allow_infinity=False).map(repr)),
+    "out": None, "generators": None, "infile": None, "x": None, "y": None,
+}
+
+# A command line of each command with a domain option, by dest and text.
+VALID = {
+    "flow": {"model": "octagon", "flow": "u", "steps": "10", "out": "out"},
+    "density": {"model": "octagon", "flow": "u", "steps": "10", "bins": "4 4",
+                "out": "out"},
+    "classify": {"generators": "modular.gens"},
+}
+
+
+@pytest.mark.parametrize("command, dest, flag", [
+    option for option in parser_options() if OUTSIDE.get(option[1]) is not None])
+def test_a_value_outside_an_options_domain_is_a_usage_error(
+    monkeypatch, tmp_path, capsys, command, dest, flag
+):
+    # by flag and by config file alike: exit 2 with one message that names
+    # the option, before a kernel or the group search runs, and no output;
+    # a flag argparse cannot cast is refused by argparse, with exit 2 too
+    monkeypatch.chdir(tmp_path)
+    Path("modular.gens").write_text("T u 1\nS rot 1.5707963267948966\n")
+    for kernel in ("surface_orbit", "modular_orbit", "t3a_orbit"):
+        monkeypatch.setattr(_kernels, kernel, must_not_run)
+    monkeypatch.setattr(cli, "classify_psl_projection", must_not_run)
+    monkeypatch.setattr(cli, "detect_semi_parabolic", must_not_run)
+    argv = [command] + ["--%s=%s" % (key.replace("_", "-"), text)
+                        for key, text in VALID[command].items() if key != dest]
+
+    def refused(argv, *files):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert sorted(os.listdir()) == sorted(("modular.gens",) + files)
+        return captured.err.splitlines()[-1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(OUTSIDE[dest])
+    def check(value):
+        by_flag = refused(argv + ["%s=%s" % (flag, value)])
+        Path("run.conf").write_text("%s = %s\n" % (flag[2:], value))
+        by_config = refused(argv + ["--config", "run.conf"], "run.conf")
+        os.remove("run.conf")
+        assert by_config.startswith("usage error: %s must be " % flag)
+        assert by_flag == by_config or ("argument %s: invalid" % flag) in by_flag
+
+    check()
+
+
+def test_every_option_says_what_lies_outside_its_domain():
+    # so that the walk above leaves out no option the parser gains
+    assert {dest for _, dest, _ in parser_options()} == set(OUTSIDE)
+
+
+@pytest.mark.parametrize("command", ["flow", "density", "plot"])
+@pytest.mark.parametrize("out, error", [
+    (os.path.join("missing", "out"), errno.ENOENT),
+    ("target", errno.EISDIR),
+])
+def test_an_out_that_cannot_be_written_is_a_usage_error(
+    monkeypatch, tmp_path, capsys, command, out, error
+):
+    monkeypatch.chdir(tmp_path)
+    Path("target").mkdir()
+    if command == "plot":
+        Path("orbit.csv").write_text("time,c1,c2\n0,0.25,0.75\n1,0.5,0.25\n")
+        argv = ["plot", "--in", "orbit.csv"]
+    else:
+        argv = [command, "--model", "octagon", "--flow", "u", "--steps", 10]
+    if command == "density":
+        argv += ["--bins", "4 4"]
+    if command == "flow":  # the CSV writer opens its file before the run
+        monkeypatch.setattr(_kernels, "surface_orbit", must_not_run)
+    before = sorted(os.listdir())
+    assert run(argv + ["--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "usage error: cannot write %s: %s\n" % (
+        out, os.strerror(error))
+    assert captured.out == ""
+    # no temp file is left, here or in the target directory
+    assert sorted(os.listdir()) == before
+    assert os.listdir("target") == []
 
 
 # -- plot ----------------------------------------------------------------------
@@ -465,7 +644,7 @@ def test_classify_refuses_a_radius_below_one(tmp_path, capsys, radius,
         argv += ["--radius", radius]
     assert run(argv) == 2
     captured = capsys.readouterr()
-    assert "--radius must be an integer >= 1, got %s" % radius in captured.err
+    assert "--radius must be an integer from 1 to 6, got %s" % radius in captured.err
     assert captured.out == ""
 
 

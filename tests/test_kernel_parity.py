@@ -7,7 +7,7 @@ include the inputs the kernels must fail on alike: non-finite and
 collapsed frames, infinite boundary angles, zero quaternions, a zero
 sampling interval, and for t3a a zero or NaN lam ** t' and a level guard.
 For boundary_residual and boundary_track they include products whose
-determinant is not positive or NaN or drifts past RENORM_TOL, lower-left
+determinant is not positive or NaN, is subnormal or drifts past RENORM_TOL, lower-left
 entries within SIGN_TOL of zero, infinite and NaN angles, and no rows,
 grid elements, points or maps at all.
 
@@ -242,9 +242,11 @@ def boundary_frames(draw):
     x = draw(st.floats(-3.0, 3.0))
     g = MoebiusElement.rot(theta).mul(MoebiusElement.geo(math.exp(0.5 * t)))
     # det 1 with either sign, 1 + 4e-13 (within RENORM_TOL), 1 + 2e-12,
-    # 2.25 and about 1e-320
+    # 2.25, about 1e-320, or anywhere in the subnormal range
     scale = draw(st.sampled_from([1.0, 1.0, -1.0, 1.0 + 2e-13, 1.0 + 1e-12,
-                                  1.5, 1e-160]))
+                                  1.5, 1e-160, None]))
+    if scale is None:
+        scale = draw(st.floats(1e-162, 1.5e-154))
     return tuple(scale * v for v in g.mul(MoebiusElement.u(x)).entries)
 
 
@@ -284,6 +286,11 @@ def test_native_boundary_residual_matches_pure(native):
     # |c| within SIGN_TOL and a < 0, where the sign rule moves the last bit
     @example(([-1.643420123686913, -0.9957878932977786, -1.0922561189039719e-13,
                -0.6084871333792365, 1.3919770761556958], [1.0, 0.0, 0.0, 1.0]))
+    # det 5e-324, whose square root alone would put c below -SIGN_TOL and
+    # apply the sign rule, which moves the last bits
+    @example(([2.4633450753363293e-162, -6.975745108314298e-163,
+               -2.3419286134523697e-174, 2.510321891595038e-162,
+               2.7760490433000715], [1.0, 0.0, 0.0, 1.0]))
     def check(args):
         assert outcome(native.boundary_residual, args) == outcome(
             _pure.boundary_residual, args

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from horoflow.moebius import (
+    NORMAL_MIN,
     RENORM_TOL,
     SIGN_TOL,
     BoundaryPoint,
@@ -280,6 +281,47 @@ def test_boundary_angle_matches_object_action(entries, theta):
     element = MoebiusElement(*entries)
     got = element.apply_boundary(BoundaryPoint(theta)).theta
     assert repr(got) == repr(want)
+
+
+def test_a_subnormal_determinant_is_scaled_before_its_square_root():
+    # det is about 1e-320, whose square root kept only a few bits: the
+    # entries were stored with det 1.0000111 and rescaled when rebuilt
+    a, b, c, d = (1e-160 * v for v in MoebiusElement.geo(1.3).entries)
+    assert 0.0 < a * d - b * c < NORMAL_MIN
+    element = MoebiusElement(a, b, c, d)
+    a, b, c, d = element.entries
+    assert abs(a * d - b * c - 1.0) <= RENORM_TOL
+    assert MoebiusElement(*element.entries).entries == element.entries
+
+
+def reference_canonical_entries(a, b, c, d):
+    """canonical_entries without its power-of-two scaling."""
+    det = a * d - b * c
+    if abs(det - 1.0) > RENORM_TOL:
+        s = math.sqrt(det)
+        a, b, c, d = a / s, b / s, c / s, d / s
+    if c < -SIGN_TOL or (abs(c) <= SIGN_TOL and a < 0.0):
+        return -a, -b, -c, -d
+    return a, b, c, d
+
+
+@given(raw_matrices(), st.one_of(st.floats(0.5, 2.0), st.floats(1e-162, 1.5e-154)))
+@settings(max_examples=400, deadline=None)
+def test_canonical_entries_scale_only_a_subnormal_determinant(entries, scale):
+    entries = tuple(scale * v for v in entries)
+    a, b, c, d = entries
+    det = a * d - b * c
+    if not det > 0.0:  # underflowed to 0
+        with pytest.raises(ValueError, match="positive determinant"):
+            canonical_entries(*entries)
+        return
+    got = canonical_entries(*entries)
+    if det >= NORMAL_MIN:  # the old path, bit for bit
+        assert repr(got) == repr(reference_canonical_entries(*entries))
+        return
+    ga, gb, gc, gd = got
+    assert abs(ga * gd - gb * gc - 1.0) <= RENORM_TOL
+    assert canonical_entries(*got) == got
 
 
 def test_frame_direction_frozen():

@@ -521,13 +521,15 @@ def test_a_stream_keeps_the_step_limit_and_the_sample_times():
         flows.orbit_chunks(octagon, None, HorocycleU(1e308), 10)
 
 
-def test_cli_reports_the_step_limit_as_a_run_failure(monkeypatch, tmp_path, capsys):
+def test_cli_refuses_steps_past_the_limit(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(_kernels, "surface_orbit", _kernel_must_not_run)
     out = tmp_path / "orbit.csv"
     code = cli.main(["flow", "--model", "octagon", "--flow", "u",
                      "--steps", str(flows.MAX_STEPS + 1), "--out", str(out)])
-    assert code == 1
-    assert "run failed: steps capped" in capsys.readouterr().err
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "usage error: --steps must be an integer from 0 to %d, got %d\n"
+        % (flows.MAX_STEPS, flows.MAX_STEPS + 1))
     assert not out.exists()
 
 
