@@ -21,9 +21,11 @@ with --seed both the start and any seeded holonomy are drawn reproducibly.
 Options may come from a `key = value` config file (--config); explicit
 flags win over the file, unknown keys are a usage error.  DOMAINS gives
 each option its cast and the values it takes; a value set outside them, by
-flag or by config key, is a usage error before anything runs.  So is an
---out that cannot be written, found when the command opens it.  Exit
-codes: 0 success, 1 dynamics or criterion failure, 2 usage or parse error.
+flag or by config key, is a usage error before anything runs.  So are a
+flow the model does not carry (`sol3u` and `dual` run on t3a only), and an
+--out that cannot be written, which flow and density open before the orbit
+runs.  Exit codes: 0 success, 1 dynamics or criterion failure, 2 usage or
+parse error.
 
 Generator files for `classify`: one generator per line, `name kind args`,
 blank lines and `#` comments ignored.  Kinds: `mat a b c d` (entries are
@@ -53,6 +55,9 @@ from horoflow.models import MODEL_NAMES
 from horoflow.moebius import BoundaryPoint, MoebiusElement
 
 FLOW_NAMES = ("u", "geo", "b", "sol3u", "dual")
+# the flows defined on the torus bundle, t3a, only; flows refuses them on
+# another model too, but only once the stream is read, with --out open
+BUNDLE_FLOWS = ("sol3u", "dual")
 
 DEFAULT_DT = {"u": 0.01, "geo": 0.01, "sol3u": 0.037}
 
@@ -109,18 +114,21 @@ DOMAINS = {
 
 
 def _outside(dest, value):
-    words = DOMAINS[dest][2]
+    # a text option has no domain; only `--flag=--` is refused for one
+    words = DOMAINS[dest][2] if dest in DOMAINS else "a name other than --"
     if isinstance(value, tuple):  # as typed
         value = " ".join(map(str, value))
     return UsageError("--%s must be %s, got %r" % (
-        dest.replace("_", "-"), words() if callable(words) else words, value))
+        "in" if dest == "infile" else dest.replace("_", "-"),
+        words() if callable(words) else words, value))
 
 
 def _check_domains(args):
-    for dest, (_, test, _) in DOMAINS.items():
-        value = getattr(args, dest, None)
+    for dest, value in vars(args).items():
         if value == []:  # argparse leaves the value of `--flag=--` uncast
             raise _outside(dest, "--")
+    for dest, (_, test, _) in DOMAINS.items():
+        value = getattr(args, dest, None)
         if value is not None and not test(value):
             raise _outside(dest, value)
 
@@ -238,8 +246,13 @@ def origin_point(model, flow):
 
 def _integrate(args):
     """The model, the flow and the orbit's chunks, which start the run as
-    they are read; a failure of the run is a RunError."""
-    model = build_model(_require(args, "model"), args.A, args.seed)
+    they are read; a flow the model does not carry is a UsageError, and a
+    failure of the run a RunError."""
+    name, kind = _require(args, "model"), _require(args, "flow")
+    if kind in BUNDLE_FLOWS and name != "t3a":
+        raise UsageError("--flow %s runs on --model t3a only, got --model %s"
+                         % (kind, name))
+    model = build_model(name, args.A, args.seed)
     flow = build_flow(args)
     start = None if args.seed is not None else origin_point(model, flow)
     return model, flow, _run(model, start, flow, _require(args, "steps"),
@@ -297,12 +310,21 @@ def cmd_density(args):
         raise UsageError("--box needs two numbers per binned axis")
     else:
         ranges = tuple(zip(args.box[::2], args.box[1::2]))
-    try:  # a kernel error reaches here as a RunError, from _run
+    try:
         spec = BinningSpec(ranges, counts)
-        report = coverage(chunks, spec)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    _write(out, lambda: write_density_json(report, out))
+    report = None
+
+    def measure():  # called with --out open, so the orbit runs only then
+        nonlocal report
+        try:  # a kernel error reaches here as a RunError, from _run
+            report = coverage(chunks, spec)
+        except ValueError as exc:  # more binned axes than coordinates
+            raise UsageError(str(exc)) from None
+        return report
+
+    _write(out, lambda: write_density_json(measure, out))
     print(
         "wrote %s (visited %d of %d cells, fraction %.4f)"
         % (out, report.visited, report.total, report.fraction)

@@ -177,5 +177,9 @@ def density_json_text(report):
 
 
 def write_density_json(report, path):
-    _atomic_write(path, (density_json_text(report),))
+    """Write a DensityReport as JSON.  `report` may instead be a function
+    that makes one, called once the file is open, so that a path that
+    cannot be written is found before the report is made."""
+    _atomic_write(path, (density_json_text(r() if callable(r) else r)
+                         for r in (report,)))
     return path

@@ -147,10 +147,13 @@ def test_suite_runner_unknown_name():
         acceptance.run_suite("nonsense", report=None)
 
 
-def test_suite_runner_subsets():
-    results = acceptance.run_suite("t3a", report=None)
-    assert [r.number for r in results] == [3, 4]
-    assert all(r.passed for r in results)
+def test_suite_runner_subsets(cpus):
+    # in this process on one usable CPU, and in two workers on two
+    for count in (1, 2):
+        cpus(count)
+        results = acceptance.run_suite("t3a", report=None)
+        assert [r.number for r in results] == [3, 4]
+        assert all(r.passed for r in results)
 
 
 # -- the runner: one queue, forked workers ------------------------------------

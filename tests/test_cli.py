@@ -94,8 +94,34 @@ def test_flow_rejects_flow_model_mismatch(tmp_path, capsys):
     # the triangular flow only makes sense on the torus bundle model
     code = run(["flow", "--model", "modular", "--flow", "sol3u",
                 "--steps", 5, "--out", tmp_path / "x.csv"])
-    assert code == 1
-    assert "run failed" in capsys.readouterr().err
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "usage error: --flow sol3u runs on --model t3a only, got --model modular\n")
+
+
+@pytest.mark.parametrize("command", ["flow", "density"])
+@pytest.mark.parametrize("model", [m for m in models.MODEL_NAMES if m != "t3a"])
+@pytest.mark.parametrize("flow", ["sol3u", "dual"])
+@pytest.mark.parametrize("seed", [[], ["--seed", 3]])
+def test_every_flow_the_model_does_not_carry_is_a_usage_error(
+    monkeypatch, tmp_path, capsys, command, model, flow, seed
+):
+    # sol3u and dual run on the torus bundle only: refused before any
+    # kernel runs, with no file left
+    monkeypatch.chdir(tmp_path)
+    for kernel in ("surface_orbit", "modular_orbit", "t3a_orbit"):
+        monkeypatch.setattr(_kernels, kernel, must_not_run)
+    argv = [command, "--model", model, "--flow", flow, "--steps", 10,
+            "--out", "out"] + seed
+    if command == "density":
+        argv += ["--bins", "4 4"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "usage error: --flow %s runs on --model t3a only, got --model %s\n"
+        % (flow, model))
+    assert os.listdir() == []
 
 
 @pytest.mark.parametrize("kernel", ["pure", "native"])
@@ -446,6 +472,25 @@ def test_every_option_says_what_lies_outside_its_domain():
     assert {dest for _, dest, _ in parser_options()} == set(OUTSIDE)
 
 
+@pytest.mark.parametrize("command, flag", sorted(
+    {(command, flag) for command, _, flag in parser_options()}
+    | {(command, "--config") for command, _, _ in parser_options()}))
+def test_an_option_given_as_double_dash_is_a_usage_error(
+    monkeypatch, tmp_path, capsys, command, flag
+):
+    # argparse leaves the value of `--flag=--` uncast, as []; every option,
+    # text or typed, refuses it before the command runs
+    monkeypatch.chdir(tmp_path)
+    for kernel in ("surface_orbit", "modular_orbit", "t3a_orbit"):
+        monkeypatch.setattr(_kernels, kernel, must_not_run)
+    assert run([command, "%s=--" % flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: %s must be " % flag)
+    assert captured.err.endswith(", got '--'\n")
+    assert os.listdir() == []
+
+
 @pytest.mark.parametrize("command", ["flow", "density", "plot"])
 @pytest.mark.parametrize("out, error", [
     (os.path.join("missing", "out"), errno.ENOENT),
@@ -463,7 +508,7 @@ def test_an_out_that_cannot_be_written_is_a_usage_error(
         argv = [command, "--model", "octagon", "--flow", "u", "--steps", 10]
     if command == "density":
         argv += ["--bins", "4 4"]
-    if command == "flow":  # the CSV writer opens its file before the run
+    if command != "plot":  # the writer opens its file before the run
         monkeypatch.setattr(_kernels, "surface_orbit", must_not_run)
     before = sorted(os.listdir())
     assert run(argv + ["--out", out]) == 2
