@@ -1,18 +1,9 @@
 """Pure-Python orbit kernels.
 
-The compiled twin in _native.c mirrors every float expression here,
-operation for operation, so both backends produce the same floating point
-results; any change to one must be mirrored in the other.  Loop bookkeeping
-may differ: here the renormalisation and sampling steps are counted down,
-the step product assigns its entries in pairs without building a tuple,
-the first descent round reuses the post-step determinant, the loop writes
-each sample row into the buffer itself (a rotated pole through _put_pole),
-the letter table is built once per distinct letter list, and t3a_orbit
-takes lam ** t' and the step's two shifts only when t' has moved, adds
-st to t' and floors it only when t' can move, and negates d' once, where
-_native.c tests (i + 1) modulo each interval, recomputes the determinant
-every round, writes rows through put_sample, builds its table per call
-and does all of these every step.
+The compiled twin in _native.c follows this file statement for statement:
+the same float expressions, operation for operation, in the same order,
+under the same loop rules, so both backends produce the same floating
+point results; any change to one must be mirrored in the other.
 The boundary action of a letter on the circle is moebius.boundary_angle,
 whose C twin is _native.c's boundary_apply.
 
@@ -34,17 +25,18 @@ State conventions shared by both backends:
 
 All reduction loops raise ValueError carrying the step index on a cap or
 guard violation: first_step + i, where first_step (default 0) counts the
-steps an earlier call of the same run made.  A run split into calls of a
-multiple of RENORM_EVERY steps each, each a multiple of sample_every,
-thus gives the samples, the final state and the errors of one whole-run
-call, since both countdowns restart in phase at every call.
+steps an earlier call of the same run made.  Step i renormalises when
+(i + 1) % RENORM_EVERY == 0 and samples when (i + 1) % sample_every == 0,
+so a run split into calls of a multiple of RENORM_EVERY steps each, each
+a multiple of sample_every, gives the samples, the final state and the
+errors of one whole-run call.
 
 The surface descent tries every letter L on the frame g and keeps the first
 candidate L g closer to i.  Most candidates are farther out, and a quick
 reject drops them before L g is formed: ||L g||^2 is the quadratic form
-q11*p11 + 2*q12*p12 + q22*p22 of Q = L^T L, built once per letter list,
-against P = g g^T, built once per descent round, and a candidate at least
-1e-6 above ||g||^2 cannot win.  The rule applies only while g and L have det
+q11*p11 + 2*q12*p12 + q22*p22 of Q = L^T L, built once per call, against
+P = g g^T, built once per descent round, and a candidate at least 1e-6
+above ||g||^2 cannot win.  The rule applies only while g and L have det
 near 1 and norms below 1e4; the comment in surface_orbit bounds its error.
 A surviving candidate whose cosh argument is no smaller than the frame's is
 dropped before its acosh.
@@ -60,31 +52,23 @@ letters' quadratic forms from them with one square root; inside it the
 descent round ends before any quick form is evaluated, and the frame's
 own cosh argument is taken only once a letter loop runs.  A letter that
 may not be quick-rejected, or an empty letter list, turns the skip off.
-None of these filters changes a decision, a result or an error, and
-_native.c does the same, expression for expression.
+None of these filters changes a decision, a result or an error.
 
 Two kernels serve the group side rather than an orbit: boundary_residual,
 the inner loop of diagnostics.minimal_set_residual's product branch
 (criterion 5), and boundary_track, keylemma_converge's per-point loop
-(criterion 1).  boundary_residual writes canonical_entries and
-boundary_angle at theta = pi out inline; _native.c folds through
-boundary_apply's boundary_fold with sin(pi/2) and cos(pi/2) taken once,
-which gives the same bits because sin(pi/2) is exactly 1.0.
+(criterion 1).  boundary_residual calls canonical_entries and
+boundary_angle at theta = pi; _native.c folds through boundary_apply's
+boundary_fold with sin(pi/2) and cos(pi/2) taken once, which gives the
+same bits because sin(pi/2) is exactly 1.0.
 """
 
 import math
 from array import array
-from functools import lru_cache
 from itertools import chain
 
 from horoflow._kernels import RENORM_EVERY, TRANS_BOUNDARY, TRANS_ROTATION
-from horoflow.moebius import (
-    NORMAL_MIN,
-    RENORM_TOL,
-    SIGN_TOL,
-    boundary_angle,
-    canonical_entries,
-)
+from horoflow.moebius import boundary_angle, canonical_entries
 
 _DET_TOL = 1e-12
 _DESCENT_SLACK = 1e-12
@@ -114,13 +98,15 @@ def _cosh_dist(a, b, c, d):
 
 
 def _letter_table(letters):
-    """Rows (q11, 2*q12, q22, la, lb, lc, ld, k), one per reduction letter.
+    """Rows (q11, 2*q12, q22, la, lb, lc, ld, k), one per reduction letter,
+    from the letters read as doubles.
 
     Q = L^T L, so that ||L g||^2 = q11*p11 + 2*q12*p12 + q22*p22 with
     P = g g^T.  Only a letter with det within _DET_TOL of 1 and
     ||L||^2 <= _QUICK_NORM may be quick-rejected; any other gets a NaN q11,
     which no threshold passes, and always takes the exact path.
     """
+    letters = array("d", letters)
     table = []
     for k in range(len(letters) // 4):
         la = letters[4 * k]
@@ -148,20 +134,6 @@ def _inner_bound(table):
         return math.nan
     norm = min(q11 + q22 for q11, _, q22, *_ in table)
     return 2.0 * math.sqrt((0.5 * norm + 1.0) * 0.5) * (1.0 - _INNER_MARGIN)
-
-
-@lru_cache(maxsize=16)
-def _descent_table(key):
-    """(_letter_table rows as a tuple, their _inner_bound) for the letters
-    whose doubles, as _native.c reads them, are the bytes `key`.
-
-    Both depend on the letters alone, so they are built once per distinct
-    letter list: criterion 9 alone makes thousands of one-step calls with
-    the octagon's letters.  Keyed by bytes, letters that differ only in the
-    sign of a zero do not share a table.
-    """
-    table = tuple(_letter_table(array("d", key)))
-    return table, _inner_bound(table)
 
 
 def _quat_mul_norm(l0, l1, l2, l3, t0, t1, t2, t3):
@@ -198,18 +170,26 @@ def _row_width(trans_kind):
                 else 2 if trans_kind == TRANS_ROTATION else 0)
 
 
-def _put_pole(samples, j, t0, t1, t2, t3):
-    """Write (polar, azimuth) of the pole rotated by the unit quaternion t
-    into samples[j:j + 2], as _native.c's put_sample does."""
-    vx = 2.0 * (t0 * t2 + t1 * t3)
-    vy = 2.0 * (t2 * t3 - t0 * t1)
-    vz = 1.0 - 2.0 * t1 * t1 - 2.0 * t2 * t2
-    if vz > 1.0:
-        vz = 1.0
-    elif vz < -1.0:
-        vz = -1.0
-    samples[j] = math.acos(vz)
-    samples[j + 1] = math.atan2(vy, vx)
+def _put_sample(samples, j, a, b, c, d, trans_kind, t0, t1, t2, t3):
+    """Write (re, im, direction) of the frame plus the transverse
+    coordinates of trans_kind to samples[j:j + _row_width(trans_kind)]."""
+    gamma = c * c + d * d
+    samples[j] = (a * c + b * d) / gamma
+    samples[j + 1] = 1.0 / gamma
+    samples[j + 2] = (_HALF_PI - 2.0 * math.atan2(c, d)) % _TAU
+    if trans_kind == TRANS_BOUNDARY:
+        samples[j + 3] = t0
+    elif trans_kind == TRANS_ROTATION:
+        # the pole rotated by the unit quaternion t, as (polar, azimuth)
+        vx = 2.0 * (t0 * t2 + t1 * t3)
+        vy = 2.0 * (t2 * t3 - t0 * t1)
+        vz = 1.0 - 2.0 * t1 * t1 - 2.0 * t2 * t2
+        if vz > 1.0:
+            vz = 1.0
+        elif vz < -1.0:
+            vz = -1.0
+        samples[j + 3] = math.acos(vz)
+        samples[j + 4] = math.atan2(vy, vx)
 
 
 def _sample_buffer(steps, sample_every, width):
@@ -242,31 +222,22 @@ def surface_orbit(frame, step, letters, trans_kind, trans_quats, trans_state,
     width = _row_width(trans_kind)
     samples = _sample_buffer(steps, sample_every, width)
     j = width  # row 0 is the caller's
-    table, inner = _descent_table(array("d", letters).tobytes())
-    acosh, atan2 = math.acosh, math.atan2
-    half_pi, tau = _HALF_PI, _TAU
+    table = _letter_table(letters)
+    inner = _inner_bound(table)
+    acosh = math.acosh
     det_tol, slack, nan = _DET_TOL, _DESCENT_SLACK, math.nan
     quick_norm, quick_det, quick_margin = _QUICK_NORM, _QUICK_DET, _QUICK_MARGIN
-    # countdowns to the steps i with (i + 1) % RENORM_EVERY == 0, which
-    # renormalise, and with (i + 1) % sample_every == 0, which sample
-    renorm_in = RENORM_EVERY
-    every = abs(sample_every)
-    sample_in = every
     for i in range(steps):
         # right multiplication by the step element
         a, b = a * sa + b * sc, a * sb + b * sd
         c, d = c * sa + d * sc, c * sb + d * sd
         det = a * d - b * c
-        renorm_in -= 1
-        if det - 1.0 > det_tol or 1.0 - det > det_tol or not renorm_in:
+        if (det - 1.0 > det_tol or 1.0 - det > det_tol
+                or (i + 1) % RENORM_EVERY == 0):
             a, b, c, d = _renorm(a, b, c, d)
-            det = a * d - b * c
-            if not renorm_in:
-                renorm_in = RENORM_EVERY
         # greedy descent toward the domain center.  The frame's cosh
         # argument is taken before the first letter loop that runs, its
-        # acosh only once a candidate comes closer.  `det` is the frame's
-        # a*d - b*c throughout.
+        # acosh only once a candidate comes closer.
         arg = None
         dist = None
         descend = 0
@@ -287,6 +258,7 @@ def surface_orbit(frame, step, letters, trans_kind, trans_quats, trans_state,
             p12 = a * c + b * d
             p22 = c * c + d * d
             n = p11 + p22
+            det = a * d - b * c
             if n <= quick_norm and abs(det - 1.0) <= quick_det:
                 # Inner-ball skip, exact by this bound.  With det within
                 # 1e-9 of 1, n <= T puts g i within D/2 of i, cosh shrunk
@@ -323,7 +295,6 @@ def surface_orbit(frame, step, letters, trans_kind, trans_quats, trans_state,
                     dist = acosh(arg)
                 if cand < dist - slack:
                     a, b, c, d = (ca, cb, cc, cd)
-                    det = a * d - b * c
                     arg = carg
                     dist = cand
                     if trans_kind == TRANS_BOUNDARY:
@@ -346,17 +317,8 @@ def surface_orbit(frame, step, letters, trans_kind, trans_quats, trans_state,
                     "reduction did not settle within %d descents at step %d"
                     % (_REDUCE_CAP, first_step + i)
                 )
-        sample_in -= 1
-        if not sample_in:
-            sample_in = every
-            gamma = c * c + d * d
-            samples[j] = (a * c + b * d) / gamma
-            samples[j + 1] = 1.0 / gamma
-            samples[j + 2] = (half_pi - 2.0 * atan2(c, d)) % tau
-            if trans_kind == TRANS_BOUNDARY:
-                samples[j + 3] = t0
-            elif trans_kind == TRANS_ROTATION:
-                _put_pole(samples, j + 3, t0, t1, t2, t3)
+        if (i + 1) % sample_every == 0:
+            _put_sample(samples, j, a, b, c, d, trans_kind, t0, t1, t2, t3)
             j += width
     return (samples, (a, b, c, d), (t0, t1, t2, t3))
 
@@ -377,20 +339,13 @@ def modular_orbit(frame, step, trans_kind, trans_quats, trans_state,
     width = _row_width(trans_kind)
     samples = _sample_buffer(steps, sample_every, width)
     j = width  # row 0 is the caller's
-    atan2, half_pi, tau = math.atan2, _HALF_PI, _TAU
-    # countdowns to the next renormalisation and sample, as in surface_orbit
-    renorm_in = RENORM_EVERY
-    every = abs(sample_every)
-    sample_in = every
     for i in range(steps):
         a, b = a * sa + b * sc, a * sb + b * sd
         c, d = c * sa + d * sc, c * sb + d * sd
         det = a * d - b * c
-        renorm_in -= 1
-        if det - 1.0 > _DET_TOL or 1.0 - det > _DET_TOL or not renorm_in:
+        if (det - 1.0 > _DET_TOL or 1.0 - det > _DET_TOL
+                or (i + 1) % RENORM_EVERY == 0):
             a, b, c, d = _renorm(a, b, c, d)
-            if not renorm_in:
-                renorm_in = RENORM_EVERY
         rounds = 0
         while True:
             gamma = c * c + d * d
@@ -418,37 +373,27 @@ def modular_orbit(frame, step, trans_kind, trans_quats, trans_state,
                         t0, t1, t2, t3 = _quat_mul_norm(
                             q0, q1, q2, q3, t0, t1, t2, t3
                         )
-            if re * re + im * im < 1.0 - _DET_TOL:
-                a, b, c, d = (-c, -d, a, b)
-                if trans_kind == TRANS_BOUNDARY:
-                    t0 = boundary_angle(0.0, -1.0, 1.0, 0.0, t0)
-                elif trans_kind == TRANS_ROTATION:
-                    t0, t1, t2, t3 = _quat_mul_norm(
-                        trans_quats[4],
-                        trans_quats[5],
-                        trans_quats[6],
-                        trans_quats[7],
-                        t0, t1, t2, t3,
-                    )
-            else:
+            if not re * re + im * im < 1.0 - _DET_TOL:
                 break
+            a, b, c, d = (-c, -d, a, b)
+            if trans_kind == TRANS_BOUNDARY:
+                t0 = boundary_angle(0.0, -1.0, 1.0, 0.0, t0)
+            elif trans_kind == TRANS_ROTATION:
+                t0, t1, t2, t3 = _quat_mul_norm(
+                    trans_quats[4],
+                    trans_quats[5],
+                    trans_quats[6],
+                    trans_quats[7],
+                    t0, t1, t2, t3,
+                )
             rounds += 1
             if rounds > _REDUCE_CAP:
                 raise ValueError(
                     "reduction did not settle within %d rounds at step %d"
                     % (_REDUCE_CAP, first_step + i)
                 )
-        sample_in -= 1
-        if not sample_in:
-            sample_in = every
-            gamma = c * c + d * d
-            samples[j] = (a * c + b * d) / gamma
-            samples[j + 1] = 1.0 / gamma
-            samples[j + 2] = (half_pi - 2.0 * atan2(c, d)) % tau
-            if trans_kind == TRANS_BOUNDARY:
-                samples[j + 3] = t0
-            elif trans_kind == TRANS_ROTATION:
-                _put_pole(samples, j + 3, t0, t1, t2, t3)
+        if (i + 1) % sample_every == 0:
+            _put_sample(samples, j, a, b, c, d, trans_kind, t0, t1, t2, t3)
             j += width
     return (samples, (a, b, c, d), (t0, t1, t2, t3))
 
@@ -467,52 +412,30 @@ def t3a_orbit(state, lam, eigen, sol_step, steps, sample_every, first_step=0):
         raise ValueError("lam must not be negative, got %g" % lam)
     samples = _sample_buffer(steps, sample_every, 3)
     j = 3  # row 0 is the caller's
-    every = abs(sample_every)
-    sample_in = every
-    # lam ** tp and the step's shifts scale * sx and sy / scale, taken
-    # again only once tp has moved: after a step with a truthy st (nonzero
-    # or NaN) and after a level shift.  tp += st and its floor run only
-    # where tp can move: the first step, so that a -0.0 start still turns
-    # into +0.0, each step after a level shift, and every step of a truthy
-    # st.
-    scale = None
-    moved = True
-    ndp = -dp
     for i in range(steps):
-        if scale is None:
-            scale = lam ** tp
-            dx = scale * sx
-            dy = sy / scale
-        xp += dx
-        yp += dy
-        if moved:
-            tp += st
-            n = math.floor(tp)
-            if n != 0:
-                if n > 64 or n < -64:
-                    raise ValueError(
-                        "suspension coordinate drifted %d levels at step %d"
-                        % (n, first_step + i)
-                    )
-                down = lam ** n
-                xp /= down
-                yp *= down
-                tp -= n
-                scale = None
-            elif st:
-                scale = None
-            else:
-                moved = False
-        x = ndp * xp + cp * yp
+        scale = lam ** tp
+        xp += scale * sx
+        yp += sy / scale
+        tp += st
+        n = math.floor(tp)
+        if n != 0:
+            if n > 64 or n < -64:
+                raise ValueError(
+                    "suspension coordinate drifted %d levels at step %d"
+                    % (n, first_step + i)
+                )
+            down = lam ** n
+            xp /= down
+            yp *= down
+            tp -= n
+        x = -dp * xp + cp * yp
         y = bp * xp - ap * yp
         m1 = math.floor(x)
         m2 = math.floor(y)
         if m1 != 0 or m2 != 0:
             xp -= m1 * ap + m2 * cp
             yp -= m1 * bp + m2 * dp
-        sample_in -= 1
-        if not sample_in:
-            sample_in = every
+        if (i + 1) % sample_every == 0:
             samples[j] = x - m1
             samples[j + 1] = y - m2
             samples[j + 2] = tp
@@ -537,10 +460,7 @@ def boundary_residual(pushed, grid):
     """
     rows = zip(*[iter(pushed)] * 5)
     grid = list(zip(*[iter(grid)] * 4))
-    # cos(pi/2) is 6.1e-17, not 0, and stays
-    q_inf = math.cos(0.5 * math.pi)
-    half_pi = 0.5 * math.pi
-    atan2, sin, sqrt = math.atan2, math.sin, math.sqrt
+    sin, pi = math.sin, math.pi
     worst = 0.0
     for pa, pb, pc, pd, theta in rows:
         for ba, bb, bc, bd in grid:
@@ -548,22 +468,9 @@ def boundary_residual(pushed, grid):
             b = pa * bb + pb * bd
             c = pc * ba + pd * bc
             d = pc * bb + pd * bd
-            det = a * d - b * c
-            if not det >= NORMAL_MIN:
-                # raises, or scales a subnormal det by a power of two first
-                a, b, c, d = canonical_entries(a, b, c, d)
-            else:
-                if abs(det - 1.0) > RENORM_TOL:
-                    s = sqrt(det)
-                    a, b, c, d = a / s, b / s, c / s, d / s
-                if c < -SIGN_TOL or (abs(c) <= SIGN_TOL and a < 0.0):
-                    a, b, c, d = -a, -b, -c, -d
-            phi = atan2(a + b * q_inf, c + d * q_inf)
-            if phi <= -half_pi:
-                phi += math.pi
-            elif phi > half_pi:
-                phi -= math.pi
-            dist = abs(2.0 * sin(0.5 * (theta - 2.0 * phi)))
+            a, b, c, d = canonical_entries(a, b, c, d)
+            angle = boundary_angle(a, b, c, d, pi)
+            dist = abs(2.0 * sin(0.5 * (theta - angle)))
             if dist > worst:
                 worst = dist
     return worst

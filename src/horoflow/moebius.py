@@ -47,9 +47,9 @@ def canonical_entries(a, b, c, d):
     The determinant must be positive; a drift above RENORM_TOL is divided
     out, and the sign is chosen so that c > 0, or a >= 0 when |c| is within
     SIGN_TOL of zero.  A subnormal determinant is first brought near 1 by
-    scaling the entries by a power of two, which is exact.  The kernels'
-    boundary_residual (_kernels/_pure.py and _native.c) writes these rules
-    out inline and must change with them.
+    scaling the entries by a power of two, which is exact.  _native.c's
+    boundary_residual writes these rules out inline and must change with
+    them.
     """
     det = a * d - b * c
     if 0.0 < det < NORMAL_MIN:
@@ -77,8 +77,7 @@ def boundary_angle(a, b, c, d, theta):
     the matrix sign, though its last bits are those of apply_boundary only
     for canonical_entries.  The fold puts phi in (-pi/2, pi/2], so 2 * phi
     is already in (-pi, pi] and BoundaryPoint stores it unchanged.
-    _pure.boundary_residual writes it out inline at theta = pi, and
-    _native.c's boundary_apply is its C twin; both must change with it.
+    _native.c's boundary_apply is its C twin and must change with it.
     """
     half = 0.5 * theta
     p = math.sin(half)

@@ -6,17 +6,15 @@ or the (type, message) of what they raise, must be the same.  The draws
 include the inputs the kernels must fail on alike: non-finite and
 collapsed frames, infinite boundary angles, zero quaternions, a zero
 sampling interval, and for t3a a zero or NaN lam ** t' and a level guard.
-For boundary_residual and boundary_track they include products whose
-determinant is not positive or NaN, is subnormal or drifts past RENORM_TOL, lower-left
+The t3a draws of t' include +-0.0, and those of its step st 0.0, -0.0, a
+tiny st, one of at least a level per step and NaN.  For boundary_residual
+and boundary_track they include products whose determinant is not
+positive or NaN, is subnormal or drifts past RENORM_TOL, lower-left
 entries within SIGN_TOL of zero, infinite and NaN angles, and no rows,
 grid elements, points or maps at all.
 
-`reference_t3a_orbit` is t3a_orbit as _native.c runs it, every expression
-on every step: the pure kernel, which takes lam ** t' and floors t' only
-when t' can have moved, must return exactly what it returns, also where
-no C compiler exists.  The t' draws include +-0.0, and the st draws 0.0,
--0.0, a tiny st, one of at least a level per step and NaN, so that every
-way of skipping the floor is taken.
+_pure.py follows _native.c statement for statement, so each test compares
+two forms of one algorithm and no third form is kept as a reference.
 """
 
 import math
@@ -25,7 +23,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from horoflow._kernels import TRANS_BOUNDARY, TRANS_ROTATION, _pure
-from horoflow._kernels._pure import _sample_buffer
 from horoflow.groups import BOUNDARY_CIRCLE
 from horoflow.models import build_octagon, build_product, build_t3a
 from horoflow.models.product import minimal_set_distance
@@ -43,46 +40,6 @@ def outcome(kernel, args):
         return repr(kernel(*args))
     except Exception as exc:  # the failure must match as well
         return (type(exc), str(exc))
-
-
-def reference_t3a_orbit(state, lam, eigen, sol_step, steps, sample_every,
-                        first_step=0):
-    xp, yp, tp = state
-    ap, bp, cp, dp = eigen
-    sx, sy, st_ = sol_step
-    if lam < 0.0:
-        raise ValueError("lam must not be negative, got %g" % lam)
-    samples = _sample_buffer(steps, sample_every, 3)
-    j = 3
-    for i in range(steps):
-        scale = lam ** tp
-        xp += scale * sx
-        yp += sy / scale
-        tp += st_
-        n = math.floor(tp)
-        if n != 0:
-            if n > 64 or n < -64:
-                raise ValueError(
-                    "suspension coordinate drifted %d levels at step %d"
-                    % (n, first_step + i)
-                )
-            down = lam ** n
-            xp /= down
-            yp *= down
-            tp -= n
-        x = -dp * xp + cp * yp
-        y = bp * xp - ap * yp
-        m1 = math.floor(x)
-        m2 = math.floor(y)
-        if m1 != 0 or m2 != 0:
-            xp -= m1 * ap + m2 * cp
-            yp -= m1 * bp + m2 * dp
-        if (i + 1) % sample_every == 0:
-            samples[j] = x - m1
-            samples[j + 1] = y - m2
-            samples[j + 2] = tp
-            j += 3
-    return (samples, (xp, yp, tp))
 
 
 def run_lengths():
@@ -175,12 +132,6 @@ def t3a_cases(draw):
     lam = draw(st.sampled_from([T3A.lam, T3A.lam, T3A.lam, 1.0, 0.0, -1.0]))
     steps, every, first = (draw(s) for s in run_lengths())
     return (state, lam, EIGEN, sol_step, steps, every, first)
-
-
-@settings(max_examples=300, deadline=None)
-@given(t3a_cases())
-def test_pure_t3a_matches_every_step_reference(args):
-    assert outcome(_pure.t3a_orbit, args) == outcome(reference_t3a_orbit, args)
 
 
 def test_native_t3a_matches_pure(native):

@@ -1,6 +1,7 @@
 """Orbit kernel tests: backend parity, model agreement, guard behavior."""
 
 import ast
+import inspect
 import math
 import os
 import random
@@ -152,6 +153,19 @@ def test_every_bound_entry_point_exists_in_both_backends(native):
     assert {"surface_orbit", "boundary_residual", "boundary_track"} <= set(bound)
     assert [name for name in bound if not hasattr(_pure, name)] == []
     assert [name for name in bound if not hasattr(native, name)] == []
+
+
+def test_native_keyword_names_follow_the_pure_signatures():
+    # perfbench's tracer binds a native kernel call through the pure
+    # kernel's signature to count its steps, so each orbit kernel's
+    # `static char *names[]` in _native.c lists pure's parameters in order
+    source = (Path(_kernels.__file__).parent / "_native.c").read_text()
+    for kernel in ("surface_orbit", "modular_orbit", "t3a_orbit"):
+        match = re.search(r"static PyObject \*%s\(.*?static char \*names\[\] "
+                          r"= \{(.*?)\};" % kernel, source, re.S)
+        assert match, kernel
+        parameters = inspect.signature(getattr(_pure, kernel)).parameters
+        assert re.findall(r'"(\w+)"', match.group(1)) == list(parameters)
 
 
 # -- the C kernel compiled on first import -----------------------------------
